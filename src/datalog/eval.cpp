@@ -51,10 +51,17 @@ namespace {
 /// — the live RelationStore or the incremental engine's OldStateView.
 ///
 /// Construction plans the join:
+///  * a ground head tuple, when given (the rederive/recount/probe
+///    queries), binds the head variables before anything is ordered, so
+///    every level and filter is planned against them; a head-constant or
+///    repeated-variable clash means no derivation;
 ///  * positive body literals are ordered greedily by estimated lookup
 ///    cardinality (relation size ÷ bound-column index fan-out when a fresh
 ///    index exists, an independence-assumption power law otherwise), with
 ///    the delta-restricted literal pinned first;
+///  * a positive literal whose variables are all bound at its plan point
+///    becomes a membership filter (ContainsTuple on the relation's own
+///    hash table), never a level over an all-columns index;
 ///  * each level's index key columns are fixed statically, so the per-row
 ///    inner loop neither rebuilds column lists nor re-derives which
 ///    variables to bind — it fills a reusable key buffer and walks a
@@ -67,24 +74,43 @@ class RuleJoin {
  public:
   RuleJoin(const Program& program, const TStore& store,
            const Rule& rule, const DeltaRestriction& restriction,
-           EvalStats& stats)
+           EvalStats& stats, const Tuple* head_tuple = nullptr)
       : program_(program),
         store_(store),
         rule_(rule),
         restriction_(restriction),
         stats_(stats),
         bindings_(rule.variable_names.size()),
-        bound_(rule.variable_names.size(), 0),
         head_(rule.head.args.size()) {
     OBS_SCOPE(Category::kJoinPlan);
-    undo_.reserve(rule.variable_names.size());
+
+    // Ground head: its variables are bound before any planning decision.
+    std::vector<char> sbound(rule.variable_names.size(), 0);
+    if (head_tuple != nullptr) {
+      DSCHED_CHECK_MSG(head_tuple->size() == rule_.head.args.size(),
+                       "head tuple arity mismatch");
+      for (std::size_t i = 0; i < head_tuple->size() && !head_clash_; ++i) {
+        const Term& term = rule_.head.args[i];
+        const Value v = (*head_tuple)[i];
+        if (term.IsVar() && sbound[term.var] == 0) {
+          sbound[term.var] = 1;
+          bindings_[term.var] = v;
+        } else {
+          head_clash_ =
+              !((term.IsVar() ? bindings_[term.var] : term.constant) == v);
+        }
+      }
+      if (head_clash_) {
+        return;
+      }
+    }
+    std::vector<char> hoist_bound = sbound;
 
     // Split the body: the restricted element (if any) joins first; then
     // the remaining positive literals, planner-ordered; negations and
     // comparisons become filters hoisted onto the levels.
     std::vector<std::size_t> positives;
     std::vector<std::size_t> filters;
-    std::vector<char> sbound(rule.variable_names.size(), 0);
     for (std::size_t i = 0; i < rule_.body.size(); ++i) {
       const bool restricted = (i == restriction_.body_index);
       if (const auto* literal = std::get_if<Literal>(&rule_.body[i])) {
@@ -123,7 +149,8 @@ class RuleJoin {
       }
     }
 
-    // Greedy selectivity ordering over the static bound-variable set.
+    // Greedy selectivity ordering over the static bound-variable set.  A
+    // literal already fully bound here is a membership test, not a level.
     while (!positives.empty()) {
       std::size_t best = 0;
       double best_cost = EstimateCost(AtomAt(positives[0]), sbound);
@@ -136,32 +163,32 @@ class RuleJoin {
       }
       const std::size_t body_index = positives[best];
       positives.erase(positives.begin() + static_cast<std::ptrdiff_t>(best));
+      if (FilterVarsBound(body_index, sbound)) {
+        filters.push_back(body_index);
+        continue;
+      }
       levels_.push_back(PlanLevel(body_index, sbound));
       MarkVars(AtomAt(body_index), sbound);
     }
 
     // Hoist each filter to the earliest point all its variables are bound.
     // (Safety validation guarantees every filter variable occurs in some
-    // positive literal, so placement always succeeds.)
-    std::vector<char> hoist_bound(rule.variable_names.size(), 0);
-    std::size_t placed_through = 0;  // filters placeable before any level
-    for (const std::size_t f : filters) {
-      if (FilterVarsBound(f, hoist_bound)) {
-        pre_filters_.push_back(f);
-        ++placed_through;
-      }
-    }
+    // positive literal, so placement always succeeds.)  Head-bound
+    // variables count from the start: a body the head binds completely
+    // runs all its filters up front.
+    const auto place_bound_filters = [&](std::vector<std::size_t>& sink) {
+      std::erase_if(filters, [&](std::size_t f) {
+        if (!FilterVarsBound(f, hoist_bound)) {
+          return false;
+        }
+        sink.push_back(f);
+        return true;
+      });
+    };
+    place_bound_filters(pre_filters_);
     for (LevelPlan& level : levels_) {
       MarkVars(*level.atom, hoist_bound);
-      if (placed_through == filters.size()) {
-        continue;
-      }
-      for (const std::size_t f : filters) {
-        if (!FilterPlaced(f) && FilterVarsBound(f, hoist_bound)) {
-          level.filters.push_back(f);
-          ++placed_through;
-        }
-      }
+      place_bound_filters(level.filters);
     }
 
     // Resolve each indexed level's cache entry once — the per-binding hot
@@ -185,7 +212,8 @@ class RuleJoin {
     }
 
     // Innermost-level fast path: eligible when the last level is indexed,
-    // filter-free, and all-fresh (every probed row emits).
+    // filter-free, and all-fresh (every probed row emits).  Runs that stop
+    // early or read bindings_ in emit (RunUntil) bypass it.
     if (!levels_.empty()) {
       LevelPlan& leaf = levels_.back();
       bool fresh = !leaf.is_delta && leaf.filters.empty();
@@ -215,6 +243,9 @@ class RuleJoin {
   /// `stop_after_first`, returns true as soon as one derivation succeeds.
   bool Run(const std::function<void(const Tuple&)>& emit,
            bool stop_after_first) {
+    if (head_clash_) {
+      return false;
+    }
     OBS_SCOPE(Category::kJoinProbe);
     ++stats_.rule_applications;
     const std::uint64_t derived_before = stats_.tuples_derived;
@@ -263,30 +294,6 @@ class RuleJoin {
     }
   }
 
-  /// Pre-binds head variables against a ground head tuple (rederivation
-  /// queries).  Returns false if constants clash.
-  bool BindHead(const Tuple& head_tuple) {
-    DSCHED_CHECK_MSG(head_tuple.size() == rule_.head.args.size(),
-                     "head tuple arity mismatch");
-    head_bound_ = true;
-    for (std::size_t i = 0; i < head_tuple.size(); ++i) {
-      const Term& term = rule_.head.args[i];
-      if (term.IsVar()) {
-        if (bound_[term.var] != 0) {
-          if (!(bindings_[term.var] == head_tuple[i])) {
-            return false;
-          }
-        } else {
-          bound_[term.var] = 1;
-          bindings_[term.var] = head_tuple[i];
-        }
-      } else if (!(term.constant == head_tuple[i])) {
-        return false;
-      }
-    }
-    return true;
-  }
-
  private:
   /// One join level, fully planned at construction.
   struct LevelPlan {
@@ -302,8 +309,7 @@ class RuleJoin {
     /// One non-key position to bind or check per row.  `check` is decided
     /// statically: a variable bound by an earlier level or an earlier
     /// occurrence in this literal is compared; otherwise the slot is a
-    /// fresh first binding and the hot path just overwrites bindings_
-    /// (no bound_ bookkeeping, no undo entry).
+    /// fresh first binding and the hot path just overwrites bindings_.
     struct VarSlot {
       std::size_t pos;
       std::uint32_t var;
@@ -350,7 +356,7 @@ class RuleJoin {
       return n;
     }
     std::vector<std::size_t> columns;
-    std::vector<char> seen(bound_.size(), 0);
+    std::vector<char> seen(sbound.size(), 0);
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
       const Term& term = atom.args[i];
       if (!term.IsVar()) {
@@ -386,7 +392,7 @@ class RuleJoin {
     LevelPlan level;
     level.body_index = body_index;
     level.atom = &AtomAt(body_index);
-    std::vector<char> seen(bound_.size(), 0);
+    std::vector<char> seen(sbound.size(), 0);
     for (std::size_t i = 0; i < level.atom->args.size(); ++i) {
       const Term& term = level.atom->args[i];
       if (!term.IsVar()) {
@@ -421,22 +427,6 @@ class RuleJoin {
            (!cmp.rhs.IsVar() || bound[cmp.rhs.var] != 0);
   }
 
-  [[nodiscard]] bool FilterPlaced(std::size_t body_index) const {
-    for (const std::size_t f : pre_filters_) {
-      if (f == body_index) {
-        return true;
-      }
-    }
-    for (const LevelPlan& level : levels_) {
-      for (const std::size_t f : level.filters) {
-        if (f == body_index) {
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
   /// Full match of one delta row: constant positions first (no index
   /// pre-matched them), then the planned variable slots.
   bool MatchDelta(const LevelPlan& level, RowView row) {
@@ -451,9 +441,8 @@ class RuleJoin {
   /// Binds/checks the non-key positions of one indexed row.  Key columns
   /// are skipped — the index already matched them.  Check slots compare
   /// against bindings_ directly: the planner guarantees their variable was
-  /// written by an earlier level or an earlier slot of this loop.  Fresh
-  /// slots are a bare store — unless BindHead pre-bound variables, which
-  /// invalidates the static classification and forces the dynamic path.
+  /// written by the head, an earlier level or an earlier slot of this loop.
+  /// Fresh slots are a bare store.
   bool MatchSlots(const LevelPlan& level, RowView row) {
     for (const auto& slot : level.var_slots) {
       const Value v = row[slot.pos];
@@ -461,26 +450,11 @@ class RuleJoin {
         if (!(bindings_[slot.var] == v)) {
           return false;
         }
-      } else if (!head_bound_) {
-        bindings_[slot.var] = v;
-      } else if (bound_[slot.var] != 0) {
-        if (!(bindings_[slot.var] == v)) {
-          return false;
-        }
       } else {
-        bound_[slot.var] = 1;
         bindings_[slot.var] = v;
-        undo_.push_back(slot.var);
       }
     }
     return true;
-  }
-
-  void UnwindTo(std::size_t mark) {
-    while (undo_.size() > mark) {
-      bound_[undo_.back()] = 0;
-      undo_.pop_back();
-    }
   }
 
   /// Ground-evaluates one filter element.
@@ -525,17 +499,14 @@ class RuleJoin {
       return EmitHead();
     }
     LevelPlan& level = levels_[k];
-    const std::size_t undo_mark = undo_.size();
 
     if (level.is_delta) {
       for (const Tuple& row : restriction_.rows) {
         ++stats_.bindings_explored;
         if (MatchDelta(level, row) && RunFilters(level) &&
             JoinFrom(k + 1)) {
-          UnwindTo(undo_mark);
           return true;
         }
-        UnwindTo(undo_mark);
       }
       return false;
     }
@@ -544,7 +515,7 @@ class RuleJoin {
       const Term& term = level.key_terms[i];
       level.key[i] = term.IsVar() ? bindings_[term.var] : term.constant;
     }
-    if (level.leaf_fast && !stop_after_first_ && !head_bound_) {
+    if (level.leaf_fast && !stop_after_first_ && stop_flag_ == nullptr) {
       // Innermost all-fresh level: every row emits; the head reads the
       // arena row directly and outer-bound positions are filled once.
       const auto rows = store_.LookupPrepared(level.prepared, level.key);
@@ -573,10 +544,8 @@ class RuleJoin {
       ++stats_.bindings_explored;
       if (MatchSlots(level, store_.RowIn(level.prepared, row_id)) &&
           RunFilters(level) && JoinFrom(k + 1)) {
-        UnwindTo(undo_mark);
         return true;
       }
-      UnwindTo(undo_mark);
     }
     return false;
   }
@@ -588,18 +557,16 @@ class RuleJoin {
   EvalStats& stats_;
 
   std::vector<Value> bindings_;
-  std::vector<char> bound_;  ///< dynamic bound set (delta / BindHead paths)
   std::vector<LevelPlan> levels_;
   std::vector<std::size_t> pre_filters_;  ///< ground before any join level
   /// Variable head positions (dst, var); constant positions are prebaked.
   std::vector<std::pair<std::size_t, std::uint32_t>> head_vars_;
-  std::vector<std::uint32_t> undo_;       ///< shared bind stack, mark-based
   Tuple head_;                            ///< reusable head buffer
   Tuple probe_;                           ///< reusable negation-probe buffer
   const std::function<void(const Tuple&)>* emit_ = nullptr;
   bool stop_after_first_ = false;
   const bool* stop_flag_ = nullptr;  ///< RunUntil's conditional stop
-  bool head_bound_ = false;
+  bool head_clash_ = false;  ///< ground head contradicts the rule head
 };
 
 }  // namespace
@@ -706,17 +673,10 @@ bool IsDerivable(const Program& program, const RelationStore& store,
                  const Rule& rule, const Tuple& head_tuple, EvalStats& stats) {
   DSCHED_CHECK_MSG(!rule.IsAggregate(),
                    "aggregation rules go through EvaluateAggregateRule");
-  DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats);
-  if (!join.BindHead(head_tuple)) {
-    return false;
-  }
-  bool found = false;
-  const std::function<void(const Tuple&)> noop = [&found](const Tuple&) {
-    found = true;
-  };
-  join.Run(noop, /*stop_after_first=*/true);
-  return found;
+  const DeltaRestriction none;
+  RuleJoin<RelationStore> join(program, store, rule, none, stats,
+                               &head_tuple);
+  return join.Run([](const Tuple&) {}, /*stop_after_first=*/true);
 }
 
 std::uint64_t CountDerivations(const Program& program,
@@ -725,10 +685,8 @@ std::uint64_t CountDerivations(const Program& program,
   DSCHED_CHECK_MSG(!rule.IsAggregate(),
                    "aggregation rules go through EvaluateAggregateRule");
   const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats);
-  if (!join.BindHead(head_tuple)) {
-    return 0;
-  }
+  RuleJoin<RelationStore> join(program, store, rule, none, stats,
+                               &head_tuple);
   std::uint64_t derivations = 0;
   const std::function<void(const Tuple&)> count =
       [&derivations](const Tuple&) { ++derivations; };
@@ -744,10 +702,8 @@ bool ForEachDerivation(
   DSCHED_CHECK_MSG(!rule.IsAggregate(),
                    "aggregation rules go through EvaluateAggregateRule");
   const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats);
-  if (!join.BindHead(head_tuple)) {
-    return false;
-  }
+  RuleJoin<RelationStore> join(program, store, rule, none, stats,
+                               &head_tuple);
   bool stopped = false;
   std::vector<std::pair<std::uint32_t, Tuple>> body;
   const std::function<void(const Tuple&)> emit = [&](const Tuple&) {

@@ -380,9 +380,10 @@ class Relation {
 };
 
 /// One Relation per predicate of a program, plus a cache of column indexes
-/// used by the join machinery.  Copyable: the incremental engine snapshots
-/// the store to evaluate overdeletions against the pre-update state (the
-/// copy starts with a fresh, empty cache).
+/// used by the join machinery.  The incremental engine never copies it:
+/// overdeletions read the pre-update state through an OldStateView overlay
+/// on the live store.  Copies (tests, benches) start with a fresh, empty
+/// cache.
 ///
 /// Thread compatibility: the parallel update engine runs component phases
 /// concurrently.  Distinct phases never write the same Relation (the

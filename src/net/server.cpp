@@ -774,6 +774,11 @@ void ServiceServer::PumpLoop(SessionEntry& entry) {
             }
           }
           DeliverFromPump(job.conn_id, EncodeQueryResult(resp));
+        } catch (const FrameTooLarge& e) {
+          DeliverFromPump(job.conn_id,
+                          EncodeError(ErrorResponse{
+                              job.request_id, ErrorCode::kResultTooLarge,
+                              e.what()}));
         } catch (const util::Error& e) {
           DeliverFromPump(job.conn_id,
                           EncodeError(ErrorResponse{

@@ -142,6 +142,10 @@ WireTuple WireReader::Tuple() {
 // --- frame assembly -------------------------------------------------------
 
 std::string EncodeFrame(Opcode opcode, std::string_view payload) {
+  if (payload.size() + 1 > kMaxFrameLength) {
+    throw FrameTooLarge("frame of " + std::to_string(payload.size() + 1) +
+                        " bytes exceeds the 16 MiB frame limit");
+  }
   WireWriter header;
   header.U32(static_cast<std::uint32_t>(payload.size() + 1));
   header.U8(static_cast<std::uint8_t>(opcode));
@@ -440,7 +444,8 @@ bool DecodeError(std::string_view payload, ErrorResponse* out) {
   WireReader r(payload);
   out->request_id = r.U64();
   const std::uint16_t code = r.U16();
-  if (code < 1 || code > 9) {
+  if (code < 1 ||
+      code > static_cast<std::uint16_t>(ErrorCode::kResultTooLarge)) {
     return false;
   }
   out->code = static_cast<ErrorCode>(code);

@@ -25,6 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace dsched::net {
 
 /// Frame opcodes.  Requests are < 0x80, responses have the high bit set.
@@ -58,11 +60,18 @@ enum class ErrorCode : std::uint16_t {
   kUpdateFailed = 7, ///< the cascade threw; the session itself stays live
   kBadRules = 8,     ///< AddRules/RemoveRule rejected; program unchanged
   kIdleTimeout = 9,  ///< connection reaped after the idle deadline
+  kResultTooLarge = 10,  ///< QUERY result exceeds kMaxFrameLength
 };
 
 /// Hard ceiling on `length`; a frame declaring more is a protocol error
 /// (kBadFrame) — the peer is garbage or hostile, not merely chatty.
 inline constexpr std::size_t kMaxFrameLength = 1u << 24;  // 16 MiB
+
+/// Thrown by EncodeFrame for a payload the frame length cannot carry.
+class FrameTooLarge : public util::Error {
+ public:
+  using util::Error::Error;
+};
 
 /// One wire value: a 63-bit integer or a symbol by name (symbols travel as
 /// text because interned ids are private to each session's SymbolTable).
@@ -235,7 +244,8 @@ class WireReader {
 
 // --- frame assembly -------------------------------------------------------
 
-/// Renders a complete frame: u32 length + u8 opcode + payload.
+/// Renders a complete frame: u32 length + u8 opcode + payload.  Throws
+/// FrameTooLarge when the frame would exceed kMaxFrameLength.
 [[nodiscard]] std::string EncodeFrame(Opcode opcode, std::string_view payload);
 
 /// One frame sliced out of a receive buffer (payload points into it).

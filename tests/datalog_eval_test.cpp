@@ -196,6 +196,143 @@ TEST(EvalTest, StatsArePopulated) {
   EXPECT_EQ(stats.tuples_inserted, store.Of(program.PredicateId("tc")).Size());
 }
 
+// --- Point-derivation queries plan with the ground head bound.
+
+const Rule& RuleFor(const Program& program, const char* head) {
+  const std::uint32_t pred = program.PredicateId(head);
+  for (const Rule& rule : program.rules) {
+    if (rule.head.predicate == pred) {
+      return rule;
+    }
+  }
+  throw util::InvalidArgument(std::string("no rule for ") + head);
+}
+
+/// The perfbench chain shape: 10 k base keys spread over 8 groups, each
+/// group carrying two values, so a1 and a2 hold 20 k rows.
+struct ChainStore {
+  static constexpr int kKeys = 10000;
+  static constexpr int kGroups = 8;
+  Program program = ParseProgram(R"(
+    a1(X, V) :- base(X, G), sa(G, V).
+    a2(X, V) :- a1(X, V).
+  )");
+  RelationStore store{program};
+
+  ChainStore() {
+    for (int x = 0; x < kKeys; ++x) {
+      store.Of(program.PredicateId("base"))
+          .Insert({Value::Int(x), Value::Int(x % kGroups)});
+    }
+    for (int g = 0; g < kGroups; ++g) {
+      for (int k = 0; k < 2; ++k) {
+        store.Of(program.PredicateId("sa"))
+            .Insert({Value::Int(g), Value::Int(100 * g + k)});
+      }
+    }
+    EvaluateProgram(program, Stratify(program), store);
+  }
+
+  /// A head tuple of x's group (k = 0/1), or a value no group carries.
+  static Tuple Head(int x, int k) {
+    return {Value::Int(x), Value::Int(100 * (x % kGroups) + k)};
+  }
+};
+
+TEST(HeadBoundPlanTest, PointQueriesExploreConstantBindings) {
+  ChainStore chain;
+  ASSERT_EQ(chain.store.Of(chain.program.PredicateId("a2")).Size(),
+            2u * ChainStore::kKeys);
+  const std::vector<std::pair<std::uint32_t, Tuple>> none;
+  for (const char* head : {"a1", "a2"}) {
+    const Rule& rule = RuleFor(chain.program, head);
+    for (const int x : {0, 4711, ChainStore::kKeys - 1}) {
+      const Tuple hit = ChainStore::Head(x, 1);
+      const Tuple miss = ChainStore::Head(x, 7);
+      EvalStats stats;
+      EXPECT_TRUE(IsDerivable(chain.program, chain.store, rule, hit, stats));
+      EXPECT_FALSE(IsDerivable(chain.program, chain.store, rule, miss, stats));
+      EXPECT_EQ(CountDerivations(chain.program, chain.store, rule, hit, stats),
+                1u);
+      EXPECT_EQ(
+          CountDerivations(chain.program, chain.store, rule, miss, stats), 0u);
+      std::vector<std::pair<std::uint32_t, Tuple>> body;
+      EXPECT_FALSE(ForEachDerivation(
+          chain.program, chain.store, rule, hit, stats,
+          [&body](const std::vector<std::pair<std::uint32_t, Tuple>>& b) {
+            body = b;
+            return false;
+          }));
+      ASSERT_FALSE(body.empty()) << head;
+      EXPECT_EQ(body.back().second.back(), hit[1]) << head;
+      // Six queries, each a constant number of rows: never a scan of the
+      // 20 k-row relation.
+      EXPECT_LE(stats.bindings_explored, 6u) << head << " x=" << x;
+    }
+  }
+  // Full-arity membership goes through the relation's own hash table; no
+  // all-columns index is ever built for it.
+  EXPECT_EQ(chain.store.IndexDistinct(chain.program.PredicateId("a1"), {0, 1}),
+            0u);
+  EXPECT_EQ(chain.store.IndexDistinct(chain.program.PredicateId("sa"), {0, 1}),
+            0u);
+}
+
+TEST(HeadBoundPlanTest, HeadBoundBodyStillAppliesFilters) {
+  const Program program = ParseProgram(R"(
+    p(X) :- q(X), !r(X).
+    s(X) :- q(X), X < 5.
+  )");
+  RelationStore store(program);
+  for (int i = 1; i <= 10; ++i) {
+    store.Of(program.PredicateId("q")).Insert({Value::Int(i)});
+  }
+  store.Of(program.PredicateId("r")).Insert({Value::Int(3)});
+  const Rule& p = RuleFor(program, "p");
+  const Rule& s = RuleFor(program, "s");
+  EvalStats stats;
+  EXPECT_FALSE(IsDerivable(program, store, p, {Value::Int(3)}, stats));
+  EXPECT_TRUE(IsDerivable(program, store, p, {Value::Int(4)}, stats));
+  EXPECT_FALSE(IsDerivable(program, store, p, {Value::Int(42)}, stats));
+  EXPECT_EQ(CountDerivations(program, store, p, {Value::Int(3)}, stats), 0u);
+  EXPECT_TRUE(IsDerivable(program, store, s, {Value::Int(3)}, stats));
+  EXPECT_FALSE(IsDerivable(program, store, s, {Value::Int(7)}, stats));
+  EXPECT_EQ(CountDerivations(program, store, s, {Value::Int(7)}, stats), 0u);
+  EXPECT_FALSE(ForEachDerivation(
+      program, store, s, {Value::Int(7)}, stats,
+      [](const std::vector<std::pair<std::uint32_t, Tuple>>&) {
+        ADD_FAILURE() << "s(7) has no derivation";
+        return true;
+      }));
+}
+
+TEST(HeadBoundPlanTest, HeadClashIsNoDerivation) {
+  const Program program = ParseProgram(R"(
+    c(X, 1) :- q(X).
+    d(X, X) :- q(X).
+  )");
+  RelationStore store(program);
+  store.Of(program.PredicateId("q")).Insert({Value::Int(1)});
+  store.Of(program.PredicateId("q")).Insert({Value::Int(2)});
+  const Rule& c = RuleFor(program, "c");
+  const Rule& d = RuleFor(program, "d");
+  EvalStats stats;
+  EXPECT_TRUE(IsDerivable(program, store, c, {Value::Int(2), Value::Int(1)},
+                          stats));
+  EXPECT_FALSE(IsDerivable(program, store, c, {Value::Int(2), Value::Int(2)},
+                           stats));
+  EXPECT_TRUE(IsDerivable(program, store, d, {Value::Int(1), Value::Int(1)},
+                          stats));
+  EXPECT_FALSE(IsDerivable(program, store, d, {Value::Int(1), Value::Int(2)},
+                           stats));
+  EXPECT_EQ(CountDerivations(program, store, d, {Value::Int(1), Value::Int(2)},
+                             stats),
+            0u);
+  EXPECT_FALSE(ForEachDerivation(
+      program, store, c, {Value::Int(2), Value::Int(2)}, stats,
+      [](const std::vector<std::pair<std::uint32_t, Tuple>>&) { return true; }));
+}
+
 TEST(DatabaseTest, InsertAfterMaterializeRejected) {
   Database db("p(X) :- q(X).");
   db.Insert("q", {Value::Int(1)});

@@ -186,7 +186,8 @@ TEST(WireCodecTest, EvolveMessagesRoundTrip) {
     EXPECT_EQ(out.deleted, 7u);
   }
   // The new error codes survive the decoder's range check.
-  for (const ErrorCode code : {ErrorCode::kBadRules, ErrorCode::kIdleTimeout}) {
+  for (const ErrorCode code : {ErrorCode::kBadRules, ErrorCode::kIdleTimeout,
+                               ErrorCode::kResultTooLarge}) {
     const std::string f = EncodeError(ErrorResponse{24, code, "x"});
     Frame p;
     ASSERT_EQ(ExtractFrame(f, &p), FrameStatus::kFrame);
@@ -216,6 +217,17 @@ TEST(WireCodecTest, BrokenFramingIsAnError) {
   w.U32(static_cast<std::uint32_t>(kMaxFrameLength + 1));
   w.U8(static_cast<std::uint8_t>(Opcode::kPing));
   EXPECT_EQ(ExtractFrame(w.Bytes(), &parsed), FrameStatus::kError);
+}
+
+TEST(WireCodecTest, EncodeFrameRefusesOversizedPayloads) {
+  // The largest payload that still fits encodes and extracts; one byte
+  // more must be refused rather than sent with a length the peer rejects.
+  const std::string fits(kMaxFrameLength - 1, 'x');
+  const std::string frame = EncodeFrame(Opcode::kQueryResult, fits);
+  Frame parsed;
+  EXPECT_EQ(ExtractFrame(frame, &parsed), FrameStatus::kFrame);
+  const std::string over(kMaxFrameLength, 'x');
+  EXPECT_THROW((void)EncodeFrame(Opcode::kQueryResult, over), FrameTooLarge);
 }
 
 TEST(WireCodecTest, TruncatedPayloadsRejectedWithoutCrashing) {
@@ -560,6 +572,43 @@ TEST(ServiceServerTest, BadRequestsAnswerWithErrors) {
   // The session survived all of it.
   const SubmitResultResponse ok = client.SubmitSync(ChainBatch(6, sid, 0, 2));
   EXPECT_EQ(ok.epoch, 1u);
+}
+
+TEST(ServiceServerTest, OversizedQueryResultIsATypedError) {
+  // A 1100 x 1100 cross product renders past kMaxFrameLength: the server
+  // answers RESULT_TOO_LARGE and both the connection and the session stay
+  // usable.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = "cross(X, Y) :- l(X), r(Y).";
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  constexpr int kSide = 1100;
+  SubmitRequest fill;
+  fill.request_id = 2;
+  fill.session_id = sid;
+  for (int i = 0; i < kSide; ++i) {
+    fill.ops.push_back(Insert("l", {WireValue::Int(i)}));
+    fill.ops.push_back(Insert("r", {WireValue::Int(i)}));
+  }
+  client.SubmitSync(fill);
+
+  QueryRequest q;
+  q.request_id = 3;
+  q.session_id = sid;
+  q.predicate = "cross";
+  client.SendQuery(q);
+  ServiceClient::Response resp;
+  ASSERT_TRUE(client.ReadResponse(&resp, 60000));
+  ASSERT_EQ(resp.opcode, Opcode::kError);
+  EXPECT_EQ(resp.error.request_id, 3u);
+  EXPECT_EQ(resp.error.code, ErrorCode::kResultTooLarge);
+
+  q.request_id = 4;
+  q.predicate = "l";
+  EXPECT_EQ(client.QuerySync(q).rows.size(), static_cast<std::size_t>(kSide));
+  client.PingSync(5);
 }
 
 TEST(ServiceServerTest, UnknownOpcodeClosesConnection) {
