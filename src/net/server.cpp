@@ -35,6 +35,52 @@ std::string Errno(const char* what) {
 /// kernel keeps the rest and POLLIN fires again next round.
 constexpr std::size_t kMaxReadPerRound = 256 * 1024;
 
+/// Encodes `predicate`'s rows straight from the session's store into one
+/// QUERY_RESULT frame: a sizing pass, then a writing pass, both in store
+/// order.  The caller holds the session quiesced (Session::Read), so the
+/// store cannot change between the passes.  Throws FrameTooLarge before
+/// allocating when the result cannot fit a frame, util::Error for an
+/// unknown predicate.
+std::string EncodeStoreQuery(const service::Session& session,
+                             std::mutex& sym_mutex, std::uint64_t request_id,
+                             std::string_view predicate) {
+  OBS_SCOPE(Category::kNetQueryEncode);
+  // Pin the program once for the whole encode: names and arities are read
+  // through this snapshot only.
+  const std::shared_ptr<const datalog::CompiledProgram> snap =
+      session.Db().Snapshot();
+  const datalog::Program& program = snap->program;
+  const std::uint32_t pred = program.PredicateId(predicate);
+  const datalog::Relation& rel = session.Store().Of(pred);
+  // Symbol names are read under the session's net-side symbol lock: a
+  // concurrent SUBMIT on the poll thread may intern, which can reallocate
+  // the table's storage.
+  const std::lock_guard<std::mutex> lock(sym_mutex);
+  std::size_t value_bytes = 0;
+  rel.ForEachRow([&](std::uint32_t, datalog::RowView row) {
+    for (const datalog::Value v : row) {
+      value_bytes += v.IsSymbol() ? QueryResultWriter::SymbolValueBytes(
+                                        program.symbols.NameOf(v.AsSymbol())
+                                            .size())
+                                  : QueryResultWriter::kIntValueBytes;
+    }
+  });
+  QueryResultWriter writer(
+      request_id,
+      static_cast<std::uint16_t>(program.predicate_arities[pred]),
+      static_cast<std::uint32_t>(rel.Size()), value_bytes);
+  rel.ForEachRow([&](std::uint32_t, datalog::RowView row) {
+    for (const datalog::Value v : row) {
+      if (v.IsSymbol()) {
+        writer.Symbol(program.symbols.NameOf(v.AsSymbol()));
+      } else {
+        writer.Int(v.AsInt());
+      }
+    }
+  });
+  return writer.Finish();
+}
+
 }  // namespace
 
 ServiceServer::ServiceServer(service::EngineHost& host, ServerOptions options)
@@ -182,11 +228,11 @@ void ServiceServer::PollLoop() {
     bool any_parked = false;
     for (auto& [id, conn] : conns_) {
       int events = 0;
-      const bool stalled = conn.outbuf.size() > options_.write_buffer_limit;
+      const bool stalled = conn.Unsent() > options_.write_buffer_limit;
       if (!conn.parked && !stalled && !conn.eof) {
         events |= POLLIN;
       }
-      if (!conn.outbuf.empty()) {
+      if (conn.Unsent() > 0) {
         events |= POLLOUT;
       }
       any_parked = any_parked || conn.parked.has_value();
@@ -265,8 +311,8 @@ void ServiceServer::ReapIdle(std::chrono::steady_clock::time_point now) {
     // dispatched response still in flight, nothing left to flush.  A slow
     // cascade the client is legitimately waiting on keeps inflight > 0,
     // so it never trips this.
-    if (conn.dead || conn.parked || conn.inflight > 0 ||
-        !conn.outbuf.empty() || now - conn.last_activity < deadline) {
+    if (conn.dead || conn.parked || conn.inflight > 0 || conn.Unsent() > 0 ||
+        now - conn.last_activity < deadline) {
       continue;
     }
     idle_reaped_.fetch_add(1, std::memory_order_relaxed);
@@ -741,39 +787,10 @@ void ServiceServer::PumpLoop(SessionEntry& entry) {
       }
       case PumpJob::Kind::kQuery: {
         try {
-          const std::vector<datalog::Tuple> rows =
-              entry.session->Query(job.predicate);
-          // Pin the program once for the whole render: an evolve swap on a
-          // session apply thread would otherwise free the compiled program
-          // out from under these reads.
-          const std::shared_ptr<const datalog::CompiledProgram> snap =
-              entry.session->Db().Snapshot();
-          const datalog::Program& program = snap->program;
-          QueryResultResponse resp;
-          resp.request_id = job.request_id;
-          resp.arity = static_cast<std::uint16_t>(
-              program.predicate_arities[program.PredicateId(job.predicate)]);
-          resp.rows.reserve(rows.size());
-          {
-            // Symbol names render under the session's net-side symbol
-            // lock: a concurrent SUBMIT on the poll thread may intern,
-            // which can reallocate the table's storage.
-            const std::lock_guard<std::mutex> lock(entry.sym_mutex);
-            for (const datalog::Tuple& row : rows) {
-              WireTuple out;
-              out.reserve(row.size());
-              for (const datalog::Value v : row) {
-                if (v.IsSymbol()) {
-                  out.push_back(
-                      WireValue::Sym(program.symbols.NameOf(v.AsSymbol())));
-                } else {
-                  out.push_back(WireValue::Int(v.AsInt()));
-                }
-              }
-              resp.rows.push_back(std::move(out));
-            }
-          }
-          DeliverFromPump(job.conn_id, EncodeQueryResult(resp));
+          DeliverFromPump(job.conn_id, entry.session->Read([&] {
+            return EncodeStoreQuery(*entry.session, entry.sym_mutex,
+                                    job.request_id, job.predicate);
+          }));
         } catch (const FrameTooLarge& e) {
           DeliverFromPump(job.conn_id,
                           EncodeError(ErrorResponse{
@@ -852,14 +869,26 @@ void ServiceServer::SendFrame(Connection& conn, std::string frame) {
   if (conn.dead) {
     return;
   }
-  const bool was_stalled = conn.outbuf.size() > options_.write_buffer_limit;
-  conn.outbuf += frame;
+  const bool was_stalled = conn.Unsent() > options_.write_buffer_limit;
+  if (conn.Unsent() == 0) {
+    conn.outbuf = std::move(frame);
+    conn.out_sent = 0;
+  } else {
+    // Behind unsent bytes the frame is appended.  The sent prefix is
+    // dropped first once it outweighs the rest, so compaction moves no
+    // more bytes than have been sent.
+    if (conn.out_sent >= conn.Unsent()) {
+      conn.outbuf.erase(0, conn.out_sent);
+      conn.out_sent = 0;
+    }
+    conn.outbuf += frame;
+  }
   conn.last_activity = std::chrono::steady_clock::now();
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   OBS_COUNTER(Category::kNetFrameOut, 1);
   WriteReady(conn);  // eager flush; leftovers wait for POLLOUT
   if (!conn.dead && !was_stalled &&
-      conn.outbuf.size() > options_.write_buffer_limit) {
+      conn.Unsent() > options_.write_buffer_limit) {
     write_stalls_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -874,13 +903,20 @@ void ServiceServer::SendError(Connection& conn, std::uint64_t request_id,
 
 void ServiceServer::WriteReady(Connection& conn) {
   OBS_SCOPE(Category::kNetWrite);
-  while (!conn.outbuf.empty()) {
-    const ssize_t n = ::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(),
-                             MSG_NOSIGNAL);
+  while (conn.Unsent() > 0) {
+    const ssize_t n = ::send(conn.fd, conn.outbuf.data() + conn.out_sent,
+                             conn.Unsent(), MSG_NOSIGNAL);
     if (n > 0) {
       bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
                            std::memory_order_relaxed);
-      conn.outbuf.erase(0, static_cast<std::size_t>(n));
+      conn.out_sent += static_cast<std::size_t>(n);
+      // Bytes moving out count as traffic: a slow reader draining a large
+      // result is not idle, even once the rest fits in the kernel buffer.
+      conn.last_activity = std::chrono::steady_clock::now();
+      if (conn.Unsent() == 0) {
+        conn.outbuf = std::string();  // release a large frame once sent
+        conn.out_sent = 0;
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -899,15 +935,16 @@ void ServiceServer::CloseConnection(Connection& conn) {
     return;
   }
   conn.dead = true;
-  if (!conn.outbuf.empty()) {
+  if (conn.Unsent() > 0) {
     // One best-effort goodbye (the final ERROR frame, usually); anything
     // the kernel declines is gone.
-    (void)!::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(),
+    (void)!::send(conn.fd, conn.outbuf.data() + conn.out_sent, conn.Unsent(),
                   MSG_NOSIGNAL);
   }
   ::close(conn.fd);
   conn.fd = -1;
   conn.outbuf.clear();
+  conn.out_sent = 0;
   conn.inbuf.clear();
   conns_closed_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -21,8 +21,8 @@
 //   * UpdateQueue full → the submit is PARKED on its connection and the
 //     connection stops reading (kernel TCP backpressure reaches the
 //     client); retried every poll round until TrySubmit admits it.
-//   * outbuf over write_buffer_limit → the connection also stops reading
-//     until the client drains responses (net.write_stalls).
+//   * unsent outbuf bytes over write_buffer_limit → the connection also
+//     stops reading until the client drains responses (net.write_stalls).
 #pragma once
 
 #include <atomic>
@@ -57,8 +57,8 @@ struct ServerOptions {
   /// Accept stops (connections queue in the kernel backlog) at this many
   /// concurrent connections.
   std::size_t max_connections = 1024;
-  /// Per-connection outbuf bytes above which the server stops reading the
-  /// connection until the client drains responses.
+  /// Per-connection unsent response bytes above which the server stops
+  /// reading the connection until the client drains responses.
   std::size_t write_buffer_limit = 1u << 20;
   /// Frames declaring a longer payload are a framing error (kBadFrame +
   /// connection close).
@@ -115,7 +115,11 @@ class ServiceServer {
     int fd = -1;
     std::uint64_t id = 0;
     std::string inbuf;
+    /// Response bytes; [0, out_sent) already went to the socket.  A frame
+    /// queued while nothing is unsent is moved in whole, and sends advance
+    /// out_sent instead of erasing, so a large frame is never copied.
     std::string outbuf;
+    std::size_t out_sent = 0;
     std::optional<ParkedRequest> parked;
     /// Pump jobs dispatched for this connection whose response frame has
     /// not come back yet; a connection with responses in flight is never
@@ -129,6 +133,11 @@ class ServiceServer {
     /// the wire already accepted.
     bool eof = false;
     bool dead = false;
+
+    /// Queued bytes not yet sent — what every stall check counts.
+    [[nodiscard]] std::size_t Unsent() const {
+      return outbuf.size() - out_sent;
+    }
   };
 
   struct PumpJob {
@@ -142,7 +151,7 @@ class ServiceServer {
   /// Per-session server state: the pump thread and the symbol-table lock.
   /// The session's SymbolTable is not thread-safe; every net-side
   /// Intern (poll thread translating a SUBMIT) and NameOf (pump thread
-  /// rendering a QUERY_RESULT) happens under sym_mutex.  The maintenance
+  /// encoding a QUERY_RESULT) happens under sym_mutex.  The maintenance
   /// cascade itself never interns after Materialize, so this lock is
   /// net-internal.
   struct SessionEntry {

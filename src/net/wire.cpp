@@ -1,25 +1,58 @@
 #include "net/wire.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace dsched::net {
+
+namespace {
+
+// Integers travel little-endian; on a little-endian host that is the
+// in-memory byte order, so words are copied whole.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies integers in host byte order");
+
+template <typename T>
+void StoreWord(char* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+}
+
+template <typename T>
+T LoadWord(const char* in) {
+  T v;
+  std::memcpy(&v, in, sizeof(T));
+  return v;
+}
+
+/// Frame header: u32 length + u8 opcode.
+constexpr std::size_t kFrameHeaderBytes = 5;
+/// QUERY_RESULT payload before the values: u64 request_id + u16 arity +
+/// u32 row count.
+constexpr std::size_t kQueryResultHeadBytes = 14;
+
+/// Throws FrameTooLarge when a payload of `payload_size` bytes would make
+/// a frame longer than kMaxFrameLength.
+void CheckFrameFits(std::size_t payload_size) {
+  if (payload_size + 1 > kMaxFrameLength) {
+    throw FrameTooLarge("frame of " + std::to_string(payload_size + 1) +
+                        " bytes exceeds the 16 MiB frame limit");
+  }
+}
+
+}  // namespace
 
 // --- writer ---------------------------------------------------------------
 
-void WireWriter::U16(std::uint16_t v) {
-  U8(static_cast<std::uint8_t>(v & 0xFF));
-  U8(static_cast<std::uint8_t>(v >> 8));
+template <typename T>
+void WireWriter::Word(T v) {
+  char bytes[sizeof(T)];
+  StoreWord(bytes, v);
+  bytes_.append(bytes, sizeof(T));
 }
 
-void WireWriter::U32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    U8(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
-}
-
-void WireWriter::U64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    U8(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
-}
+void WireWriter::U16(std::uint16_t v) { Word(v); }
+void WireWriter::U32(std::uint32_t v) { Word(v); }
+void WireWriter::U64(std::uint64_t v) { Word(v); }
 
 void WireWriter::Str(std::string_view s) {
   U32(static_cast<std::uint32_t>(s.size()));
@@ -53,75 +86,45 @@ bool WireReader::Need(std::size_t n) {
   return true;
 }
 
-std::uint8_t WireReader::U8() {
-  if (!Need(1)) {
+template <typename T>
+T WireReader::Word() {
+  if (!Need(sizeof(T))) {
     return 0;
   }
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint16_t WireReader::U16() {
-  if (!Need(2)) {
-    return 0;
-  }
-  std::uint16_t v = 0;
-  for (int shift = 0; shift < 16; shift += 8) {
-    v = static_cast<std::uint16_t>(
-        v | static_cast<std::uint16_t>(
-                static_cast<std::uint8_t>(data_[pos_++]))
-                << shift);
-  }
+  const T v = LoadWord<T>(data_.data() + pos_);
+  pos_ += sizeof(T);
   return v;
 }
 
-std::uint32_t WireReader::U32() {
-  if (!Need(4)) {
-    return 0;
-  }
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(data_[pos_++]))
-         << shift;
-  }
-  return v;
-}
+std::uint8_t WireReader::U8() { return Word<std::uint8_t>(); }
+std::uint16_t WireReader::U16() { return Word<std::uint16_t>(); }
+std::uint32_t WireReader::U32() { return Word<std::uint32_t>(); }
+std::uint64_t WireReader::U64() { return Word<std::uint64_t>(); }
 
-std::uint64_t WireReader::U64() {
-  if (!Need(8)) {
-    return 0;
-  }
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++]))
-         << shift;
-  }
-  return v;
-}
-
-std::string WireReader::Str() {
+std::string_view WireReader::StrView() {
   const std::uint32_t len = U32();
-  // Checking against Remaining() BEFORE allocating means a hostile length
-  // prefix cannot drive an allocation larger than the frame itself.
+  // Checking against Remaining() before anything is copied means a hostile
+  // length prefix cannot drive an allocation larger than the frame itself.
   if (!Need(len)) {
     return {};
   }
-  std::string s(data_.substr(pos_, len));
+  const std::string_view s = data_.substr(pos_, len);
   pos_ += len;
   return s;
 }
 
-WireValue WireReader::Value() {
-  WireValue v;
+void WireReader::ValueInto(WireValue& v) {
   const std::uint8_t tag = U8();
+  v.is_symbol = tag == 1;
+  v.int_value = 0;
   if (tag == 0) {
     v.int_value = I64();
+    v.symbol.clear();
   } else if (tag == 1) {
-    v.is_symbol = true;
-    v.symbol = Str();
+    v.symbol.assign(StrView());
   } else {
     failed_ = true;
   }
-  return v;
 }
 
 WireTuple WireReader::Tuple() {
@@ -139,13 +142,54 @@ WireTuple WireReader::Tuple() {
   return t;
 }
 
+// --- QUERY_RESULT writer ----------------------------------------------------
+
+QueryResultWriter::QueryResultWriter(std::uint64_t request_id,
+                                     std::uint16_t arity,
+                                     std::uint32_t num_rows,
+                                     std::size_t value_bytes) {
+  const std::size_t payload = kQueryResultHeadBytes + value_bytes;
+  CheckFrameFits(payload);
+  frame_.resize(kFrameHeaderBytes + payload);
+  const auto length = static_cast<std::uint32_t>(payload + 1);
+  StoreWord(Claim(sizeof(length)), length);
+  *Claim(1) = static_cast<char>(Opcode::kQueryResult);
+  StoreWord(Claim(sizeof(request_id)), request_id);
+  StoreWord(Claim(sizeof(arity)), arity);
+  StoreWord(Claim(sizeof(num_rows)), num_rows);
+}
+
+char* QueryResultWriter::Claim(std::size_t n) {
+  DSCHED_CHECK_MSG(frame_.size() - pos_ >= n,
+                   "QUERY_RESULT values overran their declared size");
+  char* at = frame_.data() + pos_;
+  pos_ += n;
+  return at;
+}
+
+void QueryResultWriter::Int(std::int64_t v) {
+  char* at = Claim(kIntValueBytes);
+  at[0] = 0;
+  StoreWord(at + 1, v);
+}
+
+void QueryResultWriter::Symbol(std::string_view name) {
+  char* at = Claim(SymbolValueBytes(name.size()));
+  at[0] = 1;
+  StoreWord(at + 1, static_cast<std::uint32_t>(name.size()));
+  std::memcpy(at + 5, name.data(), name.size());
+}
+
+std::string QueryResultWriter::Finish() {
+  DSCHED_CHECK_MSG(pos_ == frame_.size(),
+                   "QUERY_RESULT values fell short of their declared size");
+  return std::move(frame_);
+}
+
 // --- frame assembly -------------------------------------------------------
 
 std::string EncodeFrame(Opcode opcode, std::string_view payload) {
-  if (payload.size() + 1 > kMaxFrameLength) {
-    throw FrameTooLarge("frame of " + std::to_string(payload.size() + 1) +
-                        " bytes exceeds the 16 MiB frame limit");
-  }
+  CheckFrameFits(payload.size());
   WireWriter header;
   header.U32(static_cast<std::uint32_t>(payload.size() + 1));
   header.U8(static_cast<std::uint8_t>(opcode));
@@ -159,13 +203,7 @@ FrameStatus ExtractFrame(std::string_view buffer, Frame* out,
   if (buffer.size() < 4) {
     return FrameStatus::kNeedMore;
   }
-  std::uint32_t length = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    length |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(buffer[static_cast<std::size_t>(
-                      shift / 8)]))
-              << shift;
-  }
+  const auto length = LoadWord<std::uint32_t>(buffer.data());
   if (length == 0 || length > max_length) {
     return FrameStatus::kError;  // no opcode byte / hostile length prefix
   }
@@ -259,16 +297,26 @@ std::string EncodeSubmitResult(const SubmitResultResponse& m) {
 }
 
 std::string EncodeQueryResult(const QueryResultResponse& m) {
-  WireWriter w;
-  w.U64(m.request_id);
-  w.U16(m.arity);
-  w.U32(static_cast<std::uint32_t>(m.rows.size()));
+  std::size_t value_bytes = 0;
   for (const WireTuple& row : m.rows) {
     for (const WireValue& v : row) {
-      w.Value(v);
+      value_bytes += v.is_symbol
+                         ? QueryResultWriter::SymbolValueBytes(v.symbol.size())
+                         : QueryResultWriter::kIntValueBytes;
     }
   }
-  return EncodeFrame(Opcode::kQueryResult, w.Bytes());
+  QueryResultWriter w(m.request_id, m.arity,
+                      static_cast<std::uint32_t>(m.rows.size()), value_bytes);
+  for (const WireTuple& row : m.rows) {
+    for (const WireValue& v : row) {
+      if (v.is_symbol) {
+        w.Symbol(v.symbol);
+      } else {
+        w.Int(v.int_value);
+      }
+    }
+  }
+  return w.Finish();
 }
 
 std::string EncodeSessionClosed(const SessionClosedResponse& m) {
@@ -400,19 +448,24 @@ bool DecodeQueryResult(std::string_view payload, QueryResultResponse* out) {
   out->request_id = r.U64();
   out->arity = r.U16();
   const std::uint32_t num_rows = r.U32();
-  if (num_rows != 0 && r.Remaining() / (2u * out->arity + (out->arity == 0)) <
-                           num_rows) {
+  // Every value is at least 2 bytes (tag + something): a row count the
+  // remaining bytes cannot hold is rejected before any row is allocated.
+  if (r.Failed() ||
+      (num_rows != 0 && r.Remaining() / (2u * out->arity + (out->arity == 0)) <
+                            num_rows)) {
     return false;
   }
-  out->rows.clear();
-  out->rows.reserve(num_rows);
-  for (std::uint32_t i = 0; i < num_rows && !r.Failed(); ++i) {
-    WireTuple row;
-    row.reserve(out->arity);
-    for (std::uint16_t c = 0; c < out->arity && !r.Failed(); ++c) {
-      row.push_back(r.Value());
+  // Resized in place: surviving rows keep their capacity, and every value
+  // below is overwritten whole, so nothing stale remains.
+  out->rows.resize(num_rows);
+  for (WireTuple& row : out->rows) {
+    row.resize(out->arity);
+    for (WireValue& v : row) {
+      r.ValueInto(v);
     }
-    out->rows.push_back(std::move(row));
+    if (r.Failed()) {
+      return false;
+    }
   }
   return r.Complete();
 }

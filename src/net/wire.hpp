@@ -20,6 +20,7 @@
 // server turns that into an ERROR frame, never into UB.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -209,6 +210,8 @@ class WireWriter {
   [[nodiscard]] std::string Take() { return std::move(bytes_); }
 
  private:
+  template <typename T>
+  void Word(T v);
   std::string bytes_;
 };
 
@@ -225,8 +228,17 @@ class WireReader {
   std::uint32_t U32();
   std::uint64_t U64();
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
-  std::string Str();
-  WireValue Value();
+  /// A length-prefixed string as a view into the payload (empty on failure).
+  std::string_view StrView();
+  std::string Str() { return std::string(StrView()); }
+  /// Decodes one value into `v`, overwriting every field and reusing the
+  /// capacity of its symbol string.
+  void ValueInto(WireValue& v);
+  WireValue Value() {
+    WireValue v;
+    ValueInto(v);
+    return v;
+  }
   WireTuple Tuple();
 
   [[nodiscard]] bool Failed() const { return failed_; }
@@ -237,9 +249,44 @@ class WireReader {
 
  private:
   bool Need(std::size_t n);
+  template <typename T>
+  T Word();
   std::string_view data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
+};
+
+/// The one QUERY_RESULT encoder: writes a complete frame (header included)
+/// into a single buffer of exactly the frame's size.  EncodeQueryResult and
+/// the server's store-direct path both use it, so the layout lives here
+/// only.  Sum the size of every value first (kIntValueBytes,
+/// SymbolValueBytes), construct with that sum, then write exactly those
+/// values, row by row.
+class QueryResultWriter {
+ public:
+  static constexpr std::size_t kIntValueBytes = 9;  ///< tag + i64
+  /// Tag + u32 length + the name's bytes.
+  [[nodiscard]] static constexpr std::size_t SymbolValueBytes(
+      std::size_t name_size) {
+    return 5 + name_size;
+  }
+
+  /// Throws FrameTooLarge, before allocating anything, when the frame
+  /// would exceed kMaxFrameLength.
+  QueryResultWriter(std::uint64_t request_id, std::uint16_t arity,
+                    std::uint32_t num_rows, std::size_t value_bytes);
+
+  void Int(std::int64_t v);
+  void Symbol(std::string_view name);
+  /// The finished frame.  Throws util::LogicError unless exactly
+  /// `value_bytes` were written.
+  [[nodiscard]] std::string Finish();
+
+ private:
+  /// Reserves `n` bytes at the cursor; throws util::LogicError on overrun.
+  char* Claim(std::size_t n);
+  std::string frame_;
+  std::size_t pos_ = 0;
 };
 
 // --- frame assembly -------------------------------------------------------
@@ -304,6 +351,8 @@ enum class FrameStatus {
                                        SessionOpenedResponse* out);
 [[nodiscard]] bool DecodeSubmitResult(std::string_view payload,
                                       SubmitResultResponse* out);
+/// Decodes in one pass, in place: a reused `out` keeps the capacity of its
+/// rows and their symbols, and ends up with exactly the payload's rows.
 [[nodiscard]] bool DecodeQueryResult(std::string_view payload,
                                      QueryResultResponse* out);
 [[nodiscard]] bool DecodeSessionClosed(std::string_view payload,

@@ -65,13 +65,16 @@ enum class Category : std::uint8_t {
   // Memory-bounded meta-scheduler (sched/meta.cpp).
   kMetaKill,     ///< counter: zeta/2 kill-rule firings (heuristic torn down)
 
-  // Networked frontend (net/server.cpp) — the poll thread's two halves.
+  // Networked frontend (net/server.cpp) — the poll thread's two halves,
+  // plus the pump thread's QUERY encode.
   kNetRead,          ///< scope: drain readable sockets + decode/dispatch
   kNetWrite,         ///< scope: flush pending outbufs to writable sockets
   kNetFrameIn,       ///< counter: well-formed frames decoded off the wire
   kNetFrameOut,      ///< counter: response frames queued for send
   kNetBackpressure,  ///< counter: submits parked on a full UpdateQueue
   kNetIdleReap,      ///< counter: connections reaped past the idle deadline
+  kNetQueryEncode,   ///< scope: pump thread encoding a QUERY_RESULT from
+                     ///< the store (after the quiescence wait)
 
   // Live rule-set evolution (datalog/database.cpp).
   kEvolveRecompile,       ///< scope: copy + parse + cone re-stratify + swap

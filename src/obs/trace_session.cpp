@@ -136,6 +136,8 @@ const char* CategoryName(Category category) {
       return "net.backpressure";
     case Category::kNetIdleReap:
       return "net.idle_reap";
+    case Category::kNetQueryEncode:
+      return "net.query_encode";
     case Category::kEvolveRecompile:
       return "evolve.recompile";
     case Category::kEvolveMaintain:
@@ -196,6 +198,7 @@ const char* CategoryGroup(Category category) {
     case Category::kNetFrameOut:
     case Category::kNetBackpressure:
     case Category::kNetIdleReap:
+    case Category::kNetQueryEncode:
       return "net";
     case Category::kEvolveRecompile:
     case Category::kEvolveMaintain:

@@ -192,51 +192,31 @@ void Session::Close() {
   });
 }
 
-std::vector<datalog::Tuple> Session::Query(std::string_view predicate) const {
-  // Quiesce: hold off NEW admissions (queries_waiting_) and wait for every
-  // in-flight epoch to resolve; concurrent queries then read in parallel.
-  std::unique_lock<std::mutex> lock(pipe_mutex_);
-  ++queries_waiting_;
-  pipe_cv_.wait(lock, [this] { return admitted_epoch_ == applied_seq_; });
-  lock.unlock();
-  std::vector<datalog::Tuple> rows;
-  try {
-    rows = db_.Query(predicate);
-  } catch (...) {
-    lock.lock();
-    --queries_waiting_;
-    lock.unlock();
-    pipe_cv_.notify_all();
-    throw;
+Session::Quiesced::Quiesced(const Session& session) : session_(session) {
+  // queries_waiting_ > 0 holds off NEW admissions; the wait then lets every
+  // in-flight epoch resolve.
+  std::unique_lock<std::mutex> lock(session_.pipe_mutex_);
+  ++session_.queries_waiting_;
+  session_.pipe_cv_.wait(lock, [this] {
+    return session_.admitted_epoch_ == session_.applied_seq_;
+  });
+}
+
+Session::Quiesced::~Quiesced() {
+  {
+    const std::lock_guard<std::mutex> lock(session_.pipe_mutex_);
+    --session_.queries_waiting_;
   }
-  lock.lock();
-  --queries_waiting_;
-  lock.unlock();
-  pipe_cv_.notify_all();
-  return rows;
+  session_.pipe_cv_.notify_all();
+}
+
+std::vector<datalog::Tuple> Session::Query(std::string_view predicate) const {
+  return Read([&] { return db_.Query(predicate); });
 }
 
 bool Session::Contains(std::string_view predicate,
                        const datalog::Tuple& tuple) const {
-  std::unique_lock<std::mutex> lock(pipe_mutex_);
-  ++queries_waiting_;
-  pipe_cv_.wait(lock, [this] { return admitted_epoch_ == applied_seq_; });
-  lock.unlock();
-  bool found = false;
-  try {
-    found = db_.Contains(predicate, tuple);
-  } catch (...) {
-    lock.lock();
-    --queries_waiting_;
-    lock.unlock();
-    pipe_cv_.notify_all();
-    throw;
-  }
-  lock.lock();
-  --queries_waiting_;
-  lock.unlock();
-  pipe_cv_.notify_all();
-  return found;
+  return Read([&] { return db_.Contains(predicate, tuple); });
 }
 
 void Session::ApplyLoop() {

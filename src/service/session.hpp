@@ -41,6 +41,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datalog/database.hpp"
@@ -124,6 +125,17 @@ class Session {
   void Close();
 
   // --- queries (any thread; quiesce the pipeline first) ----------------
+  /// Runs `fn()` against a quiesced pipeline and returns its result: new
+  /// admissions are held off and every in-flight epoch resolves first, so
+  /// `fn` reads the store and program exactly as of AppliedEpoch().  The
+  /// hold is released however `fn` exits.  Concurrent readers run in
+  /// parallel with each other.
+  template <typename Fn>
+  decltype(auto) Read(Fn&& fn) const {
+    const Quiesced hold(*this);
+    return std::forward<Fn>(fn)();
+  }
+
   [[nodiscard]] std::vector<datalog::Tuple> Query(
       std::string_view predicate) const;
   [[nodiscard]] bool Contains(std::string_view predicate,
@@ -167,6 +179,19 @@ class Session {
   [[nodiscard]] const datalog::Database& Db() const { return db_; }
 
  private:
+  /// Read's quiescence hold: the constructor counts a waiting reader and
+  /// waits until no epoch is in flight; the destructor releases it.
+  class Quiesced {
+   public:
+    explicit Quiesced(const Session& session);
+    ~Quiesced();
+    Quiesced(const Quiesced&) = delete;
+    Quiesced& operator=(const Quiesced&) = delete;
+
+   private:
+    const Session& session_;
+  };
+
   void ApplyLoop();
   void ApplyOne(UpdateQueue::Job& job);
   void ApplyEvolve(UpdateQueue::Job& job);

@@ -6,14 +6,24 @@
 // while SUBMIT_RESULTs stay in epoch order; a client disconnecting
 // mid-batch leaves a session that drains cleanly and stays queryable from
 // a new connection; protocol errors answer with ERROR frames, not crashes.
+// QUERY_RESULT frames encoded straight from the store are byte-identical to
+// the codec's own encoding of the same rows.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "datalog/value.hpp"
 
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -334,6 +344,128 @@ TEST(WireCodecTest, GarbagePayloadsRejectedWithoutCrashing) {
   }
 }
 
+TEST(WireCodecTest, IntegerExtremesRoundTripLittleEndian) {
+  for (const std::int64_t v :
+       {datalog::Value::kMinInt, datalog::Value::kMaxInt, std::int64_t{-1},
+        std::int64_t{0}, std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max()}) {
+    const auto u = static_cast<std::uint64_t>(v);
+    WireWriter w;
+    w.I64(v);
+    w.U32(static_cast<std::uint32_t>(u));
+    w.U16(static_cast<std::uint16_t>(u));
+    const std::string& bytes = w.Bytes();
+    ASSERT_EQ(bytes.size(), 14u);
+    // Byte i of every word carries bits 8i..8i+7: little-endian on the wire.
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(static_cast<std::uint8_t>(bytes[i]),
+                static_cast<std::uint8_t>(u >> (8 * i)))
+          << v << " byte " << i;
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(static_cast<std::uint8_t>(bytes[8 + i]),
+                static_cast<std::uint8_t>(u >> (8 * i)));
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(static_cast<std::uint8_t>(bytes[12 + i]),
+                static_cast<std::uint8_t>(u >> (8 * i)));
+    }
+    WireReader r(bytes);
+    EXPECT_EQ(r.I64(), v);
+    EXPECT_EQ(r.U32(), static_cast<std::uint32_t>(u));
+    EXPECT_EQ(r.U16(), static_cast<std::uint16_t>(u));
+    EXPECT_TRUE(r.Complete());
+
+    QueryResultResponse resp;
+    resp.request_id = u;
+    resp.arity = 1;
+    resp.rows.push_back({WireValue::Int(v)});
+    const std::string frame = EncodeQueryResult(resp);
+    Frame parsed;
+    ASSERT_EQ(ExtractFrame(frame, &parsed), FrameStatus::kFrame);
+    QueryResultResponse out;
+    ASSERT_TRUE(DecodeQueryResult(parsed.payload, &out));
+    EXPECT_EQ(out.request_id, u);
+    EXPECT_EQ(out.rows, resp.rows);
+  }
+}
+
+TEST(WireCodecTest, ReusedQueryResultHoldsExactlyTheLatestRows) {
+  // A large mixed result, then smaller ones decoded into the same object:
+  // a truncated payload is refused, and a valid one leaves exactly its own
+  // rows — no stale row, value, or symbol survives from the earlier decode.
+  QueryResultResponse large;
+  large.request_id = 1;
+  large.arity = 3;
+  for (int i = 0; i < 500; ++i) {
+    large.rows.push_back({WireValue::Sym(std::string(
+                              static_cast<std::size_t>(i % 40),
+                              static_cast<char>('a' + i % 26))),
+                          WireValue::Int(-i),
+                          WireValue::Sym("s" + std::to_string(i))});
+  }
+  QueryResultResponse small;
+  small.request_id = 2;
+  small.arity = 2;
+  small.rows.push_back({WireValue::Int(7), WireValue::Int(8)});
+  small.rows.push_back({WireValue::Int(datalog::Value::kMinInt),
+                        WireValue::Sym("")});
+  const std::string large_frame = EncodeQueryResult(large);
+  const std::string small_frame = EncodeQueryResult(small);
+  Frame lp;
+  Frame sp;
+  ASSERT_EQ(ExtractFrame(large_frame, &lp), FrameStatus::kFrame);
+  ASSERT_EQ(ExtractFrame(small_frame, &sp), FrameStatus::kFrame);
+
+  QueryResultResponse out;
+  for (std::size_t len = 0; len < sp.payload.size(); ++len) {
+    ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
+    EXPECT_FALSE(DecodeQueryResult(sp.payload.substr(0, len), &out))
+        << "prefix length " << len;
+  }
+  ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
+  ASSERT_TRUE(DecodeQueryResult(sp.payload, &out));
+  EXPECT_EQ(out.request_id, 2u);
+  EXPECT_EQ(out.arity, 2u);
+  EXPECT_EQ(out.rows, small.rows);
+  // Symbols and ints trade places across decodes of the same slots.
+  QueryResultResponse flipped;
+  flipped.arity = 3;
+  flipped.rows.push_back(
+      {WireValue::Int(3), WireValue::Sym("now a symbol"), WireValue::Int(0)});
+  const std::string flipped_frame = EncodeQueryResult(flipped);
+  Frame fp;
+  ASSERT_EQ(ExtractFrame(flipped_frame, &fp), FrameStatus::kFrame);
+  ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
+  ASSERT_TRUE(DecodeQueryResult(fp.payload, &out));
+  EXPECT_EQ(out.rows, flipped.rows);
+  // An empty result clears every row.
+  const std::string empty_frame = EncodeQueryResult(QueryResultResponse{3, 4, {}});
+  Frame ep;
+  ASSERT_EQ(ExtractFrame(empty_frame, &ep), FrameStatus::kFrame);
+  ASSERT_TRUE(DecodeQueryResult(ep.payload, &out));
+  EXPECT_EQ(out.arity, 4u);
+  EXPECT_TRUE(out.rows.empty());
+  // And the large result decodes back whole.
+  ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
+  EXPECT_EQ(out.rows, large.rows);
+}
+
+TEST(WireCodecTest, QueryResultWriterRefusesBeforeAllocating) {
+  // A declared size past the frame limit throws FrameTooLarge up front —
+  // even one no allocator could satisfy, so nothing was allocated.
+  EXPECT_THROW(QueryResultWriter(1, 2, 1u << 30, std::size_t{1} << 40),
+               FrameTooLarge);
+  EXPECT_THROW(QueryResultWriter(1, 1, 1, kMaxFrameLength), FrameTooLarge);
+  // Values that disagree with the declared size are a program bug.
+  QueryResultWriter short_writer(1, 1, 2, 2 * QueryResultWriter::kIntValueBytes);
+  short_writer.Int(1);
+  EXPECT_THROW((void)short_writer.Finish(), util::LogicError);
+  QueryResultWriter over_writer(1, 1, 1, QueryResultWriter::kIntValueBytes);
+  over_writer.Int(1);
+  EXPECT_THROW(over_writer.Symbol("x"), util::LogicError);
+}
+
 // --- server end to end ---------------------------------------------------
 
 struct ServerFixture {
@@ -348,6 +480,105 @@ struct ServerFixture {
     return client;
   }
 };
+
+/// A plain blocking TCP socket.  Tests read raw frame bytes off it, with
+/// no client-side decoding between the server and the assertion.
+class RawSocket {
+ public:
+  /// `rcvbuf` > 0 shrinks the receive buffer before connecting, so the
+  /// server's unsent bytes pile up in its own outbuf, not in the kernel.
+  explicit RawSocket(std::uint16_t port, int rcvbuf = 0)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    if (rcvbuf > 0) {
+      (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    (void)::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  }
+  ~RawSocket() { ::close(fd_); }
+  RawSocket(const RawSocket&) = delete;
+  RawSocket& operator=(const RawSocket&) = delete;
+
+  void Send(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+  }
+
+  /// The next complete frame, header included; empty on EOF or timeout.
+  std::string ReadFrame(int timeout_ms = 60000) {
+    while (true) {
+      Frame frame;
+      if (ExtractFrame(buf_, &frame) == FrameStatus::kFrame) {
+        std::string out = buf_.substr(0, frame.frame_size);
+        buf_.erase(0, frame.frame_size);
+        return out;
+      }
+      pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, timeout_ms) <= 0) {
+        return {};
+      }
+      char chunk[65536];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) {
+        return {};
+      }
+      buf_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
+};
+
+/// Decodes one raw QUERY_RESULT frame; fails the test on anything else.
+QueryResultResponse DecodeResultFrame(const std::string& frame) {
+  QueryResultResponse out;
+  Frame parsed;
+  EXPECT_EQ(ExtractFrame(frame, &parsed), FrameStatus::kFrame);
+  EXPECT_EQ(parsed.opcode, Opcode::kQueryResult);
+  EXPECT_EQ(parsed.frame_size, frame.size());
+  EXPECT_TRUE(DecodeQueryResult(parsed.payload, &out));
+  return out;
+}
+
+/// A session's rows rendered the way the server rendered them before
+/// encoding moved into the store scan: Session::Query, then one WireValue
+/// per value.
+std::vector<WireTuple> RenderedRows(const service::Session& session,
+                                    std::string_view predicate) {
+  std::vector<WireTuple> rows;
+  for (const datalog::Tuple& tuple : session.Query(predicate)) {
+    WireTuple row;
+    for (const datalog::Value v : tuple) {
+      row.push_back(v.IsSymbol() ? WireValue::Sym(session.Db().SymName(v))
+                                 : WireValue::Int(v.AsInt()));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Opens an in-process session whose `b` relation holds `rows` int pairs
+/// (a 1.8 MB QUERY_RESULT at 100 k rows); the server adopts it on first use.
+std::shared_ptr<service::Session> OpenBigSession(service::EngineHost& host,
+                                                 int rows) {
+  std::shared_ptr<service::Session> session =
+      host.OpenSession("big(X, Y) :- b(X, Y).", {});
+  for (int i = 0; i < rows; ++i) {
+    session->Insert("b", {datalog::Value::Int(i), datalog::Value::Int(7 * i)});
+  }
+  (void)session->Materialize();
+  return session;
+}
 
 SubmitRequest ChainBatch(std::uint64_t request_id, std::uint64_t session_id,
                          int lo, int hi) {
@@ -822,6 +1053,166 @@ TEST(ServiceServerTest, SharedSessionAcrossConnections) {
   q.session_id = sid;
   q.predicate = "e";
   EXPECT_EQ(opener.QuerySync(q).rows.size(), 4u * 6u * 4u);
+}
+
+TEST(ServiceServerTest, QueryResultFramesMatchTheCodecByteForByte) {
+  // The store-direct encoder and EncodeQueryResult must agree on every
+  // byte, and the rows must be Session::Query's, in store order.
+  ServerFixture fx;
+  const std::shared_ptr<service::Session> session = fx.host.OpenSession(
+      "mixed(X, Y, Z) :- m(X, Y, Z).\n"
+      "none(X) :- n(X).\n"
+      "big(X, Y) :- b(X, Y).",
+      {});
+  const std::vector<std::string> names = {"", "h\xc3\xa9llo",
+                                          "\xe6\x97\xa5\xe6\x9c\xac",
+                                          "plain", std::string(300, 'z')};
+  for (int i = 0; i < 50; ++i) {
+    session->Insert(
+        "m", {datalog::Value::Int(i % 2 == 0 ? -i : i),
+              session->Sym(names[static_cast<std::size_t>(i) % names.size()]),
+              i % 3 == 0 ? session->Sym(names[(static_cast<std::size_t>(i) +
+                                               1) % names.size()])
+                         : datalog::Value::Int(datalog::Value::kMaxInt - i)});
+  }
+  session->Insert("m", {datalog::Value::Int(datalog::Value::kMinInt),
+                        session->Sym(""), datalog::Value::Int(0)});
+  constexpr int kBig = 100000;  // 1.8 MB: many socket fills
+  for (int i = 0; i < kBig; ++i) {
+    session->Insert("b", {datalog::Value::Int(i), datalog::Value::Int(-i)});
+  }
+  (void)session->Materialize();
+
+  RawSocket raw(fx.server.Port());
+  struct Case {
+    std::string predicate;
+    std::uint16_t arity;
+    std::size_t rows;
+  };
+  const std::vector<Case> cases = {{"m", 3, 51},   {"mixed", 3, 51},
+                                   {"n", 1, 0},    {"none", 1, 0},
+                                   {"b", 2, kBig}, {"big", 2, kBig}};
+  std::uint64_t request_id = 1;
+  for (const auto& [pred, arity, expect_rows] : cases) {
+    raw.Send(EncodeQuery(QueryRequest{request_id, session->Id(), pred}));
+    const std::string frame = raw.ReadFrame();
+    ASSERT_FALSE(frame.empty()) << pred;
+    const QueryResultResponse decoded = DecodeResultFrame(frame);
+    EXPECT_EQ(decoded.request_id, request_id) << pred;
+    EXPECT_EQ(decoded.arity, arity) << pred;
+    EXPECT_EQ(decoded.rows.size(), expect_rows) << pred;
+    EXPECT_TRUE(frame == EncodeQueryResult(decoded)) << pred;
+    EXPECT_TRUE(decoded.rows == RenderedRows(*session, pred)) << pred;
+    ++request_id;
+  }
+}
+
+TEST(ServiceServerTest, PipelinedLargeResultsFlushInOrderThroughTheCursor) {
+  // Six 1.8 MB results queue behind a client that reads nothing: the
+  // unsent bytes cross write_buffer_limit (a write stall), keep the idle
+  // reaper off past its deadline, and then drain intact and in order,
+  // with the PONG sent after them arriving last.
+  service::EngineHost host{{.workers = 2}};
+  ServerOptions options;
+  options.write_buffer_limit = 1u << 20;
+  options.idle_timeout_ms = 100;
+  ServiceServer server{host, options};
+  server.Start();
+  constexpr int kRows = 100000;
+  const std::shared_ptr<service::Session> session = OpenBigSession(host, kRows);
+
+  RawSocket raw(server.Port(), 64 * 1024);
+  const std::uint64_t frames_before = host.Metrics().Value("net.frames_out");
+  const std::uint64_t stalls_before = host.Metrics().Value("net.write_stalls");
+  constexpr std::uint64_t kQueries = 6;
+  std::string batch;
+  for (std::uint64_t q = 0; q < kQueries; ++q) {
+    batch += EncodeQuery(QueryRequest{10 + q, session->Id(), "big"});
+  }
+  raw.Send(batch);
+  // Every result is queued once frames_out moves by kQueries; only the
+  // unsent bytes then stand between the connection and the reaper.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (host.Metrics().Value("net.frames_out") < frames_before + kQueries &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(host.Metrics().Value("net.frames_out"), frames_before + kQueries);
+  std::this_thread::sleep_for(std::chrono::milliseconds(4 * 100));
+  EXPECT_EQ(host.Metrics().Value("net.idle_reaped"), 0u);
+  EXPECT_GE(host.Metrics().Value("net.write_stalls"), stalls_before + 1);
+  raw.Send(EncodePing(PingRequest{99}));
+
+  std::string first;
+  for (std::uint64_t q = 0; q < kQueries; ++q) {
+    const std::string frame = raw.ReadFrame();
+    ASSERT_FALSE(frame.empty()) << "result " << q << " never arrived whole";
+    const QueryResultResponse decoded = DecodeResultFrame(frame);
+    EXPECT_EQ(decoded.request_id, 10 + q);
+    EXPECT_EQ(decoded.rows.size(), static_cast<std::size_t>(kRows));
+    EXPECT_TRUE(frame == EncodeQueryResult(decoded)) << "result " << q;
+    // Same rows every time: only the request id differs.
+    if (q == 0) {
+      first = frame.substr(13);
+    } else {
+      EXPECT_TRUE(frame.substr(13) == first) << "result " << q;
+    }
+  }
+  const std::string pong = raw.ReadFrame();
+  Frame parsed;
+  ASSERT_EQ(ExtractFrame(pong, &parsed), FrameStatus::kFrame);
+  ASSERT_EQ(parsed.opcode, Opcode::kPong);
+  PongResponse decoded_pong;
+  ASSERT_TRUE(DecodePong(parsed.payload, &decoded_pong));
+  EXPECT_EQ(decoded_pong.request_id, 99u);
+  server.Stop();
+}
+
+TEST(ServiceServerTest, QueriesEncodeSymbolsWhileSubmitsInternNewOnes) {
+  // The QUERY encoder reads SymbolTable names during its store scan while
+  // another connection's SUBMITs intern fresh symbols: the net-side symbol
+  // lock must cover both (run under TSan in CI).
+  ServerFixture fx;
+  ServiceClient writer = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = kChainProgram;
+  const std::uint64_t sid = writer.OpenSessionSync(open);
+  constexpr int kBatches = 40;
+  constexpr int kPerBatch = 25;
+  std::thread submitter([&writer, sid] {
+    for (int b = 0; b < kBatches; ++b) {
+      SubmitRequest req;
+      req.request_id = 100 + static_cast<std::uint64_t>(b);
+      req.session_id = sid;
+      for (int i = 0; i < kPerBatch; ++i) {
+        req.ops.push_back(Insert(
+            "has", {WireValue::Int(b * kPerBatch + i),
+                    WireValue::Sym("fresh-" + std::to_string(b) + "-" +
+                                   std::to_string(i))}));
+      }
+      (void)writer.SubmitSync(req);
+    }
+  });
+  ServiceClient reader = fx.Connect();
+  std::size_t last = 0;
+  std::uint64_t request_id = 1000;
+  bool done = false;
+  while (!done) {
+    done = last == static_cast<std::size_t>(kBatches * kPerBatch);
+    const QueryResultResponse res =
+        reader.QuerySync(QueryRequest{request_id++, sid, "lbl"});
+    EXPECT_GE(res.rows.size(), last);  // epochs only add rows
+    last = res.rows.size();
+    for (const WireTuple& row : res.rows) {
+      ASSERT_EQ(row.size(), 2u);
+      ASSERT_TRUE(row[1].is_symbol);
+      EXPECT_EQ(row[1].symbol.rfind("fresh-", 0), 0u) << row[1].symbol;
+    }
+  }
+  submitter.join();
+  EXPECT_EQ(last, static_cast<std::size_t>(kBatches * kPerBatch));
 }
 
 }  // namespace
