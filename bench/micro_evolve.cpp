@@ -26,9 +26,9 @@
 //   rebuild_ops — EvalStats::tuples_inserted of the from-scratch
 //                 Materialize() of the final program.
 //
-// Every cell first applies one small base update under its strategy so the
-// counting cells evolve against a SEALED counting plane (the scoped
-// invalidation path, not first-touch initialization).
+// Every cell first applies one small base update under its strategy, so
+// evolution runs against an incrementally maintained store rather than a
+// fresh materialization.
 //
 // Usage: micro_evolve [--out=BENCH_evolve.json] [--scale=1.0] [--trace=out.json]
 #include <cmath>
@@ -209,9 +209,8 @@ Cell RunCell(const Shape& shape, const BaseFacts& base,
   InsertBase(db, base, small);
   db.Materialize();
 
-  // One warm-up base update under the cell's strategy: counting cells now
-  // evolve against a sealed counting plane (scoped invalidation, not
-  // first-touch reinit).  The extra row joins the rebuild base too.
+  // One warm-up base update under the cell's strategy.  The extra row
+  // joins the rebuild base too.
   const auto [warm_pred, warm_row] = WarmFact(shape.cone, base);
   Database::Update warm = db.MakeUpdate();
   warm.Insert(warm_pred, warm_row);
@@ -274,7 +273,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* strategies[] = {"dred", "counting", "bf"};
+  const char* strategies[] = {"dred", "bf"};
   std::vector<Cell> cells;
   int failures = 0;
   for (const Shape& shape : shapes) {

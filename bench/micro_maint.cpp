@@ -1,16 +1,14 @@
-// Maintenance-strategy benchmark: DRed vs Counting vs Backward/Forward on
-// the same update streams, sweeping insert/delete mix and worker count over
-// two shapes that bracket the design space:
+// Maintenance-strategy benchmark: DRed vs Backward/Forward on the same
+// update streams, sweeping insert/delete mix and worker count over two
+// shapes that bracket the design space:
 //
 //   fanout — wide fan-out with fully redundant support:
 //            mid(X) :- b1(X).  mid(X) :- b2(X).  d1..d4(X) :- mid(X).
 //            Deleting b1 rows never changes mid (b2 still supports it), so
-//            DRed's overdelete/rederive round-trip is pure waste — the
-//            shape the counting plane exists for.
+//            DRed's overdelete/rederive round-trip is pure waste.
 //   tc     — transitive closure of a random digraph with a giant SCC.
-//            Counting is ineligible (recursive component, falls back to
-//            DRed by design); Backward/Forward probes the affected cone
-//            read-only and only erases proven deaths.
+//            Backward/Forward probes the affected cone read-only and only
+//            erases proven deaths.
 //
 // Each (shape, mix) pre-generates one deterministic update stream and
 // replays it under every strategy × worker count.  Final stores must agree:
@@ -282,7 +280,7 @@ int main(int argc, char** argv) {
     workloads.push_back(MakeTc(mix, del_frac, args.scale));
   }
 
-  const char* strategies[] = {"dred", "counting", "bf"};
+  const char* strategies[] = {"dred", "bf"};
   const std::size_t worker_counts[] = {1, 4};
   std::vector<Cell> cells;
   int failures = 0;
@@ -328,22 +326,16 @@ int main(int argc, char** argv) {
   std::vector<Ratio> ratios;
   for (const Workload& w : workloads) {
     const double dred = ops_of(w.name, "dred");
-    for (const char* other : {"counting", "bf"}) {
-      const double ops = ops_of(w.name, other);
-      Ratio r;
-      r.key = w.name + "_dred_vs_" + other;
-      r.value = ops > 0.0 ? dred / ops : 0.0;
-      // The tentpole's acceptance bar: >= 2x fewer maintenance ops than
-      // DRed on the deletion-heavy sweep, for every strategy on the shape
-      // it targets.  Counting on tc falls back to DRed (recursive) and is
-      // reported but not gated.
-      const bool counting_on_tc =
-          std::string(other) == "counting" && w.name.rfind("tc_", 0) == 0;
-      if (w.name.find("_del90") != std::string::npos && !counting_on_tc) {
-        r.gate = 2.0;
-      }
-      ratios.push_back(std::move(r));
+    const double bf = ops_of(w.name, "bf");
+    Ratio r;
+    r.key = w.name + "_dred_vs_bf";
+    r.value = bf > 0.0 ? dred / bf : 0.0;
+    // The acceptance bar: >= 2x fewer maintenance ops than DRed on the
+    // deletion-heavy sweep.
+    if (w.name.find("_del90") != std::string::npos) {
+      r.gate = 2.0;
     }
+    ratios.push_back(std::move(r));
   }
   for (const Ratio& r : ratios) {
     std::printf("%-28s %6.2fx%s\n", r.key.c_str(), r.value,

@@ -27,8 +27,6 @@
 // them; see tools/check_bench.py).  The >= 1.5x fanout acceptance bar is
 // self-gated IN the binary only when hardware_concurrency >= 4 — a
 // 1-core runner cannot overlap anything and records ~1.0x honestly.
-// Counting sessions clamp to effective K = 1 (StrategyPipelineEligible);
-// their cells pin that clamp rather than skipping the strategy.
 //
 // Usage: micro_pipeline [--out=BENCH_pipeline.json] [--scale=1.0]
 //                       [--trace=out.json]
@@ -315,7 +313,7 @@ int main(int argc, char** argv) {
       }
     }
   };
-  sweep(fanout, {"dred", "counting", "bf"}, {1, 2, 4, 8}, {16, 128});
+  sweep(fanout, {"dred", "bf"}, {1, 2, 4, 8}, {16, 128});
   sweep(chain, {"dred"}, {1, 4}, {16});
 
   // --- summary: K=4 vs K=1 throughput per (workload, batch, strategy).
@@ -350,7 +348,7 @@ int main(int argc, char** argv) {
 
   // --- self-gate (acceptance bar): on a machine that can actually
   // overlap (>= 4 cores), fanout at K=4 must beat K=1 by >= 1.5x for each
-  // eligible strategy at its best batch size.  A 1-core runner records
+  // strategy at its best batch size.  A 1-core runner records
   // ~1.0x and is exempt — the ratios are data there, not a gate.
   if (hw >= 4) {
     for (const char* strategy : {"dred", "bf"}) {

@@ -11,9 +11,9 @@
 // promotion eligibility, and restock alerts; the update ships one delivery
 // and retires one promotion, and we watch the change cascade.
 //
-// Usage: datalog_incremental [--strategy=dred|counting|bf]
+// Usage: datalog_incremental [--strategy=dred|bf]
 // The flag picks the maintenance strategy the update cascades run under
-// (datalog/maintenance.hpp); the run also prints a DRed-vs-counting
+// (datalog/maintenance.hpp); the run also prints a DRed-vs-B/F
 // maintenance-op comparison for the delivery batch regardless.
 #include <cstdio>
 #include <cstring>
@@ -144,11 +144,11 @@ int main(int argc, char** argv) {
 
   // --- Strategy shoot-out on that same delivery.  alert(electronics) has
   // redundant support (two low products under electronics): DRed
-  // overdeletes it and rederives it, counting just moves a derivation
-  // count, backward/forward proves it alive with one probe.
+  // overdeletes it and rederives it, backward/forward proves it alive with
+  // one probe.
   std::printf("\nmaintenance-op comparison for the delivery batch:\n");
   std::size_t dred_ops = 0;
-  for (const char* name : {"dred", "counting", "bf"}) {
+  for (const char* name : {"dred", "bf"}) {
     datalog::Database replay(kRetailProgram);
     replay.SetDefaultStrategy(datalog::ParseMaintenanceStrategy(name));
     SeedRetail(replay);

@@ -77,33 +77,9 @@ UpdateResult Database::PropagateEvolution(const CompiledProgram& next,
     }
   }
 
-  // Counting plane: the cone's counts are rule-set-relative while the rest
-  // of the store keeps both its contents and its rules — so when the seal
-  // is still fresh, mark only the cone stale instead of discarding counts
-  // wholesale.  A stale (unsealed) plane gets nothing: its next use was
-  // going to full-recount anyway.
-  const bool counts_were_exact = CountingStateFresh(store_, maint_state_);
-  if (counts_were_exact) {
-    MarkCountingStale(maint_state_, affected);
-  }
-
-  UpdateResult update;
-  {
-    OBS_SCOPE(Category::kEvolveMaintain);
-    update =
-        PropagateUpdateWithStrategy(next.program, strat, store_, base,
-                                    default_strategy_, &maint_state_, &force,
-                                    &only);
-  }
-  if (counts_were_exact &&
-      default_strategy_ != MaintenanceStrategy::kCounting) {
-    // The cascade moved the store without maintaining counts, but only
-    // inside the cone (already marked stale) — reseal so the scoped marks
-    // survive the fingerprint check instead of escalating to a full
-    // recount.
-    SealCountingState(store_, maint_state_);
-  }
-  return update;
+  OBS_SCOPE(Category::kEvolveMaintain);
+  return PropagateUpdateWithStrategy(next.program, strat, store_, base,
+                                     default_strategy_, &force, &only);
 }
 
 Database::EvolveResult Database::EvolveAddRules(std::string_view rules_text) {
@@ -211,9 +187,9 @@ Database::EvolveResult Database::EvolveRemoveRule(
 
   // The removed rule's current derivations are exactly the support it
   // contributed to the fixpoint; inject them as base deletions so the
-  // cascade retracts (or recounts away) whatever the remaining rules no
-  // longer sustain.  Aggregate heads are regenerated wholesale by their
-  // recompute-diff phase, so forcing their component is enough.
+  // cascade retracts whatever the remaining rules no longer sustain.
+  // Aggregate heads are regenerated wholesale by their recompute-diff
+  // phase, so forcing their component is enough.
   const Program& program = next->program;
   const Stratification& strat = next->strat;
   GroupedBaseChanges base;
@@ -249,7 +225,7 @@ UpdateResult Database::ApplyRequest(const UpdateRequest& request,
   const std::shared_ptr<const CompiledProgram> snap = Snapshot();
   return PropagateUpdateWithStrategy(snap->program, snap->strat, store_,
                                      GroupedBaseChanges(snap->program, request),
-                                     strategy, &maint_state_);
+                                     strategy);
 }
 
 ParallelUpdateResult Database::ApplyRequestParallel(
@@ -264,7 +240,6 @@ ParallelUpdateResult Database::ApplyRequestParallel(
   parallel_options.workers = options.workers;
   parallel_options.router = options.router;
   parallel_options.strategy = options.strategy.value_or(default_strategy_);
-  parallel_options.maint_state = &maint_state_;
   parallel_options.frontier = options.frontier;
   parallel_options.epoch = options.epoch;
   parallel_options.plan = &snap->plan;

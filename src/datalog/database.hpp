@@ -153,10 +153,6 @@ class Database {
   [[nodiscard]] MaintenanceStrategy DefaultStrategy() const {
     return default_strategy_;
   }
-  /// The database-owned cross-update counting state.  Every apply path
-  /// threads it through, so counting sessions pay count initialization
-  /// once (and again only after a non-counting update touches the store).
-  [[nodiscard]] MaintenanceState& MaintState() { return maint_state_; }
 
   /// What one rule-set evolution did: the maintenance cascade's result,
   /// the program version it published, and the cone/reuse accounting.
@@ -176,10 +172,9 @@ class Database {
   ///    clause, removes it, and propagates the loss of its derivations
   ///    under the current default strategy (rederiving anything the
   ///    remaining rules still support).
-  /// Maintenance runs only on the cone's components; the counting plane is
-  /// invalidated for exactly the cone (MarkCountingStale) instead of
-  /// globally.  Validation or stratification failures leave the database
-  /// unchanged (the new snapshot is built before anything is published).
+  /// Maintenance runs only on the cone's components.  Validation or
+  /// stratification failures leave the database unchanged (the new
+  /// snapshot is built before anything is published).
   EvolveResult EvolveAddRules(std::string_view rules_text);
   EvolveResult EvolveRemoveRule(std::string_view clause_text);
 
@@ -236,7 +231,6 @@ class Database {
   mutable std::mutex sym_mutex_;
   RelationStore store_;
   MaintenanceStrategy default_strategy_ = MaintenanceStrategy::kDRed;
-  MaintenanceState maint_state_;
   bool materialized_ = false;
 };
 

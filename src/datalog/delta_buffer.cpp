@@ -28,54 +28,14 @@ Relation::DeltaChunk* ShardedWriteBuffer::StagingFor(std::size_t shard) {
   return slot.get();
 }
 
-void ShardedWriteBuffer::StageInsert(RowView tuple) {
+void ShardedWriteBuffer::Stage(RowView tuple, std::uint8_t op) {
   DSCHED_CHECK_MSG(relation_ != nullptr, "write buffer is unbound");
   const std::uint64_t hash = HashValues(tuple);
   const std::size_t shard = relation_->ShardOfHash(hash);
   Relation::DeltaChunk* chunk = StagingFor(shard);
   chunk->values.insert(chunk->values.end(), tuple.begin(), tuple.end());
   chunk->hashes.push_back(hash);
-  chunk->ops.push_back(Relation::kOpInsert);
-  if (!chunk->deltas.empty()) {
-    chunk->deltas.push_back(0);
-  }
-  ++in_flight_rows_;
-  if (chunk->Count() >= kAutoPublishRows) {
-    PublishShard(shard);
-  }
-}
-
-void ShardedWriteBuffer::StageErase(RowView tuple) {
-  DSCHED_CHECK_MSG(relation_ != nullptr, "write buffer is unbound");
-  const std::uint64_t hash = HashValues(tuple);
-  const std::size_t shard = relation_->ShardOfHash(hash);
-  Relation::DeltaChunk* chunk = StagingFor(shard);
-  chunk->values.insert(chunk->values.end(), tuple.begin(), tuple.end());
-  chunk->hashes.push_back(hash);
-  chunk->ops.push_back(Relation::kOpErase);
-  if (!chunk->deltas.empty()) {
-    chunk->deltas.push_back(0);
-  }
-  ++in_flight_rows_;
-  if (chunk->Count() >= kAutoPublishRows) {
-    PublishShard(shard);
-  }
-}
-
-void ShardedWriteBuffer::StageAdjust(RowView tuple, std::int32_t delta) {
-  DSCHED_CHECK_MSG(relation_ != nullptr, "write buffer is unbound");
-  const std::uint64_t hash = HashValues(tuple);
-  const std::size_t shard = relation_->ShardOfHash(hash);
-  Relation::DeltaChunk* chunk = StagingFor(shard);
-  chunk->values.insert(chunk->values.end(), tuple.begin(), tuple.end());
-  chunk->hashes.push_back(hash);
-  chunk->ops.push_back(Relation::kOpAdjust);
-  // The deltas column is lazily materialized: backfill zeros for any
-  // insert/erase rows staged before the chunk's first adjust.
-  if (chunk->deltas.empty()) {
-    chunk->deltas.resize(chunk->ops.size() - 1, 0);
-  }
-  chunk->deltas.push_back(delta);
+  chunk->ops.push_back(op);
   ++in_flight_rows_;
   if (chunk->Count() >= kAutoPublishRows) {
     PublishShard(shard);
@@ -94,16 +54,6 @@ void ShardedWriteBuffer::PublishShard(std::size_t shard) {
 }
 
 void ShardedWriteBuffer::Flush(const ResultFn& on_result) {
-  if (!on_result) {
-    FlushCodes({});
-    return;
-  }
-  FlushCodes([&on_result](std::uint8_t op, RowView row, std::uint8_t code) {
-    on_result(op, row, code != Relation::kNoChange);
-  });
-}
-
-void ShardedWriteBuffer::FlushCodes(const ResultCodeFn& on_result) {
   if (relation_ == nullptr) {
     return;
   }
@@ -118,7 +68,7 @@ void ShardedWriteBuffer::FlushCodes(const ResultCodeFn& on_result) {
       for (std::size_t i = 0; i < chunk.Count(); ++i) {
         on_result(chunk.ops[i],
                   RowView{chunk.values.data() + i * arity, arity},
-                  chunk.results[i]);
+                  chunk.results[i] != Relation::kNoChange);
       }
     }
     p.chunk->Reset();

@@ -54,16 +54,10 @@ class ShardedWriteBuffer {
   void SetEpoch(std::uint64_t epoch) { epoch_ = epoch; }
   [[nodiscard]] std::uint64_t Epoch() const { return epoch_; }
 
-  void StageInsert(RowView tuple);
+  void StageInsert(RowView tuple) { Stage(tuple, Relation::kOpInsert); }
   void StageInsert(const Tuple& tuple) { StageInsert(RowView(tuple)); }
-  void StageErase(RowView tuple);
+  void StageErase(RowView tuple) { Stage(tuple, Relation::kOpErase); }
   void StageErase(const Tuple& tuple) { StageErase(RowView(tuple)); }
-  /// Stages a count adjustment (Relation::kOpAdjust): `delta` is added to
-  /// the tuple's derivation count; membership follows the count.
-  void StageAdjust(RowView tuple, std::int32_t delta);
-  void StageAdjust(const Tuple& tuple, std::int32_t delta) {
-    StageAdjust(RowView(tuple), delta);
-  }
 
   /// Rows staged but not yet flushed (including auto-published chunks
   /// whose results have not been harvested).
@@ -80,15 +74,8 @@ class ShardedWriteBuffer {
   /// shard), and recycles the chunks.
   void Flush(const ResultFn& on_result = {});
 
-  /// Like Flush, but hands the full per-row outcome code through
-  /// (Relation::kNoChange/kChanged/kBorn/kDied) — counting-maintenance
-  /// callers need to distinguish a row being born or dying from a pure
-  /// count move, which the boolean callback cannot express.
-  using ResultCodeFn =
-      std::function<void(std::uint8_t op, RowView row, std::uint8_t code)>;
-  void FlushCodes(const ResultCodeFn& on_result);
-
  private:
+  void Stage(RowView tuple, std::uint8_t op);
   Relation::DeltaChunk* StagingFor(std::size_t shard);
   void PublishShard(std::size_t shard);
 

@@ -51,10 +51,10 @@ namespace {
 /// — the live RelationStore or the incremental engine's OldStateView.
 ///
 /// Construction plans the join:
-///  * a ground head tuple, when given (the rederive/recount/probe
-///    queries), binds the head variables before anything is ordered, so
-///    every level and filter is planned against them; a head-constant or
-///    repeated-variable clash means no derivation;
+///  * a ground head tuple, when given (the rederive/probe queries), binds
+///    the head variables before anything is ordered, so every level and
+///    filter is planned against them; a head-constant or repeated-variable
+///    clash means no derivation;
 ///  * positive body literals are ordered greedily by estimated lookup
 ///    cardinality (relation size ÷ bound-column index fan-out when a fresh
 ///    index exists, an independence-assumption power law otherwise), with
@@ -677,21 +677,6 @@ bool IsDerivable(const Program& program, const RelationStore& store,
   RuleJoin<RelationStore> join(program, store, rule, none, stats,
                                &head_tuple);
   return join.Run([](const Tuple&) {}, /*stop_after_first=*/true);
-}
-
-std::uint64_t CountDerivations(const Program& program,
-                               const RelationStore& store, const Rule& rule,
-                               const Tuple& head_tuple, EvalStats& stats) {
-  DSCHED_CHECK_MSG(!rule.IsAggregate(),
-                   "aggregation rules go through EvaluateAggregateRule");
-  const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats,
-                               &head_tuple);
-  std::uint64_t derivations = 0;
-  const std::function<void(const Tuple&)> count =
-      [&derivations](const Tuple&) { ++derivations; };
-  join.Run(count, /*stop_after_first=*/false);
-  return derivations;
 }
 
 bool ForEachDerivation(

@@ -67,17 +67,6 @@ void ApplyRule(const Program& program, const RelationStore& store,
                                const RelationStore& store, const Rule& rule,
                                const Tuple& head_tuple, EvalStats& stats);
 
-/// Number of rule instances of `rule` deriving exactly `head_tuple` in
-/// `store` — i.e. complete body matches under the head binding.  Distinct
-/// variable assignments count separately even when they ground the body to
-/// the same atoms.  The counting-maintenance recount query.  Not defined
-/// for aggregation rules.
-[[nodiscard]] std::uint64_t CountDerivations(const Program& program,
-                                             const RelationStore& store,
-                                             const Rule& rule,
-                                             const Tuple& head_tuple,
-                                             EvalStats& stats);
-
 /// Enumerates the derivations of `head_tuple` by `rule`: for every complete
 /// body match, calls `on_derivation` with the ground positive body literals
 /// as (predicate, tuple) pairs, in body order.  The span is valid only

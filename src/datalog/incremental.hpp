@@ -51,13 +51,12 @@ struct ComponentUpdateStats {
   std::size_t tuples_deleted = 0;   ///< net removed tuples
   // Maintenance-strategy effort (see maintenance.hpp).  maint_ops is the
   // uniform tuple-level operation count the strategies are compared on:
-  // store mutations + derivability checks + recounts + backward probes of
-  // the deletion pipeline.  Insertion-side work is excluded everywhere —
-  // DRed's semi-naive continuation, counting's create-driven recounts and
-  // births — so the metric compares what each strategy does about
-  // deletions, the axis they actually differ on.
+  // store mutations + derivability checks + backward probes of the
+  // deletion pipeline.  Insertion-side work is excluded everywhere —
+  // DRed's semi-naive continuation and B/F's forward phase — so the metric
+  // compares what each strategy does about deletions, the axis they
+  // actually differ on.
   std::size_t maint_ops = 0;
-  std::size_t maint_recounts = 0;  ///< counting: destroy-driven recounts
   std::size_t maint_backward_probes = 0;  ///< B/F: aliveness probes
   std::size_t maint_avoided = 0;  ///< deletions DRed would do, skipped here
   double seconds = 0.0;           ///< wall time spent on this component

@@ -1,8 +1,8 @@
 #include "datalog/maintenance.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "datalog/delta_buffer.hpp"
 #include "obs/obs.hpp"
@@ -11,16 +11,10 @@
 
 namespace dsched::datalog {
 
-namespace {
-using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
-}  // namespace
-
 const char* MaintenanceStrategyName(MaintenanceStrategy s) {
   switch (s) {
     case MaintenanceStrategy::kDRed:
       return "dred";
-    case MaintenanceStrategy::kCounting:
-      return "counting";
     case MaintenanceStrategy::kBackwardForward:
       return "bf";
   }
@@ -28,16 +22,13 @@ const char* MaintenanceStrategyName(MaintenanceStrategy s) {
 }
 
 const std::vector<std::string>& KnownMaintenanceStrategies() {
-  static const std::vector<std::string> kNames = {"dred", "counting", "bf"};
+  static const std::vector<std::string> kNames = {"dred", "bf"};
   return kNames;
 }
 
 MaintenanceStrategy ParseMaintenanceStrategy(const std::string& name) {
   if (name == "dred") {
     return MaintenanceStrategy::kDRed;
-  }
-  if (name == "counting") {
-    return MaintenanceStrategy::kCounting;
   }
   if (name == "bf") {
     return MaintenanceStrategy::kBackwardForward;
@@ -50,312 +41,9 @@ MaintenanceStrategy ParseMaintenanceStrategy(const std::string& name) {
   throw util::ParseError(oss.str());
 }
 
-bool StrategyPipelineEligible(MaintenanceStrategy s) {
-  return s != MaintenanceStrategy::kCounting;
-}
-
-bool CountingEligible(const Program& program, const Stratification& strat,
-                      std::uint32_t component) {
-  const auto& rule_ids = strat.component_rules[component];
-  if (rule_ids.empty() || strat.component_recursive[component]) {
-    return false;
-  }
-  for (const std::size_t r : rule_ids) {
-    if (program.rules[r].IsAggregate()) {
-      return false;
-    }
-  }
-  // A nonrecursive SCC is a singleton; counting relies on that (the
-  // recount joins must not read the predicate being recounted).
-  return strat.component_members[component].size() == 1;
-}
-
 namespace {
 
-std::uint64_t StoreFingerprint(const RelationStore& store) {
-  std::uint64_t fp = 0;
-  for (std::size_t p = 0; p < store.NumRelations(); ++p) {
-    fp += store.Of(static_cast<std::uint32_t>(p)).Version();
-  }
-  return fp;
-}
-
-}  // namespace
-
-void MarkCountingStale(MaintenanceState& state,
-                       const std::vector<bool>& affected) {
-  if (state.stale_counts.size() < affected.size()) {
-    state.stale_counts.resize(affected.size(), 0);
-  }
-  for (std::size_t p = 0; p < affected.size(); ++p) {
-    if (affected[p]) {
-      state.stale_counts[p] = 1;
-      state.any_stale = true;
-    }
-  }
-}
-
-void EnsureCountingState(const Program& program, const Stratification& strat,
-                         RelationStore& store, MaintenanceState& state) {
-  const std::uint64_t fp = StoreFingerprint(store);
-  // Scoped pass: the fingerprint still matches (no store mutation since the
-  // last seal) but a rule evolution marked the affected cone's counts as
-  // rule-set-stale — recount just those predicates.  Everything outside the
-  // cone kept both its store contents and its rule set, so its counts are
-  // still exact.
-  const bool scoped =
-      state.counts_ready && fp == state.counts_fingerprint && state.any_stale;
-  if (state.counts_ready && fp == state.counts_fingerprint && !state.any_stale) {
-    return;
-  }
-  if (scoped) {
-    if (state.base_facts.size() < program.NumPredicates()) {
-      state.base_facts.resize(program.NumPredicates());
-    }
-  } else {
-    state.base_facts.assign(program.NumPredicates(), {});
-  }
-  EvalStats discard;
-  for (std::uint32_t c = 0; c < strat.NumComponents(); ++c) {
-    if (!CountingEligible(program, strat, c)) {
-      continue;
-    }
-    const std::uint32_t p = strat.component_members[c].front();
-    if (scoped &&
-        (p >= state.stale_counts.size() || state.stale_counts[p] == 0)) {
-      continue;
-    }
-    if (scoped) {
-      // Replay the full-init semantics for this one predicate: flags are
-      // re-inferred below, so drop any left from the pre-evolution rules.
-      state.base_facts[p].clear();
-    }
-    Relation& relation = store.Of(p);
-    std::vector<Tuple> tuples;
-    tuples.reserve(relation.Size());
-    relation.ForEachRow([&tuples](std::uint32_t, RowView row) {
-      tuples.emplace_back(row.begin(), row.end());
-    });
-    for (const Tuple& t : tuples) {
-      std::uint64_t n = 0;
-      for (const std::size_t r : strat.component_rules[c]) {
-        n += CountDerivations(program, store, program.rules[r], t, discard);
-      }
-      if (n == 0) {
-        // Present but underivable: asserted directly at some point.  The
-        // shadow base flag keeps it alive through recounts, exactly the
-        // way plain presence keeps it alive under DRed.
-        state.base_facts[p].insert(t);
-        n = 1;
-      }
-      const auto delta = static_cast<std::int64_t>(n) -
-                         static_cast<std::int64_t>(relation.CountOf(t));
-      if (delta != 0) {
-        relation.AdjustCount(t, static_cast<std::int32_t>(delta));
-      }
-    }
-  }
-  state.stale_counts.clear();
-  state.any_stale = false;
-  state.counts_ready = true;
-  state.counts_fingerprint = StoreFingerprint(store);
-}
-
-void SealCountingState(const RelationStore& store, MaintenanceState& state) {
-  state.counts_fingerprint = StoreFingerprint(store);
-  state.counts_ready = true;
-}
-
-bool CountingStateFresh(const RelationStore& store,
-                        const MaintenanceState& state) {
-  return state.counts_ready &&
-         state.counts_fingerprint == StoreFingerprint(store);
-}
-
-namespace {
-
-// ------------------------------------------------------------------ Counting
-
-/// The counting phase of one eligible (nonrecursive, singleton,
-/// non-aggregate) component.  Computes the affected-head set H from the
-/// lower net deltas and the base changes, recounts each head against the
-/// new store (absolute recount — immune to the double-count a
-/// per-instance increment would suffer when one rule instance contains
-/// two changed body tuples), and applies the count deltas through the
-/// store's count column.  A tuple's membership changes only when its
-/// count crosses zero, so redundant-support deletions never touch the
-/// store's membership at all.
-ComponentUpdateStats RunCountingPhase(const Program& program,
-                                      const Stratification& strat,
-                                      std::uint32_t component,
-                                      RelationStore& store,
-                                      const GroupedBaseChanges& base,
-                                      std::vector<PredicateDelta>& net,
-                                      StoreWriteBuffer* scratch,
-                                      MaintenanceState& state) {
-  util::WallTimer comp_timer;
-  ComponentUpdateStats comp_stats;
-  comp_stats.component = component;
-  comp_stats.input_changed = true;
-  const std::uint32_t p = strat.component_members[component].front();
-  const auto& rule_ids = strat.component_rules[component];
-
-  // Old-state view over the phase's read set, for the instances an update
-  // DESTROYED (deleted positive / inserted negated support).
-  std::vector<std::uint32_t> relevant{p};
-  for (const std::size_t r : rule_ids) {
-    for (const BodyElement& element : program.rules[r].body) {
-      if (const auto* literal = std::get_if<Literal>(&element)) {
-        relevant.push_back(literal->atom.predicate);
-      }
-    }
-  }
-  const OldStateView old_state(store, net, relevant);
-
-  // --- Affected heads: every tuple whose derivation count may have moved.
-  // An instance disappeared iff it existed in the OLD state and used a
-  // deleted positive (or inserted negated) lower tuple; an instance
-  // appeared iff it exists in the NEW state and uses an inserted positive
-  // (or deleted negated) one.  The restricted joins enumerate exactly
-  // those; over-approximation is harmless (recount is absolute).
-  TupleSet affected;
-  // The destroy-driven subset: heads that may have LOST support.  Only
-  // their recounts are maintenance ops — create-driven recounts are the
-  // insertion pipeline, which every strategy's maint_ops excludes (DRed's
-  // semi-naive continuation is likewise uncounted).
-  TupleSet destroy_affected;
-  std::vector<Tuple> buffer;
-  const std::function<void(const Tuple&)> collect =
-      [&buffer](const Tuple& t) { buffer.push_back(t); };
-  const auto drain_into_affected = [&affected, &destroy_affected,
-                                    &buffer](bool destroy) {
-    for (Tuple& t : buffer) {
-      if (destroy) {
-        destroy_affected.insert(t);
-      }
-      affected.insert(std::move(t));
-    }
-    buffer.clear();
-  };
-  for (const std::size_t r : rule_ids) {
-    const Rule& rule = program.rules[r];
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      const auto* literal = std::get_if<Literal>(&rule.body[i]);
-      if (literal == nullptr) {
-        continue;
-      }
-      const std::uint32_t lower = literal->atom.predicate;
-      const std::vector<Tuple>& destroys =
-          literal->negated ? net[lower].inserted : net[lower].deleted;
-      const std::vector<Tuple>& creates =
-          literal->negated ? net[lower].deleted : net[lower].inserted;
-      if (!destroys.empty()) {
-        DeltaRestriction restriction;
-        restriction.body_index = i;
-        restriction.rows = destroys;
-        ApplyRuleOldState(program, old_state, rule, restriction,
-                          comp_stats.eval, collect);
-        drain_into_affected(/*destroy=*/true);
-      }
-      if (!creates.empty()) {
-        DeltaRestriction restriction;
-        restriction.body_index = i;
-        restriction.rows = creates;
-        ApplyRule(program, store, rule, restriction, comp_stats.eval, collect);
-        drain_into_affected(/*destroy=*/false);
-      }
-    }
-  }
-
-  // --- Base changes.  The shadow base flag mirrors DRed's effective
-  // semantics exactly: a base insert of an ABSENT tuple asserts it (flag
-  // on); one of a present tuple is absorbed; a base delete clears the
-  // flag, so the tuple survives only on rule support; and a tuple that
-  // becomes rule-derivable sheds its flag (DRed keeps no memory of base
-  // asserts — once disturbed, only derivability rescues a tuple).
-  for (const Tuple& t : base.deletions[p]) {
-    state.base_facts[p].erase(t);
-    affected.insert(t);
-    destroy_affected.insert(t);
-  }
-  for (const Tuple& t : base.insertions[p]) {
-    if (!store.Of(p).Contains(t)) {
-      state.base_facts[p].insert(t);
-    }
-    affected.insert(t);
-  }
-
-  // --- Recount every affected head against the new store.  Deltas are
-  // collected first and applied after: the recount joins never read `p`
-  // (nonrecursive), so deferred application cannot skew them.
-  std::vector<std::pair<Tuple, std::int32_t>> adjustments;
-  for (const Tuple& t : affected) {
-    std::uint64_t rule_count = 0;
-    for (const std::size_t r : rule_ids) {
-      rule_count +=
-          CountDerivations(program, store, program.rules[r], t, comp_stats.eval);
-    }
-    if (rule_count > 0) {
-      state.base_facts[p].erase(t);
-    }
-    const std::uint64_t new_count =
-        rule_count + (state.base_facts[p].contains(t) ? 1 : 0);
-    const std::uint32_t old_count = store.Of(p).CountOf(t);
-    if (destroy_affected.contains(t)) {
-      // Create-only heads are insertion-pipeline work and stay uncounted,
-      // like DRed's semi-naive continuation.
-      ++comp_stats.maint_recounts;
-      if (old_count > 0 && new_count > 0 && new_count < old_count) {
-        // DRed would have overdeleted this tuple and rederived it;
-        // counting just moves the count.
-        ++comp_stats.maint_avoided;
-      }
-    }
-    const auto delta = static_cast<std::int64_t>(new_count) -
-                       static_cast<std::int64_t>(old_count);
-    if (delta != 0) {
-      adjustments.emplace_back(t, static_cast<std::int32_t>(delta));
-    }
-  }
-  OBS_COUNTER(Category::kMaintRecount, comp_stats.maint_recounts);
-  OBS_COUNTER(Category::kMaintOverdeleteAvoided, comp_stats.maint_avoided);
-
-  // --- Apply.  With a worker scratch buffer the adjustments ride the
-  // same lock-free DeltaChunk publication as inserts (kOpAdjust entries);
-  // otherwise the direct mutator.  Either way the store reports the
-  // membership outcome per row: kBorn / kDied are the only net changes.
-  const auto on_outcome = [&net, p](RowView row, std::uint8_t code) {
-    if (code == Relation::kBorn) {
-      net[p].inserted.emplace_back(row.begin(), row.end());
-    } else if (code == Relation::kDied) {
-      net[p].deleted.emplace_back(row.begin(), row.end());
-    }
-  };
-  if (scratch != nullptr) {
-    ShardedWriteBuffer& writes = scratch->For(store, p);
-    for (const auto& [t, delta] : adjustments) {
-      writes.StageAdjust(t, delta);
-    }
-    writes.FlushCodes([&on_outcome](std::uint8_t, RowView row,
-                                    std::uint8_t code) { on_outcome(row, code); });
-  } else {
-    for (const auto& [t, delta] : adjustments) {
-      on_outcome(t, store.Of(p).AdjustCount(t, delta));
-    }
-  }
-
-  comp_stats.tuples_inserted = net[p].inserted.size();
-  comp_stats.tuples_deleted = net[p].deleted.size();
-  comp_stats.output_changed =
-      comp_stats.tuples_inserted > 0 || comp_stats.tuples_deleted > 0;
-  // Counting's deletion-pipeline effort: one recount per head that may
-  // have lost support, one erase per count that crossed zero.  Births and
-  // create-driven recounts are the insertion side, excluded everywhere.
-  comp_stats.maint_ops =
-      comp_stats.maint_recounts + comp_stats.tuples_deleted;
-  comp_stats.seconds = comp_timer.ElapsedSeconds();
-  return comp_stats;
-}
+using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
 
 // ------------------------------------------------------------ Backward/Forward
 
@@ -731,18 +419,12 @@ ComponentUpdateStats RunMaintenancePhase(
     MaintenanceStrategy strategy, const Program& program,
     const Stratification& strat, std::uint32_t component, RelationStore& store,
     const GroupedBaseChanges& base, std::vector<PredicateDelta>& net,
-    StoreWriteBuffer* scratch, MaintenanceState* state) {
+    StoreWriteBuffer* scratch) {
   OBS_SCOPE(Category::kMaintPhase);
   const auto& rule_ids = strat.component_rules[component];
   switch (strategy) {
     case MaintenanceStrategy::kDRed:
       break;
-    case MaintenanceStrategy::kCounting:
-      if (state != nullptr && CountingEligible(program, strat, component)) {
-        return RunCountingPhase(program, strat, component, store, base, net,
-                                scratch, *state);
-      }
-      break;  // recursive / aggregate / rule-less / stateless: DRed
     case MaintenanceStrategy::kBackwardForward:
       if (!rule_ids.empty() && !program.rules[rule_ids.front()].IsAggregate()) {
         return RunBackwardForwardPhase(program, strat, component, store, base,
@@ -759,15 +441,10 @@ ComponentUpdateStats RunMaintenancePhase(
 UpdateResult PropagateUpdateWithStrategy(
     const Program& program, const Stratification& strat, RelationStore& store,
     const GroupedBaseChanges& base, MaintenanceStrategy strategy,
-    MaintenanceState* state, const std::vector<bool>* force_touched,
+    const std::vector<bool>* force_touched,
     const std::vector<bool>* only_components) {
   util::WallTimer total_timer;
   UpdateResult result;
-  MaintenanceState transient;
-  MaintenanceState* st = state != nullptr ? state : &transient;
-  if (strategy == MaintenanceStrategy::kCounting) {
-    EnsureCountingState(program, strat, store, *st);
-  }
   std::vector<PredicateDelta> net(program.NumPredicates());
 
   for (const std::uint32_t component : strat.component_order) {
@@ -783,14 +460,11 @@ UpdateResult PropagateUpdateWithStrategy(
       continue;
     }
     ComponentUpdateStats comp_stats = RunMaintenancePhase(
-        strategy, program, strat, component, store, base, net, nullptr, st);
+        strategy, program, strat, component, store, base, net, nullptr);
     result.total_inserted += comp_stats.tuples_inserted;
     result.total_deleted += comp_stats.tuples_deleted;
     result.total_maint_ops += comp_stats.maint_ops;
     result.components.push_back(std::move(comp_stats));
-  }
-  if (strategy == MaintenanceStrategy::kCounting) {
-    SealCountingState(store, *st);
   }
 
   result.seconds = total_timer.ElapsedSeconds();

@@ -3,23 +3,8 @@
 // DRed (incremental.hpp) is pessimistic on deletions: it overdeletes every
 // tuple that MIGHT have lost support, then rederives the survivors.  On
 // deletion-heavy updates with redundant derivations that is the hot path's
-// dominant cost.  This module adds the two classic alternatives and lets
-// the caller pick per update:
-//
-//  * kCounting — per-derivation counts (Gupta-Mumick-Subrahmanian's
-//    counting algorithm).  Each tuple of an eligible predicate carries the
-//    number of rule instances deriving it (plus one when it is also a base
-//    fact).  A deletion that removes SOME support just decrements; the
-//    tuple dies only at zero, so no overdelete/rederive round-trip ever
-//    happens.  Exactness is kept by *recounting* affected heads against
-//    the store rather than applying per-instance increments — a rule
-//    instance with two changed body tuples would otherwise be counted at
-//    both restricted positions.  Counting is sound only for nonrecursive,
-//    non-aggregate components (counts of recursive predicates are not
-//    well-founded under deletion); other components fall back to DRed.
-//    The counts live in the sharded store's per-shard count column and
-//    flow through the same lock-free DeltaChunk publication path as
-//    inserts (Relation::AdjustCount / ShardedWriteBuffer::StageAdjust).
+// dominant cost.  This module adds the classic alternative and lets the
+// caller pick per update:
 //
 //  * kBackwardForward — B/F (Motik et al.).  The backward phase walks the
 //    suspect set and answers "is this tuple still derivable?" by probing
@@ -28,15 +13,14 @@
 //    overdeletion explosion never happens.  Works for recursive
 //    components; aggregates fall back to DRed's recompute-and-diff.
 //
-// All strategies produce bit-identical final stores (the tests verify
-// DRed ≡ Counting ≡ B/F tuple-for-tuple) and share the sharded store, the
-// join kernel, and the scheduler-driven cascade unchanged — only the
+// Both strategies produce bit-identical final stores (the tests verify
+// DRed ≡ B/F tuple-for-tuple) and share the sharded store, the join
+// kernel, and the scheduler-driven cascade unchanged — only the
 // per-component phase body differs.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "datalog/incremental.hpp"
@@ -48,11 +32,10 @@ namespace dsched::datalog {
 /// How one update's deletion pipeline is maintained.
 enum class MaintenanceStrategy : std::uint8_t {
   kDRed = 0,            ///< delete-and-rederive (the default)
-  kCounting = 1,        ///< per-derivation counts, recount-based
   kBackwardForward = 2  ///< backward aliveness probes, forward insertions
 };
 
-/// Canonical spec string for a strategy ("dred", "counting", "bf").
+/// Canonical spec string for a strategy ("dred", "bf").
 [[nodiscard]] const char* MaintenanceStrategyName(MaintenanceStrategy s);
 
 /// All accepted spec strings, in enum order.
@@ -63,99 +46,19 @@ enum class MaintenanceStrategy : std::uint8_t {
 [[nodiscard]] MaintenanceStrategy ParseMaintenanceStrategy(
     const std::string& name);
 
-/// Whether a strategy may run with K > 1 update epochs in flight
-/// (DESIGN.md §12) — the per-strategy analogue of StrategyEligibility's
-/// per-component verdicts.  DRed and B/F qualify: a phase touches only its
-/// member relations, its rules' body predicates, and per-worker scratch,
-/// all covered by the epoch fence.  Counting does NOT: EnsureCountingState
-/// / SealCountingState bracket the WHOLE update against the shared
-/// MaintenanceState fingerprint (and recount phases read/write the shadow
-/// base-fact sets), so overlapped epochs would race on cross-update state
-/// no per-level fence covers.  Sessions clamp an ineligible strategy's
-/// pipeline depth to 1.
-[[nodiscard]] bool StrategyPipelineEligible(MaintenanceStrategy s);
-
-/// Cross-update state a counting session carries between Apply calls.
-///
-/// base_facts is the shadow EDB: per predicate, the tuples whose presence
-/// is asserted directly (base inserts, or inferred at count
-/// initialization as "present but underivable by any rule").  A base fact
-/// contributes +1 to its tuple's count on top of the rule-derivation
-/// count, which is what makes "delete the base fact of a still-derivable
-/// tuple" a pure decrement.
-///
-/// counts_fingerprint is the store's summed relation Version() at the last
-/// Seal.  Any store mutation outside the counting pipeline (a DRed or B/F
-/// update, a direct write) bumps versions and invalidates the counts;
-/// EnsureCountingState detects the mismatch and re-initializes.  The pure
-/// count-move path (AdjustCount's kChanged outcome) deliberately does not
-/// bump versions — membership is unchanged — so counting updates do not
-/// invalidate themselves.
-struct MaintenanceState {
-  using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
-  std::vector<TupleSet> base_facts;  ///< indexed by predicate id
-  std::uint64_t counts_fingerprint = 0;
-  bool counts_ready = false;
-  /// Predicates whose counts are rule-set-stale even though the fingerprint
-  /// matches: a rule evolution rewrote the derivations of exactly the
-  /// affected cone and resealed the fingerprint, so the next counting
-  /// update recounts only these instead of the whole store (indexed by
-  /// predicate id; may be shorter than NumPredicates — missing means
-  /// fresh).
-  std::vector<std::uint8_t> stale_counts;
-  bool any_stale = false;
-};
-
-/// Marks every predicate with `affected[p]` true as count-stale, so the
-/// next EnsureCountingState recounts just those (when the fingerprint still
-/// matches).  Called by rule evolution with the cone bitmap; a no-op-sized
-/// update for everything outside it.
-void MarkCountingStale(MaintenanceState& state,
-                       const std::vector<bool>& affected);
-
-/// True iff `component` runs the pure counting phase under kCounting
-/// (rule-owning, non-aggregate, nonrecursive).  Others fall back to DRed.
-[[nodiscard]] bool CountingEligible(const Program& program,
-                                    const Stratification& strat,
-                                    std::uint32_t component);
-
-/// Makes `state`'s counts exact for the current store contents: when the
-/// fingerprint is stale, recounts every tuple of every counting-eligible
-/// predicate (CountDerivations per owning rule) and infers the shadow base
-/// facts (tuples with zero rule derivations get count 1 and a base_facts
-/// entry).  Cheap no-op when the fingerprint matches.
-void EnsureCountingState(const Program& program, const Stratification& strat,
-                         RelationStore& store, MaintenanceState& state);
-
-/// Records the store's current fingerprint in `state` after a counting
-/// update, so the next EnsureCountingState call is a no-op.
-void SealCountingState(const RelationStore& store, MaintenanceState& state);
-
-/// True when `state` is sealed against the store's CURRENT fingerprint (no
-/// untracked mutation since the last seal).  Rule evolution checks this
-/// before scoping invalidation: only then can a cone-local MarkCountingStale
-/// + post-cascade reseal legitimately preserve the out-of-cone counts.
-[[nodiscard]] bool CountingStateFresh(const RelationStore& store,
-                                      const MaintenanceState& state);
-
 /// Runs one component's maintenance phase under `strategy`.  Drop-in for
 /// RunComponentPhase (same contract, same thread-compatibility: writes
-/// only member relations, member net entries, member base_facts slots of
-/// `state`, and the returned stats).  `state` is required for kCounting
-/// (EnsureCountingState must have run against the pre-update store);
-/// ignored by the other strategies.  Components a strategy cannot handle
-/// are delegated to DRed, so any component is safe to pass.
+/// only member relations, member net entries, and the returned stats).
+/// Components a strategy cannot handle are delegated to DRed, so any
+/// component is safe to pass.
 ComponentUpdateStats RunMaintenancePhase(
     MaintenanceStrategy strategy, const Program& program,
     const Stratification& strat, std::uint32_t component, RelationStore& store,
     const GroupedBaseChanges& base, std::vector<PredicateDelta>& net,
-    StoreWriteBuffer* scratch = nullptr, MaintenanceState* state = nullptr);
+    StoreWriteBuffer* scratch = nullptr);
 
 /// PropagateUpdate with a strategy: runs every touched (or force-listed)
-/// component's RunMaintenancePhase in evaluation order, bracketing with
-/// EnsureCountingState / SealCountingState when counting.  `state` null
-/// means a transient per-call state — correct, but counting then pays a
-/// full count initialization every call; sessions should own one.
+/// component's RunMaintenancePhase in evaluation order.
 /// `only_components` (when non-null) restricts the cascade to the listed
 /// components — the rest are recorded untouched without even probing their
 /// inputs.  Rule evolution passes the affected cone here: deltas cannot
@@ -164,7 +67,6 @@ ComponentUpdateStats RunMaintenancePhase(
 UpdateResult PropagateUpdateWithStrategy(
     const Program& program, const Stratification& strat, RelationStore& store,
     const GroupedBaseChanges& base, MaintenanceStrategy strategy,
-    MaintenanceState* state = nullptr,
     const std::vector<bool>* force_touched = nullptr,
     const std::vector<bool>* only_components = nullptr);
 

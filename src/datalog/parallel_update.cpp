@@ -132,19 +132,9 @@ ParallelUpdateResult ApplyParallel(const Program& program,
     buffer.SetEpoch(options.epoch);
   }
 
-  // Counting needs exact pre-update derivation counts; initialize (or
-  // validate) them serially before the executor starts.
-  MaintenanceState transient_state;
-  MaintenanceState* maint_state = options.maint_state != nullptr
-                                      ? options.maint_state
-                                      : &transient_state;
-  if (options.strategy == MaintenanceStrategy::kCounting) {
-    EnsureCountingState(program, strat, store, *maint_state);
-  }
-
   const auto run_phase = [&](std::uint32_t c, std::size_t worker) -> bool {
     stats[c] = RunMaintenancePhase(options.strategy, program, strat, c, store,
-                                   base, net, &scratch[worker], maint_state);
+                                   base, net, &scratch[worker]);
     bool changed = false;
     for (const std::uint32_t p : strat.component_members[c]) {
       if (!net[p].Empty()) {
@@ -224,10 +214,6 @@ ParallelUpdateResult ApplyParallel(const Program& program,
                                     .gate = gate_ptr,
                                     .memory_budget = options.memory_budget,
                                     .account = options.account});
-
-  if (options.strategy == MaintenanceStrategy::kCounting) {
-    SealCountingState(store, *maint_state);
-  }
 
   // --- Assemble the sequential-compatible result.
   for (const std::uint32_t c : strat.component_order) {

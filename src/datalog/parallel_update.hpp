@@ -43,23 +43,16 @@ struct ParallelUpdateOptions {
   /// The caller must keep the router alive for the duration of the call.
   runtime::TaskRouter* router = nullptr;
   /// How each component phase maintains deletions (maintenance.hpp).
-  /// Counting and B/F fall back to DRed per component where required.
+  /// B/F falls back to DRed per component where required.
   MaintenanceStrategy strategy = MaintenanceStrategy::kDRed;
-  /// Cross-update counting state.  Null means a transient per-call state:
-  /// still correct, but kCounting then re-initializes the derivation
-  /// counts on every call.  Sessions should own one per database.  The
-  /// phases write disjoint per-predicate slots, so one state is safe to
-  /// share across the update's workers.
-  MaintenanceState* maint_state = nullptr;
 
   // --- epoch pipelining (runtime/pipeline.hpp, DESIGN.md §12) ----------
   /// When set, this update joins its session's epoch pipeline: the
   /// coordinator holds back each component task until epoch-1 has
   /// finalized every level the task's writes could race with (the fences
   /// in `plan`), and publishes this cascade's own per-level finalization
-  /// as the levels drain.  Requires `plan` (which must outlive the call)
-  /// and a pipeline-eligible strategy (StrategyPipelineEligible — the
-  /// caller clamps depth, this layer trusts it).  Null = unpipelined.
+  /// as the levels drain.  Requires `plan` (which must outlive the call).
+  /// Null = unpipelined.
   runtime::StratumFrontier* frontier = nullptr;
   /// The dense 1-based session epoch of this update; stamped on every
   /// published DeltaChunk and used to gate on epoch-1's frontier entry.

@@ -109,7 +109,6 @@ void Relation::CopyFrom(const Relation& other) {
     const Shard& src = other.shards_[s];
     dst.arena = src.arena;
     dst.hashes = src.hashes;
-    dst.counts = src.counts;
     dst.slots = src.slots;
     dst.num_rows.store(src.num_rows.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
@@ -282,7 +281,6 @@ bool Relation::InsertLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
   shard.slots[slot] = SlotWord(hash, rows);
   shard.arena.insert(shard.arena.end(), tuple.begin(), tuple.end());
   shard.hashes.push_back(hash);
-  shard.counts.push_back(1);
   shard.num_rows.store(rows + 1, std::memory_order_relaxed);
   shard.version.store(shard.version.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
@@ -329,7 +327,6 @@ bool Relation::EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
     std::copy_n(shard.arena.data() + std::size_t{last} * arity_, arity_,
                 shard.arena.data() + std::size_t{local} * arity_);
     shard.hashes[local] = shard.hashes[last];
-    shard.counts[local] = shard.counts[last];
     std::size_t s = shard.hashes[last] & mask;
     while ((shard.slots[s] & kIdMask) != std::uint64_t{last} + 1) {
       s = (s + 1) & mask;
@@ -338,7 +335,6 @@ bool Relation::EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
   }
   shard.arena.resize(std::size_t{last} * arity_);
   shard.hashes.pop_back();
-  shard.counts.pop_back();
   shard.num_rows.store(last, std::memory_order_relaxed);
   shard.version.store(shard.version.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
@@ -346,47 +342,6 @@ bool Relation::EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
       shard.erase_epoch.load(std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
   return true;
-}
-
-std::uint8_t Relation::AdjustLocal(Shard& shard, RowView tuple,
-                                   std::uint64_t hash, std::int32_t delta) {
-  const std::size_t slot = FindSlotLocal(shard, tuple, hash);
-  if (slot == kNoSlot) {
-    if (delta <= 0) {
-      return kNoChange;
-    }
-    InsertLocal(shard, tuple, hash);
-    shard.counts.back() = static_cast<std::uint32_t>(delta);
-    return kBorn;
-  }
-  const auto local =
-      static_cast<std::uint32_t>((shard.slots[slot] & kIdMask) - 1);
-  const auto count = static_cast<std::int64_t>(shard.counts[local]) + delta;
-  if (count <= 0) {
-    EraseLocal(shard, tuple, hash);
-    return kDied;
-  }
-  shard.counts[local] = static_cast<std::uint32_t>(count);
-  return kChanged;
-}
-
-std::uint32_t Relation::CountOf(RowView tuple) const {
-  if (tuple.size() != arity_) {
-    return 0;
-  }
-  const std::uint64_t hash = HashValues(tuple);
-  const Shard& shard = shards_[ShardOfHash(hash)];
-  const std::size_t slot = FindSlotLocal(shard, tuple, hash);
-  if (slot == kNoSlot) {
-    return 0;
-  }
-  return shard.counts[(shard.slots[slot] & kIdMask) - 1];
-}
-
-std::uint8_t Relation::AdjustCount(RowView tuple, std::int32_t delta) {
-  DSCHED_CHECK_MSG(tuple.size() == arity_, "tuple arity mismatch");
-  const std::uint64_t hash = HashValues(tuple);
-  return AdjustLocal(shards_[ShardOfHash(hash)], tuple, hash, delta);
 }
 
 bool Relation::Insert(RowView tuple) {
@@ -415,7 +370,6 @@ void Relation::Reserve(std::size_t rows) {
     }
     if (per_shard > shard.hashes.capacity()) {
       shard.hashes.reserve(std::max(per_shard, shard.hashes.capacity() * 2));
-      shard.counts.reserve(std::max(per_shard, shard.counts.capacity() * 2));
     }
     const std::size_t capacity = SlotCapacityFor(per_shard);
     if (capacity > shard.slots.size()) {
@@ -430,7 +384,6 @@ std::size_t Relation::MemoryBytes() const {
     const Shard& shard = shards_[s];
     bytes += shard.arena.capacity() * sizeof(Value) +
              shard.hashes.capacity() * sizeof(std::uint64_t) +
-             shard.counts.capacity() * sizeof(std::uint32_t) +
              shard.slots.capacity() * sizeof(std::uint64_t);
   }
   return bytes;
@@ -440,9 +393,7 @@ std::size_t Relation::MemoryBytes() const {
 
 void Relation::Publish(std::size_t shard_index, DeltaChunk* chunk) {
   DSCHED_CHECK_MSG(chunk->values.size() == chunk->Count() * arity_ &&
-                       chunk->ops.size() == chunk->Count() &&
-                       (chunk->deltas.empty() ||
-                        chunk->deltas.size() == chunk->Count()),
+                       chunk->ops.size() == chunk->Count(),
                    "malformed delta chunk");
   chunk->applied.store(false, std::memory_order_relaxed);
   publish_chunks_.fetch_add(1, std::memory_order_relaxed);
@@ -471,14 +422,9 @@ void Relation::ApplyChunk(Shard& shard, DeltaChunk& chunk) {
     if (chunk.ops[i] == kOpInsert) {
       chunk.results[i] =
           InsertLocal(shard, row, chunk.hashes[i]) ? kChanged : kNoChange;
-    } else if (chunk.ops[i] == kOpErase) {
+    } else {
       chunk.results[i] =
           EraseLocal(shard, row, chunk.hashes[i]) ? kChanged : kNoChange;
-    } else {
-      DSCHED_CHECK_MSG(!chunk.deltas.empty(),
-                       "kOpAdjust row without a staged delta");
-      chunk.results[i] =
-          AdjustLocal(shard, row, chunk.hashes[i], chunk.deltas[i]);
     }
   }
 }

@@ -56,22 +56,11 @@ class Relation {
   /// Delta-publication ops.
   static constexpr std::uint8_t kOpErase = 0;
   static constexpr std::uint8_t kOpInsert = 1;
-  /// Count adjustment: `deltas[i]` is added to the row's derivation count.
-  /// An absent row with a positive resulting count is inserted (born); a
-  /// present row whose count reaches zero is erased (died).  This is the
-  /// counting-maintenance write op — membership follows the count.
-  static constexpr std::uint8_t kOpAdjust = 2;
 
-  /// Per-op outcome codes written to DeltaChunk::results (and returned by
-  /// AdjustCount).  For kOpInsert/kOpErase only kNoChange/kChanged occur
-  /// (kChanged = insert was fresh / erase found its row).  kOpAdjust
-  /// distinguishes structural outcomes: kBorn = the row was inserted,
-  /// kDied = the row was erased, kChanged = count moved but the row
-  /// neither appeared nor vanished.
+  /// Per-op outcome codes written to DeltaChunk::results: kChanged = the
+  /// insert was fresh / the erase found its row.
   static constexpr std::uint8_t kNoChange = 0;
   static constexpr std::uint8_t kChanged = 1;
-  static constexpr std::uint8_t kBorn = 2;
-  static constexpr std::uint8_t kDied = 3;
 
   /// A batch of staged mutations for one shard, published by a writer and
   /// applied by whichever thread absorbs the shard's pending list.  The
@@ -82,10 +71,7 @@ class Relation {
   struct DeltaChunk {
     std::vector<Value> values;          ///< count × arity staged words
     std::vector<std::uint64_t> hashes;  ///< per staged row, full tuple hash
-    std::vector<std::uint8_t> ops;      ///< per row: kOpInsert/kOpErase/kOpAdjust
-    /// Per-row count delta for kOpAdjust rows (ignored for insert/erase).
-    /// Either empty (no adjust ops staged) or sized Count().
-    std::vector<std::int32_t> deltas;
+    std::vector<std::uint8_t> ops;      ///< per row: kOpInsert/kOpErase
     std::vector<std::uint8_t> results;  ///< absorber-written outcome per row
     /// Update epoch of the publishing cascade (0 = untagged).  Absorbed
     /// into the shard's applied_epoch watermark — the epoch pipeline's
@@ -99,7 +85,6 @@ class Relation {
       values.clear();
       hashes.clear();
       ops.clear();
-      deltas.clear();
       results.clear();
       epoch = 0;
       next = nullptr;
@@ -224,33 +209,6 @@ class Relation {
   bool Erase(RowView tuple);
   bool Erase(const Tuple& tuple) { return Erase(RowView(tuple)); }
 
-  // --- Counting plane ------------------------------------------------------
-  //
-  // Every row carries a derivation count in a per-shard column co-located
-  // with the arena (counts[local] parallels hashes[local]).  The direct
-  // mutators keep it trivially consistent: Insert gives a fresh row count 1,
-  // Erase drops the row regardless of count.  Counting-maintenance writers
-  // instead adjust counts — directly via AdjustCount, or through the
-  // lock-free publication path with kOpAdjust rows — and membership follows
-  // the count: a row is born when its count becomes positive and dies when
-  // it reaches zero.
-
-  /// Current derivation count of `tuple`; 0 when absent.
-  [[nodiscard]] std::uint32_t CountOf(RowView tuple) const;
-  [[nodiscard]] std::uint32_t CountOf(const Tuple& tuple) const {
-    return CountOf(RowView(tuple));
-  }
-
-  /// Adds `delta` to the tuple's count (single-owner path).  Returns the
-  /// structural outcome: kBorn (row inserted, count = delta), kDied (count
-  /// hit zero, row erased), kChanged (count moved, membership unchanged) or
-  /// kNoChange (absent row with non-positive delta).  Counts never go
-  /// negative — an over-deleting delta clamps at zero.
-  std::uint8_t AdjustCount(RowView tuple, std::int32_t delta);
-  std::uint8_t AdjustCount(const Tuple& tuple, std::int32_t delta) {
-    return AdjustCount(RowView(tuple), delta);
-  }
-
   /// Pre-sizes arenas and hash tables for `rows` total rows (spread evenly
   /// across shards).
   void Reserve(std::size_t rows);
@@ -332,7 +290,6 @@ class Relation {
   struct Shard {
     std::vector<Value> arena;            ///< num_rows × arity words
     std::vector<std::uint64_t> hashes;   ///< per-row full hash
-    std::vector<std::uint32_t> counts;   ///< per-row derivation count
     /// Hash-tagged slots: high 32 bits = hash tag, low 32 = local row id
     /// + 1; 0 = empty.  A probe rejects mismatched entries on the tag
     /// alone — without touching the per-row hash array or the arena.
@@ -359,11 +316,6 @@ class Relation {
   /// Single-owner insert/erase into one shard (hash already computed).
   bool InsertLocal(Shard& shard, RowView tuple, std::uint64_t hash);
   bool EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash);
-
-  /// Single-owner count adjustment (hash already computed); returns
-  /// kBorn/kDied/kChanged/kNoChange.
-  std::uint8_t AdjustLocal(Shard& shard, RowView tuple, std::uint64_t hash,
-                           std::int32_t delta);
 
   /// Applies one chunk to its shard; caller holds the absorbing flag.
   void ApplyChunk(Shard& shard, DeltaChunk& chunk);

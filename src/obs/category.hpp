@@ -50,7 +50,6 @@ enum class Category : std::uint8_t {
   kMaintPhase,            ///< scope: one component's maintenance phase body
   kMaintOverdelete,       ///< counter: tuples overdeleted (DRed step 1)
   kMaintOverdeleteAvoided,///< counter: deletions skipped vs DRed's closure
-  kMaintRecount,          ///< counter: affected heads recounted (counting)
   kMaintBackwardProbe,    ///< counter: B/F "still derivable?" probes
 
   // Epoch pipelining (runtime/pipeline.hpp, runtime/executor.cpp).

@@ -108,8 +108,6 @@ const char* CategoryName(Category category) {
       return "maint.overdelete";
     case Category::kMaintOverdeleteAvoided:
       return "maint.overdelete_avoided";
-    case Category::kMaintRecount:
-      return "maint.recount";
     case Category::kMaintBackwardProbe:
       return "maint.backward_probe";
     case Category::kPipelineStall:
@@ -180,7 +178,6 @@ const char* CategoryGroup(Category category) {
     case Category::kMaintPhase:
     case Category::kMaintOverdelete:
     case Category::kMaintOverdeleteAvoided:
-    case Category::kMaintRecount:
     case Category::kMaintBackwardProbe:
       return "maint";
     case Category::kPipelineStall:
@@ -217,7 +214,6 @@ bool IsCounterCategory(Category category) {
          category == Category::kStorePublish ||
          category == Category::kMaintOverdelete ||
          category == Category::kMaintOverdeleteAvoided ||
-         category == Category::kMaintRecount ||
          category == Category::kMaintBackwardProbe ||
          category == Category::kPipelineFinalize ||
          category == Category::kMemAcquire ||

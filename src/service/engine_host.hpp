@@ -43,8 +43,8 @@ struct HostOptions {
   std::size_t max_concurrent_updates = 256;
   /// Scheduler spec for sessions that don't pick their own.
   std::string default_scheduler = "hybrid";
-  /// Maintenance strategy ("dred", "counting", "bf") for sessions that
-  /// don't pick their own (datalog/maintenance.hpp).
+  /// Maintenance strategy ("dred", "bf") for sessions that don't pick
+  /// their own (datalog/maintenance.hpp).
   std::string default_strategy = "dred";
   /// Queue bound for sessions that don't pick their own.
   std::size_t default_queue_capacity = 64;
@@ -64,9 +64,9 @@ struct SessionOptions {
   /// Unknown specs are rejected at OpenSession with an error listing the
   /// valid values.
   std::string scheduler_spec;
-  /// Maintenance strategy spec ("dred", "counting", "bf"); empty → host
-  /// default.  Unknown names are rejected at OpenSession with an error
-  /// listing the valid values.
+  /// Maintenance strategy spec ("dred", "bf"); empty → host default.
+  /// Unknown names are rejected at OpenSession with an error listing the
+  /// valid values.
   std::string maintenance_strategy;
   /// Max queued-but-unapplied batches before Submit blocks.  0 → host
   /// default.
@@ -74,9 +74,8 @@ struct SessionOptions {
   /// Epoch-pipeline depth K: up to K cascades of this session overlap on
   /// the shared pool, fenced per dependency level by a StratumFrontier
   /// (runtime/pipeline.hpp).  0 → host default.  Clamped to [1, 64];
-  /// forced to 1 for the "serial" engine and for strategies that are not
-  /// pipeline-eligible (datalog::StrategyPipelineEligible — counting).
-  /// Futures still resolve in dense epoch order regardless of depth.
+  /// forced to 1 for the "serial" engine.  Futures still resolve in dense
+  /// epoch order regardless of depth.
   std::size_t pipeline_depth = 0;
   /// Hard per-session memory ceiling, in accounted bytes: every cascade
   /// of this session (all K in-flight epochs together) meters its tasks'

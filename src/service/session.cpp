@@ -57,16 +57,14 @@ datalog::MaintenanceStrategy ResolveStrategy(const detail::HostCore& core,
 }
 
 std::size_t ResolveDepth(const detail::HostCore& core,
-                         const SessionOptions& options, const std::string& spec,
-                         datalog::MaintenanceStrategy strategy) {
+                         const SessionOptions& options,
+                         const std::string& spec) {
   std::size_t depth = options.pipeline_depth > 0
                           ? options.pipeline_depth
                           : core.options.default_pipeline_depth;
   depth = std::clamp<std::size_t>(depth, 1, 64);
-  // The serial engine has no cascade to fence, and counting's state
-  // bracket (EnsureCountingState/SealCountingState) spans the whole update
-  // against shared derivation counts — neither can overlap epochs.
-  if (spec == "serial" || !datalog::StrategyPipelineEligible(strategy)) {
+  // The serial engine has no cascade to fence, so it cannot overlap epochs.
+  if (spec == "serial") {
     depth = 1;
   }
   return depth;
@@ -81,7 +79,7 @@ Session::Session(std::shared_ptr<detail::HostCore> core,
       name_(ResolveName(id_, options)),
       spec_(ResolveSpec(*core_, options)),
       strategy_(ResolveStrategy(*core_, options)),
-      depth_(ResolveDepth(*core_, options, spec_, strategy_)),
+      depth_(ResolveDepth(*core_, options, spec_)),
       memory_budget_(options.memory_budget),
       metrics_prefix_("session." + name_ + "."),
       db_(program_text),
@@ -292,7 +290,6 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
       maint_ops_total_ += outcome.update.total_maint_ops;
       for (const datalog::ComponentUpdateStats& c :
            outcome.update.components) {
-        maint_recounts_total_ += c.maint_recounts;
         maint_probes_total_ += c.maint_backward_probes;
         maint_avoided_total_ += c.maint_avoided;
       }
@@ -375,7 +372,6 @@ void Session::ApplyEvolve(UpdateQueue::Job& job) {
       maint_ops_total_ += outcome.update.total_maint_ops;
       for (const datalog::ComponentUpdateStats& c :
            outcome.update.components) {
-        maint_recounts_total_ += c.maint_recounts;
         maint_probes_total_ += c.maint_backward_probes;
         maint_avoided_total_ += c.maint_avoided;
       }
@@ -406,7 +402,6 @@ void Session::PublishMetrics() {
   std::uint64_t inserted = 0;
   std::uint64_t deleted = 0;
   std::uint64_t ops = 0;
-  std::uint64_t recounts = 0;
   std::uint64_t probes = 0;
   std::uint64_t avoided = 0;
   std::uint64_t inflight_hw = 0;
@@ -432,7 +427,6 @@ void Session::PublishMetrics() {
     inserted = inserted_total_;
     deleted = deleted_total_;
     ops = maint_ops_total_;
-    recounts = maint_recounts_total_;
     probes = maint_probes_total_;
     avoided = maint_avoided_total_;
     inflight_hw = inflight_high_water_;
@@ -452,7 +446,6 @@ void Session::PublishMetrics() {
   metrics.Set(metrics_prefix_ + "inserted", inserted);
   metrics.Set(metrics_prefix_ + "deleted", deleted);
   metrics.Set(metrics_prefix_ + "maint.ops", ops);
-  metrics.Set(metrics_prefix_ + "maint.recounts", recounts);
   metrics.Set(metrics_prefix_ + "maint.backward_probes", probes);
   metrics.Set(metrics_prefix_ + "maint.overdeletes_avoided", avoided);
   metrics.Set(metrics_prefix_ + "pipeline.depth", depth_);

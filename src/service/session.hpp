@@ -22,8 +22,7 @@
 // future for epoch N resolves, Query() reflects every batch up to N.
 //
 // K=1 degenerates to the classic serialized-per-session apply loop (no
-// frontier, no overlap); the "serial" engine and non-pipeline-eligible
-// strategies (counting) are clamped to K=1 at open.
+// frontier, no overlap); the "serial" engine is clamped to K=1 at open.
 //
 // Lifecycle: bootstrap (Insert base facts, Materialize) → live (Submit /
 // Query) → Close (stop accepting, drain the queue, join).  Close is
@@ -256,7 +255,6 @@ class Session {
   std::uint64_t inserted_total_ = 0;
   std::uint64_t deleted_total_ = 0;
   std::uint64_t maint_ops_total_ = 0;
-  std::uint64_t maint_recounts_total_ = 0;
   std::uint64_t maint_probes_total_ = 0;
   std::uint64_t maint_avoided_total_ = 0;
   std::uint64_t evolve_count_ = 0;

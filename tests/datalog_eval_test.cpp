@@ -252,10 +252,6 @@ TEST(HeadBoundPlanTest, PointQueriesExploreConstantBindings) {
       EvalStats stats;
       EXPECT_TRUE(IsDerivable(chain.program, chain.store, rule, hit, stats));
       EXPECT_FALSE(IsDerivable(chain.program, chain.store, rule, miss, stats));
-      EXPECT_EQ(CountDerivations(chain.program, chain.store, rule, hit, stats),
-                1u);
-      EXPECT_EQ(
-          CountDerivations(chain.program, chain.store, rule, miss, stats), 0u);
       std::vector<std::pair<std::uint32_t, Tuple>> body;
       EXPECT_FALSE(ForEachDerivation(
           chain.program, chain.store, rule, hit, stats,
@@ -265,7 +261,7 @@ TEST(HeadBoundPlanTest, PointQueriesExploreConstantBindings) {
           }));
       ASSERT_FALSE(body.empty()) << head;
       EXPECT_EQ(body.back().second.back(), hit[1]) << head;
-      // Six queries, each a constant number of rows: never a scan of the
+      // Four queries, each a constant number of rows: never a scan of the
       // 20 k-row relation.
       EXPECT_LE(stats.bindings_explored, 6u) << head << " x=" << x;
     }
@@ -294,10 +290,8 @@ TEST(HeadBoundPlanTest, HeadBoundBodyStillAppliesFilters) {
   EXPECT_FALSE(IsDerivable(program, store, p, {Value::Int(3)}, stats));
   EXPECT_TRUE(IsDerivable(program, store, p, {Value::Int(4)}, stats));
   EXPECT_FALSE(IsDerivable(program, store, p, {Value::Int(42)}, stats));
-  EXPECT_EQ(CountDerivations(program, store, p, {Value::Int(3)}, stats), 0u);
   EXPECT_TRUE(IsDerivable(program, store, s, {Value::Int(3)}, stats));
   EXPECT_FALSE(IsDerivable(program, store, s, {Value::Int(7)}, stats));
-  EXPECT_EQ(CountDerivations(program, store, s, {Value::Int(7)}, stats), 0u);
   EXPECT_FALSE(ForEachDerivation(
       program, store, s, {Value::Int(7)}, stats,
       [](const std::vector<std::pair<std::uint32_t, Tuple>>&) {
@@ -325,9 +319,6 @@ TEST(HeadBoundPlanTest, HeadClashIsNoDerivation) {
                           stats));
   EXPECT_FALSE(IsDerivable(program, store, d, {Value::Int(1), Value::Int(2)},
                            stats));
-  EXPECT_EQ(CountDerivations(program, store, d, {Value::Int(1), Value::Int(2)},
-                             stats),
-            0u);
   EXPECT_FALSE(ForEachDerivation(
       program, store, c, {Value::Int(2), Value::Int(2)}, stats,
       [](const std::vector<std::pair<std::uint32_t, Tuple>>&) { return true; }));

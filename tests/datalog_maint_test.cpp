@@ -1,18 +1,14 @@
-// Maintenance-strategy tests (datalog/maintenance.hpp): DRed, Counting,
-// and Backward/Forward must produce bit-identical stores on any update
-// sequence — serial or parallel, any shard count, any scheduler — while
-// the counting plane's count column stays exact under the lock-free
-// publication protocol.  The concurrency cases run under TSan in CI.
+// Maintenance-strategy tests (datalog/maintenance.hpp): DRed and
+// Backward/Forward must produce bit-identical stores on any update
+// sequence — serial or parallel, any shard count, any scheduler.  The
+// parallel cases run under TSan in CI.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "datalog/database.hpp"
-#include "datalog/delta_buffer.hpp"
 #include "datalog/maintenance.hpp"
 #include "datalog/parallel_update.hpp"
 #include "util/error.hpp"
@@ -29,13 +25,13 @@ using dsched::testing::WideFixture;
 
 TEST(MaintStrategyTest, ParseRoundTripsAndRejectsUnknown) {
   EXPECT_EQ(ParseMaintenanceStrategy("dred"), MaintenanceStrategy::kDRed);
-  EXPECT_EQ(ParseMaintenanceStrategy("counting"),
-            MaintenanceStrategy::kCounting);
   EXPECT_EQ(ParseMaintenanceStrategy("bf"),
             MaintenanceStrategy::kBackwardForward);
   for (const std::string& name : KnownMaintenanceStrategies()) {
     EXPECT_EQ(MaintenanceStrategyName(ParseMaintenanceStrategy(name)), name);
   }
+  EXPECT_EQ(KnownMaintenanceStrategies(),
+            (std::vector<std::string>{"dred", "bf"}));
   try {
     (void)ParseMaintenanceStrategy("drde");
     FAIL() << "expected ParseError";
@@ -50,15 +46,13 @@ TEST(MaintStrategyTest, ParseRoundTripsAndRejectsUnknown) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: every strategy lands on the same store as DRed, batch after
-// batch, on the wide program (recursion, negation, fan-out — counting
-// falls back to DRed on the recursive components and runs live on the
-// rest; B/F runs everywhere but aggregates).
+// Equivalence: B/F lands on the same store as DRed, batch after batch, on
+// the wide program (recursion, negation, fan-out — B/F runs everywhere but
+// aggregates).
 
 TEST(MaintEquivalenceTest, SerialRandomizedInterleavedInsertDelete) {
   for (const std::uint64_t seed : {11u, 29u, 47u}) {
     WideFixture dred;
-    WideFixture counting;
     WideFixture bf;
     {
       util::Rng rng(seed);
@@ -66,14 +60,8 @@ TEST(MaintEquivalenceTest, SerialRandomizedInterleavedInsertDelete) {
     }
     {
       util::Rng rng(seed);
-      counting.Base(rng, 14, 0.12);
-    }
-    {
-      util::Rng rng(seed);
       bf.Base(rng, 14, 0.12);
     }
-    MaintenanceState counting_state;
-    MaintenanceState bf_state;
     util::Rng update_rng(seed * 977 + 1);
     for (int batch = 0; batch < 24; ++batch) {
       const UpdateRequest request =
@@ -81,14 +69,8 @@ TEST(MaintEquivalenceTest, SerialRandomizedInterleavedInsertDelete) {
       const GroupedBaseChanges base(dred.program, request);
       (void)PropagateUpdateWithStrategy(dred.program, dred.strat, dred.store,
                                         base, MaintenanceStrategy::kDRed);
-      (void)PropagateUpdateWithStrategy(
-          counting.program, counting.strat, counting.store, base,
-          MaintenanceStrategy::kCounting, &counting_state);
       (void)PropagateUpdateWithStrategy(bf.program, bf.strat, bf.store, base,
-                                        MaintenanceStrategy::kBackwardForward,
-                                        &bf_state);
-      ExpectStoresEqual(dred.program, dred.store, counting.store,
-                        "counting vs dred");
+                                        MaintenanceStrategy::kBackwardForward);
       ExpectStoresEqual(dred.program, dred.store, bf.store, "bf vs dred");
       if (::testing::Test::HasFailure()) {
         FAIL() << "diverged at seed " << seed << " batch " << batch;
@@ -119,32 +101,26 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
                                       MaintenanceStrategy::kDRed);
   }
 
-  for (const MaintenanceStrategy strategy :
-       {MaintenanceStrategy::kCounting, MaintenanceStrategy::kBackwardForward}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const char* scheduler : {"hybrid", "levelbased"}) {
-        WideFixture fixture;
-        fixture.store = RelationStore(fixture.program, shards);
-        {
-          util::Rng rng(seed);
-          fixture.Base(rng, 12, 0.15);
-        }
-        MaintenanceState state;
-        for (const UpdateRequest& request : batches) {
-          ParallelUpdateOptions options;
-          options.scheduler_spec = scheduler;
-          options.workers = 4;
-          options.strategy = strategy;
-          options.maint_state = &state;
-          (void)ApplyParallel(fixture.program, fixture.strat, fixture.store,
-                              request, options);
-        }
-        ExpectStoresEqual(
-            reference.program, reference.store, fixture.store,
-            (std::string(MaintenanceStrategyName(strategy)) + "/" + scheduler +
-             "/" + std::to_string(shards) + " shards")
-                .c_str());
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    for (const char* scheduler : {"hybrid", "levelbased"}) {
+      WideFixture fixture;
+      fixture.store = RelationStore(fixture.program, shards);
+      {
+        util::Rng rng(seed);
+        fixture.Base(rng, 12, 0.15);
       }
+      for (const UpdateRequest& request : batches) {
+        ParallelUpdateOptions options;
+        options.scheduler_spec = scheduler;
+        options.workers = 4;
+        options.strategy = MaintenanceStrategy::kBackwardForward;
+        (void)ApplyParallel(fixture.program, fixture.strat, fixture.store,
+                            request, options);
+      }
+      ExpectStoresEqual(reference.program, reference.store, fixture.store,
+                        (std::string("bf/") + scheduler + "/" +
+                         std::to_string(shards) + " shards")
+                            .c_str());
     }
   }
 }
@@ -158,11 +134,11 @@ constexpr const char* kRedundantProgram = R"(
   out(X) :- mid(X).
 )";
 
-TEST(MaintCountingTest, RedundantSupportDeletionAvoidsOverdeletion) {
+TEST(MaintBackwardForwardTest, RedundantSupportDeletionAvoidsOverdeletion) {
   Database dred(kRedundantProgram);
-  Database counting(kRedundantProgram);
-  counting.SetDefaultStrategy(MaintenanceStrategy::kCounting);
-  for (Database* db : {&dred, &counting}) {
+  Database bf(kRedundantProgram);
+  bf.SetDefaultStrategy(MaintenanceStrategy::kBackwardForward);
+  for (Database* db : {&dred, &bf}) {
     for (std::int64_t i = 0; i < 32; ++i) {
       db->Insert("base1", {Value::Int(i)});
       db->Insert("base2", {Value::Int(i)});
@@ -170,7 +146,8 @@ TEST(MaintCountingTest, RedundantSupportDeletionAvoidsOverdeletion) {
     db->Materialize();
   }
   // Deleting base1 leaves every mid/out tuple supported by base2: DRed
-  // overdeletes and rederives the whole chain; counting decrements.
+  // overdeletes and rederives the whole chain; B/F proves each mid tuple
+  // alive with one probe.
   auto make_update = [](Database& db) {
     Database::Update update = db.MakeUpdate();
     for (std::int64_t i = 0; i < 32; ++i) {
@@ -179,23 +156,25 @@ TEST(MaintCountingTest, RedundantSupportDeletionAvoidsOverdeletion) {
     return update;
   };
   const UpdateResult dred_result = dred.Apply(make_update(dred));
-  const UpdateResult counting_result = counting.Apply(make_update(counting));
+  const UpdateResult bf_result = bf.Apply(make_update(bf));
 
-  EXPECT_EQ(Sorted(dred.Query("mid")), Sorted(counting.Query("mid")));
-  EXPECT_EQ(Sorted(dred.Query("out")), Sorted(counting.Query("out")));
-  EXPECT_EQ(counting.Query("mid").size(), 32u);
+  for (const char* pred : {"base1", "base2", "mid", "out"}) {
+    EXPECT_EQ(Sorted(dred.Query(pred)), Sorted(bf.Query(pred))) << pred;
+  }
+  EXPECT_EQ(bf.Query("mid").size(), 32u);
+  EXPECT_EQ(bf.Query("out").size(), 32u);
 
   std::size_t avoided = 0;
-  std::size_t recounts = 0;
-  for (const ComponentUpdateStats& c : counting_result.components) {
+  std::size_t probes = 0;
+  for (const ComponentUpdateStats& c : bf_result.components) {
     avoided += c.maint_avoided;
-    recounts += c.maint_recounts;
+    probes += c.maint_backward_probes;
   }
   EXPECT_EQ(avoided, 32u);  // every mid tuple kept its other support
-  EXPECT_GT(recounts, 0u);
-  // DRed erased+rederived mid AND cascaded into out; counting stopped at
-  // the decrement (no net delta, downstream never activated).
-  EXPECT_GT(dred_result.total_maint_ops, 2 * counting_result.total_maint_ops);
+  EXPECT_GT(probes, 0u);
+  // DRed erased+rederived mid AND cascaded into out; B/F erased nothing
+  // (no net delta, downstream never activated).
+  EXPECT_GT(dred_result.total_maint_ops, 2 * bf_result.total_maint_ops);
 }
 
 constexpr const char* kCycleProgram = R"(
@@ -234,142 +213,11 @@ TEST(MaintBackwardForwardTest, CyclicDerivationsResolvedByProbes) {
   EXPECT_GT(probes, 0u);
 }
 
-TEST(MaintCountingTest, StaleCountsReinitializedAfterForeignUpdate) {
-  // A DRed update in between invalidates the counting state (version
-  // fingerprint); the next counting apply must re-initialize and stay
-  // exact rather than trusting stale counts.
-  Database reference(kRedundantProgram);
-  Database mixed(kRedundantProgram);
-  mixed.SetDefaultStrategy(MaintenanceStrategy::kCounting);
-  for (Database* db : {&reference, &mixed}) {
-    for (std::int64_t i = 0; i < 8; ++i) {
-      db->Insert("base1", {Value::Int(i)});
-      if (i % 2 == 0) {
-        db->Insert("base2", {Value::Int(i)});
-      }
-    }
-    db->Materialize();
-  }
-  auto batch1 = [](Database& db) {
-    return db.MakeUpdate().Delete("base2", {Value::Int(0)});
-  };
-  auto batch2 = [](Database& db) {
-    return db.MakeUpdate()
-        .Insert("base2", {Value::Int(5)})
-        .Delete("base1", {Value::Int(2)});
-  };
-  auto batch3 = [](Database& db) {
-    return db.MakeUpdate().Delete("base1", {Value::Int(4)});
-  };
-  (void)reference.Apply(batch1(reference));
-  (void)reference.Apply(batch2(reference));
-  (void)reference.Apply(batch3(reference));
-
-  (void)mixed.Apply(batch1(mixed));  // counting
-  (void)mixed.ApplyRequest(batch2(mixed).Request(),
-                           MaintenanceStrategy::kDRed);  // foreign update
-  (void)mixed.Apply(batch3(mixed));  // counting again, counts stale
-  for (const char* pred : {"base1", "base2", "mid", "out"}) {
-    EXPECT_EQ(Sorted(reference.Query(pred)), Sorted(mixed.Query(pred)))
-        << pred;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The counting plane itself: per-shard count column + kOpAdjust
-// publication.  Count must hit zero exactly when the tuple dies, even
-// with many concurrent publishers adjusting the same rows.
-
-TEST(MaintCountingPlaneTest, CountCrossesZeroExactlyAtTupleDeath) {
-  Relation r(1, 4);
-  const Tuple t{Value::Int(7)};
-  EXPECT_EQ(r.CountOf(t), 0u);
-  EXPECT_EQ(r.AdjustCount(t, 3), Relation::kBorn);
-  EXPECT_EQ(r.CountOf(t), 3u);
-  EXPECT_EQ(r.AdjustCount(t, -1), Relation::kChanged);
-  EXPECT_EQ(r.CountOf(t), 2u);
-  EXPECT_TRUE(r.Contains(t));
-  EXPECT_EQ(r.AdjustCount(t, -2), Relation::kDied);
-  EXPECT_FALSE(r.Contains(t));
-  EXPECT_EQ(r.CountOf(t), 0u);
-  // Adjusting an absent tuple downward is a no-op, not a birth.
-  EXPECT_EQ(r.AdjustCount(t, -1), Relation::kNoChange);
-  EXPECT_FALSE(r.Contains(t));
-  // Plain Insert gives a fresh row count 1.
-  EXPECT_TRUE(r.Insert(t));
-  EXPECT_EQ(r.CountOf(t), 1u);
-}
-
-TEST(MaintCountingPlaneTest, ConcurrentAdjustPublishersKillEachRowOnce) {
-  constexpr std::size_t kWriters = 4;
-  constexpr std::int64_t kRows = 512;
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    Relation shared(1, shards);
-    for (std::int64_t i = 0; i < kRows; ++i) {
-      const Tuple t{Value::Int(i)};
-      shared.Insert(t);
-      // Even rows get exactly kWriters support, odd rows twice that: one
-      // decrement per writer kills every even row and no odd row.
-      shared.AdjustCount(
-          t, static_cast<std::int32_t>((i % 2 == 0 ? 1 : 2) * kWriters) - 1);
-    }
-    std::atomic<std::size_t> deaths{0};
-    std::atomic<std::size_t> births{0};
-    std::vector<std::thread> writers;
-    writers.reserve(kWriters);
-    for (std::size_t w = 0; w < kWriters; ++w) {
-      writers.emplace_back([&shared, &deaths, &births, w] {
-        ShardedWriteBuffer buffer(shared);
-        for (std::int64_t i = 0; i < kRows; ++i) {
-          buffer.StageAdjust(Tuple{Value::Int(i)}, -1);
-        }
-        // Each writer also births one private row via the same protocol.
-        buffer.StageAdjust(Tuple{Value::Int(kRows + static_cast<std::int64_t>(w))},
-                           2);
-        std::size_t my_deaths = 0;
-        std::size_t my_births = 0;
-        buffer.FlushCodes([&my_deaths, &my_births](std::uint8_t, RowView,
-                                                   std::uint8_t code) {
-          my_deaths += code == Relation::kDied ? 1 : 0;
-          my_births += code == Relation::kBorn ? 1 : 0;
-        });
-        deaths.fetch_add(my_deaths, std::memory_order_relaxed);
-        births.fetch_add(my_births, std::memory_order_relaxed);
-      });
-    }
-    for (std::thread& writer : writers) {
-      writer.join();
-    }
-    shared.Quiesce();
-    EXPECT_FALSE(shared.HasPending());
-    // Every even row died exactly once, whoever's decrement landed last.
-    EXPECT_EQ(deaths.load(), static_cast<std::size_t>(kRows) / 2);
-    EXPECT_EQ(births.load(), kWriters);
-    for (std::int64_t i = 0; i < kRows; ++i) {
-      const Tuple t{Value::Int(i)};
-      if (i % 2 == 0) {
-        EXPECT_FALSE(shared.Contains(t)) << i;
-        EXPECT_EQ(shared.CountOf(t), 0u) << i;
-      } else {
-        EXPECT_TRUE(shared.Contains(t)) << i;
-        EXPECT_EQ(shared.CountOf(t), kWriters) << i;
-      }
-    }
-    for (std::size_t w = 0; w < kWriters; ++w) {
-      EXPECT_EQ(
-          shared.CountOf(Tuple{Value::Int(kRows + static_cast<std::int64_t>(w))}),
-          2u);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Rule-set evolution vs rebuild: a random interleaving of rule additions,
 // rule removals, and base updates must leave every strategy's store equal
 // to a from-scratch Database over the final rule set + base facts — the
-// evolution acceptance bar, swept per strategy so the scoped counting
-// invalidation (stale cone, sealed remainder) is exercised between seals.
+// evolution acceptance bar, swept per strategy.
 
 TEST(MaintEvolveTest, RandomizedEvolveMatchesRebuildAcrossStrategies) {
   const char* kBaseProgram = R"(
@@ -387,8 +235,7 @@ TEST(MaintEvolveTest, RandomizedEvolveMatchesRebuildAcrossStrategies) {
   constexpr int kNodes = 10;
 
   for (const MaintenanceStrategy strategy :
-       {MaintenanceStrategy::kDRed, MaintenanceStrategy::kCounting,
-        MaintenanceStrategy::kBackwardForward}) {
+       {MaintenanceStrategy::kDRed, MaintenanceStrategy::kBackwardForward}) {
     for (const std::uint64_t seed : {5u, 19u, 83u}) {
       util::Rng rng(seed * 131 + static_cast<std::uint64_t>(strategy));
       Database db(kBaseProgram);
@@ -479,8 +326,7 @@ TEST(MaintEvolveTest, RandomizedEvolveMatchesRebuildAcrossStrategies) {
                        static_cast<std::ptrdiff_t>(victim));
           rebuild_and_compare(step);
         } else {
-          // A base update through the strategy under test (between evolves
-          // this reseals counting state over the post-evolution counts).
+          // A base update through the strategy under test.
           Database::Update update = db.MakeUpdate();
           // Distinct cells per batch: one tuple in both the insert and the
           // delete list of a single request is outside the contract.

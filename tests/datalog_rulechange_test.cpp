@@ -327,41 +327,5 @@ TEST(RuleChangeTest, RestratifyMatchesFullStratify) {
   EXPECT_GT(stats.reused_components, 0u);
 }
 
-TEST(RuleChangeTest, EvolveKeepsCountingStrategyExact) {
-  // counting keeps per-derivation counts keyed to the RULE SET; an evolve
-  // must invalidate exactly the cone so later counting updates stay exact.
-  Database db(R"(
-    p(X) :- a(X).
-    p(X) :- b(X).
-    q(X) :- p(X).
-    side(X) :- tag(X).
-  )");
-  db.SetDefaultStrategy(MaintenanceStrategy::kCounting);
-  db.Insert("a", {Value::Int(1)});
-  db.Insert("b", {Value::Int(1)});
-  db.Insert("b", {Value::Int(2)});
-  db.Insert("tag", {Value::Int(9)});
-  db.Materialize();
-  {
-    auto update = db.MakeUpdate();
-    update.Insert("a", {Value::Int(3)});
-    db.Apply(update);  // seals the counting plane
-  }
-  db.EvolveAddRules("p(X) :- tag(X).");
-  // Deleting b(1) is a pure decrement on p(1) (still held by the a-rule);
-  // deleting tag(9) must kill p(9) exactly once despite the rule being
-  // newer than the seal.
-  {
-    auto update = db.MakeUpdate();
-    update.Delete("b", {Value::Int(1)});
-    update.Delete("tag", {Value::Int(9)});
-    db.Apply(update);
-  }
-  EXPECT_TRUE(db.Contains("p", {Value::Int(1)}));
-  EXPECT_FALSE(db.Contains("p", {Value::Int(9)}));
-  EXPECT_FALSE(db.Contains("q", {Value::Int(9)}));
-  EXPECT_EQ(db.Query("p").size(), 3u);  // 1, 2, 3
-}
-
 }  // namespace
 }  // namespace dsched::datalog

@@ -190,35 +190,54 @@ TEST(ShardTest, SingleShardAppendKeepsIndexSkippingShards) {
 }
 
 TEST(ShardTest, ConcurrentDuplicateInsertsAreFreshExactlyOnce) {
-  // Every tuple is staged by ALL writers; across the whole run each tuple
-  // must report took_effect (fresh) exactly once — the absorber applies
-  // chunks serially per shard, so duplicates race but cannot double-count.
+  // Every tuple is staged by ALL writers, first as an insert and then as an
+  // erase; across the whole run each tuple must report took_effect exactly
+  // once per phase — the absorber applies chunks serially per shard, so
+  // duplicates race but cannot double-count a birth or a death.
   constexpr std::size_t kWriters = 4;
   constexpr std::uint64_t kTuples = 2000;
-  Relation shared(2, 8);
-  std::atomic<std::uint64_t> fresh_total{0};
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (std::size_t w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&shared, &fresh_total] {
-      ShardedWriteBuffer buffer(shared);
-      for (std::uint64_t i = 0; i < kTuples; ++i) {
-        buffer.StageInsert(T2(Scatter(i), static_cast<std::int64_t>(i)));
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(shards);
+    Relation shared(2, shards);
+    const auto race = [&shared](std::uint8_t op) {
+      std::vector<std::atomic<std::uint32_t>> hits(kTuples);
+      std::vector<std::thread> writers;
+      writers.reserve(kWriters);
+      for (std::size_t w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&shared, &hits, op] {
+          ShardedWriteBuffer buffer(shared);
+          for (std::uint64_t i = 0; i < kTuples; ++i) {
+            const Tuple t = T2(Scatter(i), static_cast<std::int64_t>(i));
+            if (op == Relation::kOpInsert) {
+              buffer.StageInsert(t);
+            } else {
+              buffer.StageErase(t);
+            }
+          }
+          buffer.Flush([&hits, op](std::uint8_t row_op, RowView row,
+                                   bool took_effect) {
+            EXPECT_EQ(row_op, op);
+            if (took_effect) {
+              hits[static_cast<std::size_t>(row[1].AsInt())].fetch_add(
+                  1, std::memory_order_relaxed);
+            }
+          });
+        });
       }
-      std::uint64_t fresh = 0;
-      buffer.Flush([&fresh](std::uint8_t op, RowView, bool took_effect) {
-        EXPECT_EQ(op, Relation::kOpInsert);
-        fresh += took_effect ? 1u : 0u;
-      });
-      fresh_total.fetch_add(fresh, std::memory_order_relaxed);
-    });
+      for (std::thread& writer : writers) {
+        writer.join();
+      }
+      shared.Quiesce();
+      for (std::uint64_t i = 0; i < kTuples; ++i) {
+        EXPECT_EQ(hits[i].load(), 1u) << "op " << int{op} << " row " << i;
+      }
+    };
+    race(Relation::kOpInsert);
+    EXPECT_EQ(shared.Size(), kTuples);
+    race(Relation::kOpErase);
+    EXPECT_EQ(shared.Size(), 0u);
+    EXPECT_FALSE(shared.HasPending());
   }
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  shared.Quiesce();
-  EXPECT_EQ(shared.Size(), kTuples);
-  EXPECT_EQ(fresh_total.load(), kTuples);
 }
 
 TEST(ShardTest, PublishersRaceAgainstADedicatedAbsorber) {

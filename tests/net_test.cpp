@@ -805,6 +805,37 @@ TEST(ServiceServerTest, BadRequestsAnswerWithErrors) {
   EXPECT_EQ(ok.epoch, 1u);
 }
 
+TEST(ServiceServerTest, UnknownStrategyIsBadProgramAndConnectionStaysOpen) {
+  // The retired counting strategy is an unknown name: OPEN_SESSION gets a
+  // typed BAD_PROGRAM naming the valid values, and the connection stays
+  // usable.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = kChainProgram;
+  open.strategy = "counting";
+  client.SendOpenSession(open);
+  ServiceClient::Response resp;
+  ASSERT_TRUE(client.ReadResponse(&resp, 5000));
+  ASSERT_EQ(resp.opcode, Opcode::kError);
+  EXPECT_EQ(resp.error.request_id, 1u);
+  EXPECT_EQ(static_cast<int>(resp.error.code), 4);
+  EXPECT_EQ(resp.error.code, ErrorCode::kBadProgram);
+  EXPECT_TRUE(resp.error.message.ends_with("valid values: dred bf"))
+      << resp.error.message;
+  EXPECT_EQ(fx.host.ActiveSessions(), 0u);
+
+  open.request_id = 2;
+  open.strategy = "bf";
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  EXPECT_GT(sid, 0u);
+  EXPECT_EQ(fx.host.FindSession(sid)->Strategy(),
+            datalog::MaintenanceStrategy::kBackwardForward);
+  const SubmitResultResponse ok = client.SubmitSync(ChainBatch(3, sid, 0, 2));
+  EXPECT_EQ(ok.epoch, 1u);
+}
+
 TEST(ServiceServerTest, OversizedQueryResultIsATypedError) {
   // A 1100 x 1100 cross product renders past kMaxFrameLength: the server
   // answers RESULT_TOO_LARGE and both the connection and the session stay

@@ -70,38 +70,18 @@ void SeedDbLikeFixture(datalog::Database& db, util::Rng& rng, int nodes,
   db.Materialize();
 }
 
-/// Counting-plane equality: every tuple carries the same derivation count
-/// in both stores (only meaningful after counting-strategy updates).
-void ExpectCountsEqual(const datalog::Program& program,
-                       const datalog::RelationStore& a,
-                       const datalog::RelationStore& b, const char* what) {
-  for (std::uint32_t pred = 0; pred < program.NumPredicates(); ++pred) {
-    for (const datalog::Tuple& tuple : a.Of(pred).Tuples()) {
-      EXPECT_EQ(a.Of(pred).CountOf(tuple), b.Of(pred).CountOf(tuple))
-          << what << ": predicate " << program.predicate_names[pred];
-    }
-  }
-}
-
-TEST(ServicePipelineTest, DepthResolutionAndEligibilityClamping) {
+TEST(ServicePipelineTest, DepthResolutionAndClamping) {
   EngineHost host({.workers = 2, .default_pipeline_depth = 2});
   auto inherit = host.OpenSession(kWideProgram, {.name = "inh"});
   EXPECT_EQ(inherit->PipelineDepth(), 2u);  // host default
   auto deep = host.OpenSession(kWideProgram,
                                {.name = "deep", .pipeline_depth = 4});
   EXPECT_EQ(deep->PipelineDepth(), 4u);
-  // Counting's whole-update state bracket cannot overlap epochs.
-  auto counting = host.OpenSession(kWideProgram,
-                                   {.name = "cnt",
-                                    .maintenance_strategy = "counting",
-                                    .pipeline_depth = 4});
-  EXPECT_EQ(counting->PipelineDepth(), 1u);
-  EXPECT_FALSE(
-      datalog::StrategyPipelineEligible(datalog::MaintenanceStrategy::kCounting));
-  EXPECT_TRUE(
-      datalog::StrategyPipelineEligible(datalog::MaintenanceStrategy::kDRed));
-  EXPECT_TRUE(datalog::StrategyPipelineEligible(
-      datalog::MaintenanceStrategy::kBackwardForward));
+  // Every strategy pipelines; only the engine can force K = 1.
+  auto bf = host.OpenSession(kWideProgram, {.name = "bf",
+                                            .maintenance_strategy = "bf",
+                                            .pipeline_depth = 4});
+  EXPECT_EQ(bf->PipelineDepth(), 4u);
   // The serial engine has no cascade to pipeline.
   auto serial = host.OpenSession(
       kWideProgram,
@@ -115,12 +95,12 @@ TEST(ServicePipelineTest, DepthResolutionAndEligibilityClamping) {
 
 TEST(ServicePipelineTest, PipelinedStoreEqualsSerialReplayAllStrategies) {
   // The stress shape from the acceptance criteria: K = 3, ~40 randomized
-  // batches, every strategy.  The pipelined store (and for counting, the
-  // per-tuple count plane) must equal a serial replay of the same batches.
+  // batches, every strategy.  The pipelined store must equal a serial
+  // replay of the same batches.
   constexpr int kBatches = 40;
   constexpr int kNodes = 10;
   EngineHost host({.workers = 4});
-  for (const char* strategy : {"dred", "counting", "bf"}) {
+  for (const char* strategy : {"dred", "bf"}) {
     SCOPED_TRACE(strategy);
     auto session = host.OpenSession(kWideProgram,
                                     {.name = std::string("p-") + strategy,
@@ -154,10 +134,6 @@ TEST(ServicePipelineTest, PipelinedStoreEqualsSerialReplayAllStrategies) {
     session->Close();
     ExpectStoresEqual(session->Db().GetProgram(), replay.Store(),
                       session->Store(), strategy);
-    if (parsed == datalog::MaintenanceStrategy::kCounting) {
-      ExpectCountsEqual(session->Db().GetProgram(), replay.Store(),
-                        session->Store(), "counting plane");
-    }
   }
 }
 

@@ -33,7 +33,7 @@ perf-gate for the per-bench flags):
                          makespan_us ungated
   BENCH_maint.json     — micro_maint: checksums and maint-op counts exact
                          (maintenance work is deterministic per strategy),
-                         cross-strategy ratios banded
+                         DRed-vs-B/F ratios banded
   BENCH_pipeline.json  — micro_pipeline: per-cell checksums/rows exact at
                          EVERY pipeline depth K (order independence of the
                          epoch overlap); K-scaling ratios, stall counts and
