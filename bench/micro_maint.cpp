@@ -22,7 +22,14 @@
 // gates them exactly.  Parallel B/F re-probe counts depend on physical row
 // order (scheduling-dependent), so w4 op counts are only banded.
 //
+// The fanout_load cells load the fanout facts into an empty store in
+// insert-only batches at w1, per strategy.  Rows and checksum must equal
+// Materialize of the same facts, and the load self-gates at <= 2x
+// Materialize's seconds (median of 5 repeats each): the insertion pipeline
+// must cost about what from-scratch evaluation does.
+//
 // Usage: micro_maint [--out=BENCH_maint.json] [--scale=1.0] [--trace=out.json]
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -249,6 +256,69 @@ Cell RunCell(const Workload& w, const std::string& strategy_name,
   return cell;
 }
 
+/// One fanout_load cell: the load's median seconds against Materialize's.
+struct LoadCell {
+  std::string strategy;
+  std::uint64_t op_count = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t checksum = 0;
+  std::uint64_t maint_ops = 0;
+  bool matches = true;  ///< rows and checksum equal Materialize's
+  double load_seconds = 0.0;
+  double materialize_seconds = 0.0;
+};
+
+constexpr std::size_t kLoadBatch = 512;  ///< facts per insert-only batch
+constexpr int kLoadRepeats = 5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+LoadCell RunLoadCell(const Workload& w, const std::string& strategy_name) {
+  LoadCell cell;
+  cell.strategy = strategy_name;
+  cell.op_count = w.base.size();
+  const MaintenanceStrategy strategy =
+      ParseMaintenanceStrategy(strategy_name);
+  std::vector<double> load;
+  std::vector<double> materialize;
+  for (int repeat = 0; repeat < kLoadRepeats; ++repeat) {
+    Database reference(w.program);
+    util::WallTimer materialize_timer;
+    for (const auto& [pred, tuple] : w.base) {
+      reference.Insert(pred, tuple);
+    }
+    reference.Materialize();
+    materialize.push_back(materialize_timer.ElapsedSeconds());
+
+    Database db(w.program);
+    db.Materialize();
+    std::uint64_t maint_ops = 0;
+    util::WallTimer load_timer;
+    for (std::size_t begin = 0; begin < w.base.size(); begin += kLoadBatch) {
+      Database::Update update = db.MakeUpdate();
+      const std::size_t end = std::min(begin + kLoadBatch, w.base.size());
+      for (std::size_t i = begin; i < end; ++i) {
+        update.Insert(w.base[i].first, w.base[i].second);
+      }
+      maint_ops += db.ApplyRequest(update.Request(), strategy).total_maint_ops;
+    }
+    load.push_back(load_timer.ElapsedSeconds());
+
+    cell.rows = db.Store().TotalTuples();
+    cell.checksum = Checksum(db);
+    cell.maint_ops = maint_ops;
+    cell.matches = cell.matches &&
+                   cell.rows == reference.Store().TotalTuples() &&
+                   cell.checksum == Checksum(reference);
+  }
+  cell.load_seconds = Median(std::move(load));
+  cell.materialize_seconds = Median(std::move(materialize));
+  return cell;
+}
+
 void Report(const Cell& c) {
   std::printf("%-14s %-9s w%zu  %7llu ops  %9llu maint_ops  %8llu avoided  "
               "%10s\n",
@@ -306,6 +376,34 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Insert-only loads against Materialize.
+  std::vector<LoadCell> loads;
+  for (const char* strategy : strategies) {
+    LoadCell cell = RunLoadCell(MakeFanout("load", 0.0, args.scale), strategy);
+    const double ratio = cell.load_seconds / cell.materialize_seconds;
+    std::printf("%-14s %-9s w1  %7llu ops  %9llu rows  load %s  "
+                "materialize %s  %.2fx\n",
+                "fanout_load", strategy,
+                static_cast<unsigned long long>(cell.op_count),
+                static_cast<unsigned long long>(cell.rows),
+                util::FormatSeconds(cell.load_seconds).c_str(),
+                util::FormatSeconds(cell.materialize_seconds).c_str(), ratio);
+    if (!cell.matches) {
+      std::fprintf(stderr,
+                   "FAIL fanout_load %s: store differs from Materialize\n",
+                   strategy);
+      ++failures;
+    }
+    if (ratio > 2.0) {
+      std::fprintf(stderr,
+                   "FAIL fanout_load %s: load %.2fx Materialize, above the "
+                   "2.0x gate\n",
+                   strategy, ratio);
+      ++failures;
+    }
+    loads.push_back(std::move(cell));
+  }
+
   // --- Summary ratios (serial cells; parallel op counts are
   // scheduling-order sensitive for B/F).
   const auto ops_of = [&cells](const std::string& workload,
@@ -360,21 +458,38 @@ int main(int argc, char** argv) {
     json += line;
   }
   json += "  },\n  \"results\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
+  std::vector<std::string> rows;
+  for (const Cell& c : cells) {
     char line[256];
     std::snprintf(
         line, sizeof line,
         "    {\"workload\": \"%s\", \"strategy\": \"%s\", \"workers\": %zu, "
         "\"op_count\": %llu, \"maint_ops\": %llu, \"maint_avoided\": %llu, "
-        "\"checksum\": %llu, \"seconds\": %.6f}%s\n",
+        "\"checksum\": %llu, \"seconds\": %.6f}",
         c.workload.c_str(), c.strategy.c_str(), c.workers,
         static_cast<unsigned long long>(c.op_count),
         static_cast<unsigned long long>(c.maint_ops),
         static_cast<unsigned long long>(c.maint_avoided),
-        static_cast<unsigned long long>(c.checksum), c.seconds,
-        i + 1 < cells.size() ? "," : "");
-    json += line;
+        static_cast<unsigned long long>(c.checksum), c.seconds);
+    rows.emplace_back(line);
+  }
+  for (const LoadCell& c : loads) {
+    char line[320];
+    std::snprintf(
+        line, sizeof line,
+        "    {\"workload\": \"fanout_load\", \"strategy\": \"%s\", "
+        "\"workers\": 1, \"op_count\": %llu, \"rows\": %llu, "
+        "\"maint_ops\": %llu, \"checksum\": %llu, \"load_seconds\": %.6f, "
+        "\"materialize_seconds\": %.6f}",
+        c.strategy.c_str(), static_cast<unsigned long long>(c.op_count),
+        static_cast<unsigned long long>(c.rows),
+        static_cast<unsigned long long>(c.maint_ops),
+        static_cast<unsigned long long>(c.checksum), c.load_seconds,
+        c.materialize_seconds);
+    rows.emplace_back(line);
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    json += rows[i] + (i + 1 < rows.size() ? ",\n" : "\n");
   }
   json += "  ]\n}\n";
   if (!WriteBenchFile(args.out, json)) {
@@ -391,6 +506,15 @@ int main(int argc, char** argv) {
     metrics.Set(key + "checksum", c.checksum);
     metrics.Set(key + "seconds_ns",
                 static_cast<std::uint64_t>(c.seconds * 1e9));
+  }
+  for (const LoadCell& c : loads) {
+    const std::string key = "micro_maint.fanout_load." + c.strategy + ".w1.";
+    metrics.Set(key + "rows", c.rows);
+    metrics.Set(key + "checksum", c.checksum);
+    metrics.Set(key + "load_ns",
+                static_cast<std::uint64_t>(c.load_seconds * 1e9));
+    metrics.Set(key + "materialize_ns",
+                static_cast<std::uint64_t>(c.materialize_seconds * 1e9));
   }
   for (const Ratio& r : ratios) {
     metrics.Set("micro_maint." + r.key + "_x100",

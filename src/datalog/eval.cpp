@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -704,35 +705,63 @@ bool ForEachDerivation(
 
 EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
                             std::uint32_t component, RelationStore& store,
-                            const DeltaMap* seed_deltas, DeltaMap* out_deltas) {
+                            const SeedSpans* seeds, DeltaMap* out_deltas) {
   EvalStats stats;
   const auto& rule_ids = strat.component_rules[component];
   std::vector<bool> is_member(program.NumPredicates(), false);
   for (const std::uint32_t p : strat.component_members[component]) {
     is_member[p] = true;
   }
+  // Only a component whose rules read a member can fire on its own output;
+  // the others never need their fresh rows again.
+  bool recursive = false;
+  for (const std::size_t r : rule_ids) {
+    for (const BodyElement& element : program.rules[r].body) {
+      const auto* literal = std::get_if<Literal>(&element);
+      recursive = recursive || (literal != nullptr && !literal->negated &&
+                                is_member[literal->atom.predicate]);
+    }
+  }
 
-  DeltaMap internal;
+  // `round` holds the member rows a recursive component derived in the
+  // current round; a finished round moves on to `out_deltas`.
+  DeltaMap round;
+  DeltaMap next;
   std::vector<Tuple> buffer;
   const std::function<void(const Tuple&)> collect =
       [&buffer](const Tuple& t) { buffer.push_back(t); };
-  const auto flush_into = [&](std::uint32_t head_pred, DeltaMap& sink) {
+  const auto flush_into = [&](std::uint32_t head_pred, DeltaMap* sink) {
     Relation& relation = store.Of(head_pred);
     relation.Reserve(relation.Size() + buffer.size());
+    std::vector<Tuple>* dst = sink != nullptr ? &(*sink)[head_pred] : nullptr;
     for (Tuple& t : buffer) {
       if (relation.Insert(t)) {
         ++stats.tuples_inserted;
-        sink[head_pred].push_back(t);
-        if (out_deltas != nullptr) {
-          (*out_deltas)[head_pred].push_back(std::move(t));
+        if (dst != nullptr) {
+          dst->push_back(std::move(t));
         }
       }
     }
     buffer.clear();
   };
+  const auto hand_off = [out_deltas](DeltaMap& rows) {
+    if (out_deltas == nullptr) {
+      return;
+    }
+    for (auto& [pred, moved] : rows) {
+      std::vector<Tuple>& dst = (*out_deltas)[pred];
+      if (dst.empty()) {
+        dst = std::move(moved);
+      } else {
+        dst.insert(dst.end(), std::make_move_iterator(moved.begin()),
+                   std::make_move_iterator(moved.end()));
+      }
+    }
+  };
+  DeltaMap* const seed_sink = recursive ? &round : out_deltas;
 
   // --- Seed phase.
-  if (seed_deltas == nullptr) {
+  if (seeds == nullptr) {
     // From scratch: every rule fires once, unrestricted.
     for (const std::size_t r : rule_ids) {
       const Rule& rule = program.rules[r];
@@ -742,17 +771,21 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
         for (Tuple& t : EvaluateAggregateRule(program, store, rule, stats)) {
           buffer.push_back(std::move(t));
         }
-        flush_into(rule.head.predicate, internal);
+        flush_into(rule.head.predicate, seed_sink);
         continue;
       }
       ApplyRule(program, store, rule, DeltaRestriction{}, stats, collect);
-      flush_into(rule.head.predicate, internal);
+      flush_into(rule.head.predicate, seed_sink);
     }
   } else {
     // Incremental continuation: fire each rule once per positive body
-    // literal whose predicate carries a seed delta.  (Insertions into
-    // negated predicates never create derivations; the DRed engine handles
-    // their destructive effect separately.)
+    // literal whose predicate carries a seed delta, member or lower.  The
+    // seeds are already in the store, so the rounds below only need the
+    // rows derived here.  (Insertions into negated predicates never create
+    // derivations; the maintenance phase handles their destructive effect
+    // separately.)
+    DSCHED_CHECK_MSG(seeds->size() == program.NumPredicates(),
+                     "seed spans are indexed by predicate id");
     for (const std::size_t r : rule_ids) {
       const Rule& rule = program.rules[r];
       DSCHED_CHECK_MSG(!rule.IsAggregate(),
@@ -760,29 +793,15 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
                        "(RunComponentPhase), not semi-naive continuation");
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
         const auto* literal = std::get_if<Literal>(&rule.body[i]);
-        if (literal == nullptr || literal->negated) {
-          continue;
-        }
-        const auto it = seed_deltas->find(literal->atom.predicate);
-        if (it == seed_deltas->end() || it->second.empty()) {
+        if (literal == nullptr || literal->negated ||
+            (*seeds)[literal->atom.predicate].empty()) {
           continue;
         }
         DeltaRestriction restriction;
         restriction.body_index = i;
-        restriction.rows = it->second;
+        restriction.rows = (*seeds)[literal->atom.predicate];
         ApplyRule(program, store, rule, restriction, stats, collect);
-        flush_into(rule.head.predicate, internal);
-      }
-    }
-    // Seed deltas landing directly on member predicates (base-fact inserts
-    // into this component) must drive the recursion too.  They are already
-    // in the store and already known to the caller, so they feed `internal`
-    // only.
-    for (const std::uint32_t p : strat.component_members[component]) {
-      const auto it = seed_deltas->find(p);
-      if (it != seed_deltas->end()) {
-        auto& dst = internal[p];
-        dst.insert(dst.end(), it->second.begin(), it->second.end());
+        flush_into(rule.head.predicate, seed_sink);
       }
     }
   }
@@ -790,7 +809,7 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
   // --- Recursive rounds on member-predicate deltas.
   while (true) {
     bool any = false;
-    for (const auto& [pred, rows] : internal) {
+    for (const auto& [pred, rows] : round) {
       if (!rows.empty()) {
         any = true;
         break;
@@ -800,7 +819,6 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
       break;
     }
     ++stats.rounds;
-    DeltaMap next;
     for (const std::size_t r : rule_ids) {
       const Rule& rule = program.rules[r];
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
@@ -809,18 +827,20 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
             !is_member[literal->atom.predicate]) {
           continue;
         }
-        const auto it = internal.find(literal->atom.predicate);
-        if (it == internal.end() || it->second.empty()) {
+        const auto it = round.find(literal->atom.predicate);
+        if (it == round.end() || it->second.empty()) {
           continue;
         }
         DeltaRestriction restriction;
         restriction.body_index = i;
         restriction.rows = it->second;
         ApplyRule(program, store, rule, restriction, stats, collect);
-        flush_into(rule.head.predicate, next);
+        flush_into(rule.head.predicate, &next);
       }
     }
-    internal = std::move(next);
+    hand_off(round);
+    round = std::move(next);
+    next.clear();
   }
   return stats;
 }
@@ -830,8 +850,7 @@ EvalStats EvaluateProgram(const Program& program, const Stratification& strat,
   EvalStats stats;
   for (const std::uint32_t component : strat.component_order) {
     stats.Merge(EvaluateComponent(program, strat, component, store,
-                                  /*seed_deltas=*/nullptr,
-                                  /*out_deltas=*/nullptr));
+                                  /*seeds=*/nullptr, /*out_deltas=*/nullptr));
   }
   return stats;
 }

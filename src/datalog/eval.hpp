@@ -91,19 +91,24 @@ bool ForEachDerivation(
 /// Per-predicate delta sets flowing between components.
 using DeltaMap = std::map<std::uint32_t, std::vector<Tuple>>;
 
+/// Borrowed seed deltas of an incremental continuation, indexed by
+/// predicate id (an empty span: no delta).  The rows must already be in the
+/// store and must not move during the call.
+using SeedSpans = std::vector<std::span<const Tuple>>;
+
 /// Evaluates one component to fixpoint (semi-naive).
 ///
-/// If `seed_deltas` is null, this is a from-scratch evaluation: every rule
-/// fires once unrestricted, then recursive rounds run on the internal
-/// deltas.  If non-null, it is an incremental continuation: rules fire once
-/// per body element whose predicate has a seed delta (restricted to it),
-/// then recursive rounds run.  New tuples of member predicates are appended
-/// to `out_deltas` (if provided).
+/// If `seeds` is null, this is a from-scratch evaluation: every rule fires
+/// once unrestricted, then recursive rounds run on the rows derived.  If
+/// non-null, it is an incremental continuation: rules fire once per body
+/// element whose predicate has a seed (restricted to it), then recursive
+/// rounds run.  New tuples of member predicates are moved into
+/// `out_deltas` (if provided); a component whose rules read no member keeps
+/// no other copy of them.
 EvalStats EvaluateComponent(const Program& program,
                             const Stratification& strat,
                             std::uint32_t component, RelationStore& store,
-                            const DeltaMap* seed_deltas,
-                            DeltaMap* out_deltas);
+                            const SeedSpans* seeds, DeltaMap* out_deltas);
 
 /// From-scratch evaluation of the whole program (facts included — they are
 /// empty-body rules).  Returns merged stats.

@@ -1,17 +1,13 @@
 #include "datalog/incremental.hpp"
 
+#include <iterator>
 #include <sstream>
-#include <unordered_set>
 
 #include "datalog/delta_buffer.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace dsched::datalog {
-
-namespace {
-using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
-}  // namespace
 
 OldStateView::OldStateView(const RelationStore& live,
                            const std::vector<PredicateDelta>& net,
@@ -21,9 +17,7 @@ OldStateView::OldStateView(const RelationStore& live,
       extras_(net.size()),
       extras_set_(net.size()) {
   for (const std::uint32_t p : relevant) {
-    for (const Tuple& t : net[p].inserted) {
-      inserted_[p].insert(t);
-    }
+    inserted_[p].insert(net[p].inserted.begin(), net[p].inserted.end());
     for (const Tuple& t : net[p].deleted) {
       if (extras_set_[p].insert(t).second) {
         extras_[p].push_back(t);
@@ -66,7 +60,7 @@ std::vector<std::uint32_t> OldStateView::LookupPrepared(
   const std::uint32_t predicate = prepared.predicate;
   const std::vector<std::size_t>& columns = *prepared.columns;
   std::vector<std::uint32_t> out;
-  const TupleSet& inserted = inserted_[predicate];
+  const RowSet& inserted = inserted_[predicate];
   const auto live_ids = RelationStore::LookupPrepared(prepared.live, key);
   out.reserve(live_ids.size());
   for (const std::uint32_t id : live_ids) {
@@ -165,6 +159,185 @@ bool ComponentInputTouched(const Program& program, const Stratification& strat,
   return false;
 }
 
+std::optional<OldStateView> DeletionInputView(
+    const Program& program, const Stratification& strat,
+    std::uint32_t component, const RelationStore& store,
+    const GroupedBaseChanges& base, const std::vector<PredicateDelta>& net) {
+  const auto& members = strat.component_members[component];
+  bool deletion_input = false;
+  for (const std::uint32_t p : members) {
+    deletion_input = deletion_input || !base.deletions[p].empty();
+  }
+  // The view reads exactly the members and the lower body predicates.
+  std::vector<std::uint32_t> relevant(members.begin(), members.end());
+  for (const std::size_t r : strat.component_rules[component]) {
+    for (const BodyElement& element : program.rules[r].body) {
+      const auto* literal = std::get_if<Literal>(&element);
+      if (literal == nullptr ||
+          strat.component_of[literal->atom.predicate] == component) {
+        continue;
+      }
+      const std::uint32_t p = literal->atom.predicate;
+      relevant.push_back(p);
+      deletion_input = deletion_input ||
+                       !(literal->negated ? net[p].inserted : net[p].deleted)
+                            .empty();
+    }
+  }
+  if (!deletion_input) {
+    return std::nullopt;
+  }
+  return std::optional<OldStateView>(std::in_place, store, net, relevant);
+}
+
+void ForEachLostHead(
+    const Program& program, const Stratification& strat,
+    std::uint32_t component, const OldStateView& old_state,
+    const std::vector<PredicateDelta>& net, EvalStats& stats,
+    const std::function<void(std::uint32_t, const Tuple&)>& fn) {
+  std::vector<Tuple> buffer;
+  const std::function<void(const Tuple&)> collect =
+      [&buffer](const Tuple& t) { buffer.push_back(t); };
+  for (const std::size_t r : strat.component_rules[component]) {
+    const Rule& rule = program.rules[r];
+    for (std::size_t i = 0; i < rule.body.size(); ++i) {
+      const auto* literal = std::get_if<Literal>(&rule.body[i]);
+      if (literal == nullptr ||
+          strat.component_of[literal->atom.predicate] == component) {
+        continue;  // internal support: each pipeline closes over it
+      }
+      const PredicateDelta& lower = net[literal->atom.predicate];
+      const std::vector<Tuple>& rows =
+          literal->negated ? lower.inserted : lower.deleted;
+      if (rows.empty()) {
+        continue;
+      }
+      DeltaRestriction restriction;
+      restriction.body_index = i;
+      restriction.rows = rows;
+      ApplyRuleOldState(program, old_state, rule, restriction, stats, collect);
+      for (const Tuple& t : buffer) {
+        fn(rule.head.predicate, t);
+      }
+      buffer.clear();
+    }
+  }
+}
+
+void RunForwardPhase(const Program& program, const Stratification& strat,
+                     std::uint32_t component, RelationStore& store,
+                     const GroupedBaseChanges& base,
+                     std::vector<PredicateDelta>& net,
+                     const std::vector<TupleSet>& phase_deleted,
+                     StoreWriteBuffer* scratch, ComponentUpdateStats& stats) {
+  const auto& members = strat.component_members[component];
+  const auto& rule_ids = strat.component_rules[component];
+
+  // Negation-driven insertions: a deletion from a negated lower predicate
+  // can create brand-new derivations in the NEW state.
+  std::vector<Tuple> buffer;
+  const std::function<void(const Tuple&)> collect =
+      [&buffer](const Tuple& t) { buffer.push_back(t); };
+  for (const std::size_t r : rule_ids) {
+    const Rule& rule = program.rules[r];
+    for (std::size_t i = 0; i < rule.body.size(); ++i) {
+      const auto* literal = std::get_if<Literal>(&rule.body[i]);
+      if (literal == nullptr || !literal->negated ||
+          net[literal->atom.predicate].deleted.empty()) {
+        continue;
+      }
+      DeltaRestriction restriction;
+      restriction.body_index = i;
+      restriction.rows = net[literal->atom.predicate].deleted;
+      ApplyRule(program, store, rule, restriction, stats.eval, collect);
+      for (Tuple& t : buffer) {
+        if (store.Of(rule.head.predicate).Insert(t)) {
+          net[rule.head.predicate].inserted.push_back(std::move(t));
+        }
+      }
+      buffer.clear();
+    }
+  }
+
+  // Base inserts into members.  With a worker scratch buffer they go
+  // through the lock-free shard-publication protocol — staged per shard,
+  // one atomic append each, outcomes harvested at Flush — instead of the
+  // direct mutator.  (The deletion pipelines stay direct on purpose: their
+  // erases must be visible to the old-state view immediately, or a tuple
+  // would be found both live and as a deleted extra.)
+  for (const std::uint32_t p : members) {
+    if (base.insertions[p].empty()) {
+      continue;
+    }
+    std::vector<Tuple>& fresh = net[p].inserted;
+    if (scratch != nullptr) {
+      ShardedWriteBuffer& writes = scratch->For(store, p);
+      for (const Tuple& t : base.insertions[p]) {
+        writes.StageInsert(t);
+      }
+      writes.Flush([&fresh](std::uint8_t, RowView row, bool took_effect) {
+        if (took_effect) {
+          fresh.emplace_back(row.begin(), row.end());
+        }
+      });
+    } else {
+      for (const Tuple& t : base.insertions[p]) {
+        if (store.Of(p).Insert(t)) {
+          fresh.push_back(t);
+        }
+      }
+    }
+  }
+
+  // Semi-naive continuation, seeded by every member row the phase added so
+  // far and by the lower insertions, all borrowed in place.
+  if (!rule_ids.empty()) {
+    SeedSpans seeds(program.NumPredicates());
+    for (const std::uint32_t p : members) {
+      seeds[p] = net[p].inserted;
+    }
+    for (const std::size_t r : rule_ids) {
+      for (const BodyElement& element : program.rules[r].body) {
+        if (const auto* literal = std::get_if<Literal>(&element)) {
+          if (!literal->negated) {
+            seeds[literal->atom.predicate] = net[literal->atom.predicate].inserted;
+          }
+        }
+      }
+    }
+    DeltaMap derived;
+    stats.eval.Merge(
+        EvaluateComponent(program, strat, component, store, &seeds, &derived));
+    for (auto& [p, rows] : derived) {
+      std::vector<Tuple>& dst = net[p].inserted;
+      if (dst.empty()) {
+        dst = std::move(rows);
+      } else {
+        dst.insert(dst.end(), std::make_move_iterator(rows.begin()),
+                   std::make_move_iterator(rows.end()));
+      }
+    }
+  }
+
+  // Finalize the member entries of `net` for downstream components.
+  for (const std::uint32_t p : members) {
+    PredicateDelta& delta = net[p];
+    if (!phase_deleted.empty() && !phase_deleted[p].empty()) {
+      const TupleSet& erased = phase_deleted[p];
+      std::erase_if(delta.inserted,
+                    [&erased](const Tuple& t) { return erased.contains(t); });
+      for (const Tuple& t : erased) {
+        if (!store.Of(p).Contains(t)) {
+          delta.deleted.push_back(t);
+        }
+      }
+    }
+    stats.tuples_inserted += delta.inserted.size();
+    stats.tuples_deleted += delta.deleted.size();
+  }
+  stats.output_changed = stats.tuples_inserted > 0 || stats.tuples_deleted > 0;
+}
+
 ComponentUpdateStats RunComponentPhase(const Program& program,
                                        const Stratification& strat,
                                        std::uint32_t component,
@@ -178,11 +351,6 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
   comp_stats.input_changed = true;  // caller gates on ComponentInputTouched
   const auto& members = strat.component_members[component];
   const auto& rule_ids = strat.component_rules[component];
-
-  std::vector<bool> is_member(program.NumPredicates(), false);
-  for (const std::uint32_t p : members) {
-    is_member[p] = true;
-  }
 
   // ---------------------------------------------------------------- 0.
   // Aggregate components are maintained by recompute-and-diff: the body
@@ -224,243 +392,102 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
     return comp_stats;
   }
 
-  // Per-member bookkeeping of what this phase actually adds/removes.
-  // (Indexed by predicate; only member slots are touched.)
-  std::vector<TupleSet> phase_deleted(program.NumPredicates());
-  std::vector<TupleSet> phase_inserted(program.NumPredicates());
-
-  // The pre-update state this phase's overdeletion joins against: the live
-  // store corrected by the finalized deltas of exactly the predicates this
-  // phase may read, growing member extras as the phase erases tuples.  No
-  // database snapshot is taken.
-  std::vector<std::uint32_t> relevant(members.begin(), members.end());
-  for (const std::size_t r : rule_ids) {
-    for (const BodyElement& element : program.rules[r].body) {
-      if (const auto* literal = std::get_if<Literal>(&element)) {
-        if (!is_member[literal->atom.predicate]) {
-          relevant.push_back(literal->atom.predicate);
+  // The member rows this phase erases; sized only when something can lose
+  // support.
+  std::vector<TupleSet> phase_deleted;
+  if (std::optional<OldStateView> old_state =
+          DeletionInputView(program, strat, component, store, base, net)) {
+    phase_deleted.resize(program.NumPredicates());
+    // -------------------------------------------------------------- 1.
+    // OVERDELETE.  Seed D with (a) base deletions of member predicates and
+    // (b) heads of rules fired with a deleted positive input or an inserted
+    // negated input, all joined against the OLD state: the live store
+    // corrected by the finalized deltas of exactly the predicates this
+    // phase may read, growing member extras as the phase erases tuples.  No
+    // database snapshot is taken.
+    DeltaMap overdelete;  // per member predicate, this round's delta
+    const auto queue_overdeleted = [&](std::uint32_t pred, const Tuple& t) {
+      if (phase_deleted[pred].insert(t).second) {
+        overdelete[pred].push_back(t);
+        old_state->AddDeletedExtra(pred, t);
+        store.Of(pred).Erase(t);
+        ++comp_stats.tuples_overdeleted;
+      }
+    };
+    for (const std::uint32_t p : members) {
+      for (const Tuple& t : base.deletions[p]) {
+        if (old_state->ContainsTuple(p, t)) {
+          queue_overdeleted(p, t);
         }
       }
     }
-  }
-  OldStateView old_state(store, net, relevant);
-
-  // ---------------------------------------------------------------- 1.
-  // OVERDELETE.  Seed D with (a) base deletions of member predicates and
-  // (b) heads of rules fired with a deleted positive input or an inserted
-  // negated input, all joined against the OLD state.
-  DeltaMap overdelete;  // per member predicate, this round's delta
-  const auto queue_overdeleted = [&](std::uint32_t pred, const Tuple& t) {
-    if (phase_deleted[pred].insert(t).second) {
-      overdelete[pred].push_back(t);
-      old_state.AddDeletedExtra(pred, t);
-      store.Of(pred).Erase(t);
-      ++comp_stats.tuples_overdeleted;
-    }
-  };
-  for (const std::uint32_t p : members) {
-    for (const Tuple& t : base.deletions[p]) {
-      if (old_state.ContainsTuple(p, t)) {
-        queue_overdeleted(p, t);
-      }
-    }
-  }
-  std::vector<Tuple> buffer;
-  const std::function<void(const Tuple&)> collect =
-      [&buffer](const Tuple& t) { buffer.push_back(t); };
-  for (const std::size_t r : rule_ids) {
-    const Rule& rule = program.rules[r];
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      const auto* literal = std::get_if<Literal>(&rule.body[i]);
-      if (literal == nullptr) {
-        continue;
-      }
-      const std::uint32_t p = literal->atom.predicate;
-      if (is_member[p]) {
-        continue;  // internal support flows through the rounds below
-      }
-      const std::vector<Tuple>& rows =
-          literal->negated ? net[p].inserted : net[p].deleted;
-      if (rows.empty()) {
-        continue;
-      }
-      DeltaRestriction restriction;
-      restriction.body_index = i;
-      restriction.rows = rows;
-      ApplyRuleOldState(program, old_state, rule, restriction,
-                        comp_stats.eval, collect);
-      for (const Tuple& t : buffer) {
-        queue_overdeleted(rule.head.predicate, t);
-      }
-      buffer.clear();
-    }
-  }
-  // Internal overdeletion rounds (member tuples supporting member tuples).
-  while (true) {
-    DeltaMap current = std::move(overdelete);
-    overdelete.clear();
-    bool any = false;
-    for (const auto& [pred, rows] : current) {
-      if (!rows.empty()) {
-        any = true;
-      }
-    }
-    if (!any) {
-      break;
-    }
-    for (const std::size_t r : rule_ids) {
-      const Rule& rule = program.rules[r];
-      for (std::size_t i = 0; i < rule.body.size(); ++i) {
-        const auto* literal = std::get_if<Literal>(&rule.body[i]);
-        if (literal == nullptr || literal->negated ||
-            !is_member[literal->atom.predicate]) {
-          continue;
+    ForEachLostHead(program, strat, component, *old_state, net,
+                    comp_stats.eval, queue_overdeleted);
+    std::vector<Tuple> buffer;
+    const std::function<void(const Tuple&)> collect =
+        [&buffer](const Tuple& t) { buffer.push_back(t); };
+    // Internal overdeletion rounds (member tuples supporting member tuples).
+    while (true) {
+      DeltaMap current = std::move(overdelete);
+      overdelete.clear();
+      bool any = false;
+      for (const auto& [pred, rows] : current) {
+        if (!rows.empty()) {
+          any = true;
         }
-        const auto it = current.find(literal->atom.predicate);
-        if (it == current.end() || it->second.empty()) {
-          continue;
-        }
-        DeltaRestriction restriction;
-        restriction.body_index = i;
-        restriction.rows = it->second;
-        ApplyRuleOldState(program, old_state, rule, restriction,
-                          comp_stats.eval, collect);
-        for (const Tuple& t : buffer) {
-          queue_overdeleted(rule.head.predicate, t);
-        }
-        buffer.clear();
       }
-    }
-  }
-
-  // ---------------------------------------------------------------- 2.
-  // REDERIVE: an overdeleted tuple still derivable in the NEW state comes
-  // back (and later propagates through the insertion rounds).
-  DeltaMap member_seed;
-  for (const std::uint32_t p : members) {
-    for (const Tuple& t : phase_deleted[p]) {
-      bool derivable = false;
+      if (!any) {
+        break;
+      }
       for (const std::size_t r : rule_ids) {
         const Rule& rule = program.rules[r];
-        if (rule.head.predicate != p) {
-          continue;
-        }
-        if (IsDerivable(program, store, rule, t, comp_stats.eval)) {
-          derivable = true;
-          break;
+        for (std::size_t i = 0; i < rule.body.size(); ++i) {
+          const auto* literal = std::get_if<Literal>(&rule.body[i]);
+          if (literal == nullptr || literal->negated ||
+              strat.component_of[literal->atom.predicate] != component) {
+            continue;
+          }
+          const auto it = current.find(literal->atom.predicate);
+          if (it == current.end() || it->second.empty()) {
+            continue;
+          }
+          DeltaRestriction restriction;
+          restriction.body_index = i;
+          restriction.rows = it->second;
+          ApplyRuleOldState(program, *old_state, rule, restriction,
+                            comp_stats.eval, collect);
+          for (const Tuple& t : buffer) {
+            queue_overdeleted(rule.head.predicate, t);
+          }
+          buffer.clear();
         }
       }
-      if (derivable) {
-        store.Of(p).Insert(t);
-        phase_inserted[p].insert(t);
-        member_seed[p].push_back(t);
-        ++comp_stats.tuples_rederived;
+    }
+
+    // -------------------------------------------------------------- 2.
+    // REDERIVE: an overdeleted tuple still derivable in the NEW state comes
+    // back, and seeds the forward phase's continuation.
+    for (const std::uint32_t p : members) {
+      for (const Tuple& t : phase_deleted[p]) {
+        for (const std::size_t r : rule_ids) {
+          const Rule& rule = program.rules[r];
+          if (rule.head.predicate == p &&
+              IsDerivable(program, store, rule, t, comp_stats.eval)) {
+            store.Of(p).Insert(t);
+            net[p].inserted.push_back(t);
+            ++comp_stats.tuples_rederived;
+            break;
+          }
+        }
       }
     }
   }
 
   // ---------------------------------------------------------------- 3.
-  // Negation-driven insertions: a deletion from a negated lower predicate
-  // can create brand-new derivations in the NEW state.
-  for (const std::size_t r : rule_ids) {
-    const Rule& rule = program.rules[r];
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      const auto* literal = std::get_if<Literal>(&rule.body[i]);
-      if (literal == nullptr || !literal->negated) {
-        continue;
-      }
-      const std::uint32_t p = literal->atom.predicate;
-      if (net[p].deleted.empty()) {
-        continue;
-      }
-      DeltaRestriction restriction;
-      restriction.body_index = i;
-      restriction.rows = net[p].deleted;
-      ApplyRule(program, store, rule, restriction, comp_stats.eval, collect);
-      for (const Tuple& t : buffer) {
-        if (store.Of(rule.head.predicate).Insert(t)) {
-          phase_inserted[rule.head.predicate].insert(t);
-          member_seed[rule.head.predicate].push_back(t);
-        }
-      }
-      buffer.clear();
-    }
-  }
-
-  // ---------------------------------------------------------------- 4.
-  // Insertions: base inserts into members + lower net insertions, then the
-  // semi-naive continuation.  With a worker scratch buffer the inserts go
-  // through the lock-free shard-publication protocol — staged per shard,
-  // one atomic append each, outcomes harvested at Flush — instead of the
-  // direct mutator.  The overdeletion path above stays direct on purpose:
-  // its erases must be visible to the old-state view immediately, or a
-  // tuple would be found both live and as a deleted extra.
-  for (const std::uint32_t p : members) {
-    if (base.insertions[p].empty()) {
-      continue;
-    }
-    if (scratch != nullptr) {
-      ShardedWriteBuffer& writes = scratch->For(store, p);
-      for (const Tuple& t : base.insertions[p]) {
-        writes.StageInsert(t);
-      }
-      writes.Flush([&phase_inserted, &member_seed, p](std::uint8_t,
-                                                      RowView row,
-                                                      bool fresh) {
-        if (fresh) {
-          Tuple t(row.begin(), row.end());
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(std::move(t));
-        }
-      });
-    } else {
-      for (const Tuple& t : base.insertions[p]) {
-        if (store.Of(p).Insert(t)) {
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(t);
-        }
-      }
-    }
-  }
-  DeltaMap seed = member_seed;
-  for (const std::size_t r : rule_ids) {
-    for (const BodyElement& element : program.rules[r].body) {
-      if (const auto* literal = std::get_if<Literal>(&element)) {
-        const std::uint32_t p = literal->atom.predicate;
-        if (!is_member[p] && !literal->negated && !net[p].inserted.empty() &&
-            !seed.contains(p)) {
-          seed[p] = net[p].inserted;
-        }
-      }
-    }
-  }
-  DeltaMap derived;
-  comp_stats.eval.Merge(
-      EvaluateComponent(program, strat, component, store, &seed, &derived));
-  for (auto& [pred, rows] : derived) {
-    for (Tuple& t : rows) {
-      phase_inserted[pred].insert(std::move(t));
-    }
-  }
-
-  // ---------------------------------------------------------------- 5.
-  // Finalize the member entries of `net` for downstream components.
-  for (const std::uint32_t p : members) {
-    for (const Tuple& t : phase_inserted[p]) {
-      if (!phase_deleted[p].contains(t)) {
-        net[p].inserted.push_back(t);
-      }
-    }
-    for (const Tuple& t : phase_deleted[p]) {
-      if (!phase_inserted[p].contains(t)) {
-        net[p].deleted.push_back(t);
-      }
-    }
-    comp_stats.tuples_inserted += net[p].inserted.size();
-    comp_stats.tuples_deleted += net[p].deleted.size();
-  }
-  comp_stats.output_changed =
-      comp_stats.tuples_inserted > 0 || comp_stats.tuples_deleted > 0;
+  // Negation-driven insertions, base insertions, the semi-naive
+  // continuation and the finalization of `net`.
+  RunForwardPhase(program, strat, component, store, base, net, phase_deleted,
+                  scratch, comp_stats);
   // DRed's deletion-pipeline effort: one erase per overdeleted tuple, at
   // least one derivability check each, one re-insert per rederived tuple.
   // Rule-less components are pure base-change application — every

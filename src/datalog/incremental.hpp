@@ -12,8 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "datalog/eval.hpp"
@@ -24,7 +25,8 @@ namespace dsched::datalog {
 
 class StoreWriteBuffer;
 
-/// A batch of base-fact changes.
+/// A batch of base-fact changes.  Deletions apply before insertions, so a
+/// tuple listed in both is present afterwards.
 struct UpdateRequest {
   /// (predicate, tuple) pairs to add.  Already-present tuples are no-ops.
   std::vector<std::pair<std::uint32_t, Tuple>> insertions;
@@ -75,6 +77,9 @@ struct UpdateResult {
                                      const Stratification& strat) const;
 };
 
+/// Per-predicate tuple sets (index = predicate id).
+using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
+
 /// Net change to one predicate, finalized when its component's phase ends.
 struct PredicateDelta {
   std::vector<Tuple> inserted;
@@ -95,7 +100,8 @@ struct GroupedBaseChanges {
 /// Read-only view of the PRE-update contents of the store, expressed as the
 /// live store minus this update's insertions plus its deletions — so DRed's
 /// overdeletion can join against the old state without snapshotting the
-/// database (the deltas are small; the database is not).
+/// database (the deltas are small; the database is not).  The insertions
+/// are held as views into the finalized `net` rows, never copied.
 ///
 /// Row-id space per predicate: ids without Relation::kExtraBit are live rows
 /// (ids straight from the live store's indexes, so its caches are reused —
@@ -108,10 +114,12 @@ struct GroupedBaseChanges {
 /// RowAt / Lookup), which is what the join machinery is instantiated over.
 class OldStateView {
  public:
-  /// Snapshots the deltas of exactly `relevant` predicates (the phase's
+  /// Indexes the deltas of exactly `relevant` predicates (the phase's
   /// rule-body predicates and members).  Restricting the read set is what
   /// keeps the parallel engine race-free: net entries of incomparable
-  /// components may be mid-write, but they are never relevant here.
+  /// components may be mid-write, but they are never relevant here.  The
+  /// `net[p].inserted` rows of relevant predicates must not change while
+  /// the view lives.
   OldStateView(const RelationStore& live,
                const std::vector<PredicateDelta>& net,
                const std::vector<std::uint32_t>& relevant);
@@ -155,9 +163,9 @@ class OldStateView {
       std::uint32_t predicate, const std::vector<std::size_t>& columns) const;
 
  private:
-  using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
+  using RowSet = std::unordered_set<RowView, TupleHash, TupleEq>;
   const RelationStore& live_;
-  std::vector<TupleSet> inserted_;      ///< live-only tuples (not in old state)
+  std::vector<RowSet> inserted_;  ///< live-only tuples (not in old state)
   std::vector<std::vector<Tuple>> extras_;  ///< old-only tuples, id-addressable
   std::vector<TupleSet> extras_set_;
 };
@@ -177,10 +185,47 @@ void ApplyRuleOldState(const Program& program, const OldStateView& old_state,
                                          const GroupedBaseChanges& base,
                                          const std::vector<PredicateDelta>& net);
 
+/// The old state `component`'s deletion pipeline joins against, or nothing
+/// when the phase has no deletion input: no base deletion of a member, no
+/// deleted positive lower input and no inserted negated lower input.
+/// Without one no member tuple can lose support, so the phase is
+/// insert-only and skips its deletion pipeline.
+[[nodiscard]] std::optional<OldStateView> DeletionInputView(
+    const Program& program, const Stratification& strat,
+    std::uint32_t component, const RelationStore& store,
+    const GroupedBaseChanges& base, const std::vector<PredicateDelta>& net);
+
+/// Calls `fn(head_predicate, head)` for every head a rule of `component`
+/// derived in the old state through a deleted positive lower input or an
+/// inserted negated lower input — where both deletion pipelines start.
+/// `fn` runs after each join, so it may mutate the member relations.
+void ForEachLostHead(
+    const Program& program, const Stratification& strat,
+    std::uint32_t component, const OldStateView& old_state,
+    const std::vector<PredicateDelta>& net, EvalStats& stats,
+    const std::function<void(std::uint32_t, const Tuple&)>& fn);
+
+/// The forward phase shared by DRed and B/F: negation-driven insertions,
+/// base insertions into members and the semi-naive continuation, then the
+/// finalization of the member entries of `net`.  Every row the phase adds
+/// goes straight to `net[p].inserted`; the lower insertions seed the
+/// continuation as borrowed spans.  On entry, `net[p].inserted` may hold
+/// rows the deletion pipeline already re-added (DRed's rederivations);
+/// they seed the continuation too.  `phase_deleted` (empty when nothing was
+/// deleted, else indexed by predicate) holds the member rows the phase
+/// erased.  A row both erased and re-added is neither inserted nor
+/// deleted; `net[p].deleted` is the erased rows absent from the store when
+/// the phase ends.
+void RunForwardPhase(const Program& program, const Stratification& strat,
+                     std::uint32_t component, RelationStore& store,
+                     const GroupedBaseChanges& base,
+                     std::vector<PredicateDelta>& net,
+                     const std::vector<TupleSet>& phase_deleted,
+                     StoreWriteBuffer* scratch, ComponentUpdateStats& stats);
+
 /// Runs one component's full DRed phase: overdeletion against the old state
-/// (an OldStateView built from `store` and `net`), rederivation,
-/// negation-driven insertions, and the semi-naive insertion continuation —
-/// then finalizes the member entries of `net`.
+/// (when the phase has a deletion input), rederivation, then the shared
+/// forward phase.
 ///
 /// Thread compatibility (used by the parallel engine): writes only the
 /// member relations of `component` in `store`, the member entries of
@@ -219,9 +264,10 @@ class IncrementalEngine {
   IncrementalEngine(const Program& program, const Stratification& strat,
                     RelationStore& store);
 
-  /// Applies one batch incrementally.  Afterwards the store equals what a
-  /// from-scratch evaluation over (base ∪ insertions ∖ deletions) produces
-  /// — the property the tests verify.
+  /// Applies one batch incrementally.  Deletions apply first, so afterwards
+  /// the store equals what a from-scratch evaluation over
+  /// ((base ∖ deletions) ∪ insertions) produces — the property the tests
+  /// verify.  A tuple listed in both is present.
   UpdateResult Apply(const UpdateRequest& request);
 
  private:

@@ -1,10 +1,9 @@
 #include "datalog/maintenance.hpp"
 
+#include <optional>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "datalog/delta_buffer.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -42,8 +41,6 @@ MaintenanceStrategy ParseMaintenanceStrategy(const std::string& name) {
 }
 
 namespace {
-
-using TupleSet = std::unordered_set<Tuple, TupleHash, TupleEq>;
 
 // ------------------------------------------------------------ Backward/Forward
 
@@ -142,28 +139,23 @@ struct BackwardProber {
   }
 };
 
-/// The Backward/Forward phase of one rule-owning, non-aggregate
-/// component.  B: seed the suspect set (tuples that lost an old-state
-/// derivation), close it under live-store consumption (marking only),
-/// prove each suspect alive or dead via backward probes, and only then
-/// erase the proven-dead rows — DRed's overdelete/rederive round-trip
-/// never happens.  F: DRed's insertion pipeline verbatim
-/// (negation-driven inserts, base inserts, semi-naive continuation),
-/// which is identical across strategies.
-ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
-                                             const Stratification& strat,
-                                             std::uint32_t component,
-                                             RelationStore& store,
-                                             const GroupedBaseChanges& base,
-                                             std::vector<PredicateDelta>& net,
-                                             StoreWriteBuffer* scratch) {
-  util::WallTimer comp_timer;
-  ComponentUpdateStats comp_stats;
-  comp_stats.component = component;
-  comp_stats.input_changed = true;
+/// B, the backward phase of Backward/Forward, for one rule-owning,
+/// non-aggregate component with a deletion input: seed the suspect set
+/// (tuples that lost an old-state derivation), close it under live-store
+/// consumption (marking only), prove each suspect alive or dead via
+/// backward probes, and only then erase the proven-dead rows, recording
+/// them in `phase_deleted` — DRed's overdelete/rederive round-trip never
+/// happens.  Every erase is deferred, so member relations stay physically
+/// old until the suspect set is resolved and `old_state` accrues no extras.
+void RunBackwardPhase(const Program& program, const Stratification& strat,
+                      std::uint32_t component, RelationStore& store,
+                      const GroupedBaseChanges& base,
+                      const std::vector<PredicateDelta>& net,
+                      const OldStateView& old_state,
+                      std::vector<TupleSet>& phase_deleted,
+                      ComponentUpdateStats& comp_stats) {
   const auto& members = strat.component_members[component];
   const auto& rule_ids = strat.component_rules[component];
-
   std::vector<bool> is_member(program.NumPredicates(), false);
   for (const std::uint32_t p : members) {
     is_member[p] = true;
@@ -172,21 +164,6 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
   for (const std::size_t r : rule_ids) {
     rules_by_head[program.rules[r].head.predicate].push_back(r);
   }
-
-  // Old state for the seed joins.  The backward phase defers every erase,
-  // so member relations stay physically old until the suspect set is
-  // fully resolved — no extras ever accrue.
-  std::vector<std::uint32_t> relevant(members.begin(), members.end());
-  for (const std::size_t r : rule_ids) {
-    for (const BodyElement& element : program.rules[r].body) {
-      if (const auto* literal = std::get_if<Literal>(&element)) {
-        if (!is_member[literal->atom.predicate]) {
-          relevant.push_back(literal->atom.predicate);
-        }
-      }
-    }
-  }
-  const OldStateView old_state(store, net, relevant);
 
   // --- B.1: seed the suspect set with every member tuple that lost an
   // old-state derivation (same seeds DRed overdeletes from) plus the base
@@ -206,33 +183,11 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
       add_suspect(p, t);
     }
   }
+  ForEachLostHead(program, strat, component, old_state, net, comp_stats.eval,
+                  add_suspect);
   std::vector<Tuple> buffer;
   const std::function<void(const Tuple&)> collect =
       [&buffer](const Tuple& t) { buffer.push_back(t); };
-  for (const std::size_t r : rule_ids) {
-    const Rule& rule = program.rules[r];
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      const auto* literal = std::get_if<Literal>(&rule.body[i]);
-      if (literal == nullptr || is_member[literal->atom.predicate]) {
-        continue;  // internal support is handled by the B.2 closure
-      }
-      const std::uint32_t lower = literal->atom.predicate;
-      const std::vector<Tuple>& rows =
-          literal->negated ? net[lower].inserted : net[lower].deleted;
-      if (rows.empty()) {
-        continue;
-      }
-      DeltaRestriction restriction;
-      restriction.body_index = i;
-      restriction.rows = rows;
-      ApplyRuleOldState(program, old_state, rule, restriction, comp_stats.eval,
-                        collect);
-      for (const Tuple& t : buffer) {
-        add_suspect(rule.head.predicate, t);
-      }
-      buffer.clear();
-    }
-  }
 
   // --- B.2: close the suspect set under consumption.  Any tuple with a
   // live-store derivation through a suspect might lose it, so it is
@@ -295,7 +250,6 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
 
   // --- B.4: erase the proven dead.  This is the ONLY store mutation of
   // the backward phase.
-  std::vector<TupleSet> phase_deleted(program.NumPredicates());
   for (const auto& [p, t] : deaths) {
     if (phase_deleted[p].insert(t).second) {
       store.Of(p).Erase(t);
@@ -310,107 +264,9 @@ ComponentUpdateStats RunBackwardForwardPhase(const Program& program,
     }
   }
   comp_stats.maint_avoided = alive_suspects;  // DRed's overdelete+rederive set
-  OBS_COUNTER(Category::kMaintOverdeleteAvoided, comp_stats.maint_avoided);
-
-  // --- F: DRed's insertion pipeline, verbatim (incremental.cpp steps
-  // 3-5).  Deletions from negated lower predicates create derivations;
-  // base inserts and lower insertions seed the semi-naive continuation.
-  std::vector<TupleSet> phase_inserted(program.NumPredicates());
-  DeltaMap member_seed;
-  for (const std::size_t r : rule_ids) {
-    const Rule& rule = program.rules[r];
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      const auto* literal = std::get_if<Literal>(&rule.body[i]);
-      if (literal == nullptr || !literal->negated) {
-        continue;
-      }
-      const std::uint32_t lower = literal->atom.predicate;
-      if (net[lower].deleted.empty()) {
-        continue;
-      }
-      DeltaRestriction restriction;
-      restriction.body_index = i;
-      restriction.rows = net[lower].deleted;
-      ApplyRule(program, store, rule, restriction, comp_stats.eval, collect);
-      for (const Tuple& t : buffer) {
-        if (store.Of(rule.head.predicate).Insert(t)) {
-          phase_inserted[rule.head.predicate].insert(t);
-          member_seed[rule.head.predicate].push_back(t);
-        }
-      }
-      buffer.clear();
-    }
-  }
-  for (const std::uint32_t p : members) {
-    if (base.insertions[p].empty()) {
-      continue;
-    }
-    if (scratch != nullptr) {
-      ShardedWriteBuffer& writes = scratch->For(store, p);
-      for (const Tuple& t : base.insertions[p]) {
-        writes.StageInsert(t);
-      }
-      writes.Flush([&phase_inserted, &member_seed, p](std::uint8_t,
-                                                      RowView row,
-                                                      bool fresh) {
-        if (fresh) {
-          Tuple t(row.begin(), row.end());
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(std::move(t));
-        }
-      });
-    } else {
-      for (const Tuple& t : base.insertions[p]) {
-        if (store.Of(p).Insert(t)) {
-          phase_inserted[p].insert(t);
-          member_seed[p].push_back(t);
-        }
-      }
-    }
-  }
-  DeltaMap seed = member_seed;
-  for (const std::size_t r : rule_ids) {
-    for (const BodyElement& element : program.rules[r].body) {
-      if (const auto* literal = std::get_if<Literal>(&element)) {
-        const std::uint32_t lower = literal->atom.predicate;
-        if (!is_member[lower] && !literal->negated &&
-            !net[lower].inserted.empty() && !seed.contains(lower)) {
-          seed[lower] = net[lower].inserted;
-        }
-      }
-    }
-  }
-  DeltaMap derived;
-  comp_stats.eval.Merge(
-      EvaluateComponent(program, strat, component, store, &seed, &derived));
-  for (auto& [pred, rows] : derived) {
-    for (Tuple& t : rows) {
-      phase_inserted[pred].insert(std::move(t));
-    }
-  }
-
-  // --- Finalize net, with insert/delete cancellation, like DRed.
-  for (const std::uint32_t p : members) {
-    for (const Tuple& t : phase_inserted[p]) {
-      if (!phase_deleted[p].contains(t)) {
-        net[p].inserted.push_back(t);
-      }
-    }
-    for (const Tuple& t : phase_deleted[p]) {
-      if (!phase_inserted[p].contains(t)) {
-        net[p].deleted.push_back(t);
-      }
-    }
-    comp_stats.tuples_inserted += net[p].inserted.size();
-    comp_stats.tuples_deleted += net[p].deleted.size();
-  }
-  comp_stats.output_changed =
-      comp_stats.tuples_inserted > 0 || comp_stats.tuples_deleted > 0;
   // B/F's deletion-pipeline effort: one probe per aliveness question, one
   // erase per proven-dead tuple.
   comp_stats.maint_ops = comp_stats.maint_backward_probes + deaths.size();
-  comp_stats.seconds = comp_timer.ElapsedSeconds();
-  return comp_stats;
 }
 
 }  // namespace
@@ -422,19 +278,32 @@ ComponentUpdateStats RunMaintenancePhase(
     StoreWriteBuffer* scratch) {
   OBS_SCOPE(Category::kMaintPhase);
   const auto& rule_ids = strat.component_rules[component];
-  switch (strategy) {
-    case MaintenanceStrategy::kDRed:
-      break;
-    case MaintenanceStrategy::kBackwardForward:
-      if (!rule_ids.empty() && !program.rules[rule_ids.front()].IsAggregate()) {
-        return RunBackwardForwardPhase(program, strat, component, store, base,
-                                       net, scratch);
-      }
-      break;  // aggregate / rule-less: DRed (recompute-diff / base path)
+  // Aggregate and rule-less components take DRed's path under every
+  // strategy (recompute-diff / plain base changes).
+  if (strategy == MaintenanceStrategy::kDRed || rule_ids.empty() ||
+      program.rules[rule_ids.front()].IsAggregate()) {
+    ComponentUpdateStats comp_stats =
+        RunComponentPhase(program, strat, component, store, base, net, scratch);
+    OBS_COUNTER(Category::kMaintOverdelete, comp_stats.tuples_overdeleted);
+    return comp_stats;
   }
-  ComponentUpdateStats comp_stats =
-      RunComponentPhase(program, strat, component, store, base, net, scratch);
-  OBS_COUNTER(Category::kMaintOverdelete, comp_stats.tuples_overdeleted);
+  // Backward/Forward: the backward phase (only with a deletion input),
+  // then the forward phase shared with DRed.
+  util::WallTimer comp_timer;
+  ComponentUpdateStats comp_stats;
+  comp_stats.component = component;
+  comp_stats.input_changed = true;
+  std::vector<TupleSet> phase_deleted;
+  if (const std::optional<OldStateView> old_state =
+          DeletionInputView(program, strat, component, store, base, net)) {
+    phase_deleted.resize(program.NumPredicates());
+    RunBackwardPhase(program, strat, component, store, base, net, *old_state,
+                     phase_deleted, comp_stats);
+  }
+  OBS_COUNTER(Category::kMaintOverdeleteAvoided, comp_stats.maint_avoided);
+  RunForwardPhase(program, strat, component, store, base, net, phase_deleted,
+                  scratch, comp_stats);
+  comp_stats.seconds = comp_timer.ElapsedSeconds();
   return comp_stats;
 }
 

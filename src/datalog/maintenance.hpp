@@ -15,8 +15,9 @@
 //
 // Both strategies produce bit-identical final stores (the tests verify
 // DRed ≡ B/F tuple-for-tuple) and share the sharded store, the join
-// kernel, and the scheduler-driven cascade unchanged — only the
-// per-component phase body differs.
+// kernel, the scheduler-driven cascade and the forward (insertion) phase
+// (RunForwardPhase) unchanged — only what a phase erases before it
+// differs.
 #pragma once
 
 #include <cstdint>

@@ -5,20 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
+#include <string>
 
 #include "datalog/database.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/incremental.hpp"
+#include "datalog/maintenance.hpp"
 #include "datalog/parser.hpp"
 #include "datalog/schedule_bridge.hpp"
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
 #include "graph/levels.hpp"
 #include "sched/factory.hpp"
+#include "service/engine_host.hpp"
+#include "service/session.hpp"
 #include "sim/audit.hpp"
 #include "sim/engine.hpp"
 #include "trace/cascade.hpp"
 #include "util/rng.hpp"
+#include "wide_program_fixture.hpp"
 
 namespace dsched::datalog {
 namespace {
@@ -335,6 +341,238 @@ TEST(ScheduleBridgeTest, UnchangedComponentDoesNotPropagate) {
   EXPECT_FALSE(cascade.active[bridge.predicate_node[tc_pred]]);
   const auto quiet_pred = db.GetProgram().PredicateId("quiet");
   EXPECT_TRUE(cascade.active[bridge.predicate_node[quiet_pred]]);
+}
+
+// --- Same-batch contract and the copy-free insertion pipeline.
+
+constexpr MaintenanceStrategy kStrategies[] = {
+    MaintenanceStrategy::kDRed, MaintenanceStrategy::kBackwardForward};
+
+/// Applies `request` serially (workers == 0) or through ApplyParallel.
+UpdateResult ApplyWith(Database& db, const UpdateRequest& request,
+                       MaintenanceStrategy strategy, std::size_t workers) {
+  if (workers == 0) {
+    return db.ApplyRequest(request, strategy);
+  }
+  return db.ApplyRequestParallel(request,
+                                 {.workers = workers, .strategy = strategy})
+      .update;
+}
+
+std::vector<Tuple> Ints(std::initializer_list<int> values) {
+  std::vector<Tuple> rows;
+  for (const int v : values) {
+    rows.push_back({Value::Int(v)});
+  }
+  return rows;
+}
+
+std::vector<Tuple> Pairs(std::initializer_list<std::pair<int, int>> values) {
+  std::vector<Tuple> rows;
+  for (const auto& [a, b] : values) {
+    rows.push_back({Value::Int(a), Value::Int(b)});
+  }
+  return rows;
+}
+
+TEST(SameBatchContractTest, DeletionsApplyBeforeInsertions) {
+  // b(1) is present and b(2) absent; the batch lists both tuples as
+  // insertions AND deletions.  Deletions apply first, so both end present.
+  constexpr const char* kProgram = "d(X) :- b(X).";
+  for (const MaintenanceStrategy strategy : kStrategies) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(MaintenanceStrategyName(strategy)) + " w" +
+                   std::to_string(workers));
+      Database db(kProgram);
+      db.Insert("b", {Value::Int(1)});
+      db.Materialize();
+      auto update = db.MakeUpdate();
+      update.Insert("b", {Value::Int(1)}).Insert("b", {Value::Int(2)});
+      update.Delete("b", {Value::Int(1)}).Delete("b", {Value::Int(2)});
+      const UpdateResult result =
+          ApplyWith(db, update.Request(), strategy, workers);
+      EXPECT_EQ(Sorted(db.Query("b")), Ints({1, 2}));
+      EXPECT_EQ(Sorted(db.Query("d")), Ints({1, 2}));
+      // b(1) and d(1) were deleted and re-added: no net change.
+      EXPECT_EQ(result.total_inserted, 2u);  // b(2), d(2)
+      EXPECT_EQ(result.total_deleted, 0u);
+    }
+  }
+  // The same rule through pipelined sessions (K = 4), several contract
+  // batches in flight at once.
+  service::EngineHost host({.workers = 4});
+  for (const MaintenanceStrategy strategy : kStrategies) {
+    SCOPED_TRACE(MaintenanceStrategyName(strategy));
+    auto session = host.OpenSession(
+        kProgram, {.maintenance_strategy = MaintenanceStrategyName(strategy),
+                   .pipeline_depth = 4});
+    session->Insert("b", {Value::Int(1)});
+    session->Materialize();
+    std::vector<std::future<service::UpdateOutcome>> futures;
+    for (const int pair : {1, 3, 5}) {
+      auto update = session->MakeUpdate();
+      update.Insert("b", {Value::Int(pair)})
+          .Insert("b", {Value::Int(pair + 1)});
+      update.Delete("b", {Value::Int(pair)})
+          .Delete("b", {Value::Int(pair + 1)});
+      futures.push_back(session->Submit(update));
+    }
+    for (auto& future : futures) {
+      (void)future.get();
+    }
+    EXPECT_EQ(Sorted(session->Query("b")), Ints({1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(Sorted(session->Query("d")), Ints({1, 2, 3, 4, 5, 6}));
+    session->Close();
+  }
+}
+
+TEST(LeanPipelineTest, InsertOnlyLoadEqualsMaterialize) {
+  // Load the wide program (recursion, negation, joins) from empty in
+  // insert-only batches; the result must equal Materialize of the same
+  // facts, tuple for tuple.
+  util::Rng rng(9001);
+  std::vector<std::pair<std::string, Tuple>> facts;
+  constexpr int kNodes = 24;
+  for (int i = 0; i < kNodes; ++i) {
+    facts.emplace_back("n", Tuple{Value::Int(i)});
+    if (rng.NextBool(0.3)) {
+      facts.emplace_back("mark", Tuple{Value::Int(i)});
+    }
+    for (int j = 0; j < kNodes; ++j) {
+      if (i != j && rng.NextBool(0.08)) {
+        facts.emplace_back("e", Tuple{Value::Int(i), Value::Int(j)});
+      }
+    }
+  }
+  // Interleave the predicates so batches mix inputs of every component.
+  for (std::size_t i = facts.size(); i > 1; --i) {
+    std::swap(facts[i - 1], facts[rng.NextBelow(i)]);
+  }
+  Database reference(testing::kWideProgram);
+  for (const auto& [pred, tuple] : facts) {
+    reference.Insert(pred, tuple);
+  }
+  reference.Materialize();
+
+  for (const MaintenanceStrategy strategy : kStrategies) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(MaintenanceStrategyName(strategy)) + " w" +
+                   std::to_string(workers));
+      Database db(testing::kWideProgram);
+      db.Materialize();
+      std::size_t inserted = 0;
+      std::size_t deleted = 0;
+      for (std::size_t begin = 0; begin < facts.size(); begin += 17) {
+        auto update = db.MakeUpdate();
+        for (std::size_t i = begin; i < std::min(begin + 17, facts.size());
+             ++i) {
+          update.Insert(facts[i].first, facts[i].second);
+        }
+        const UpdateResult result =
+            ApplyWith(db, update.Request(), strategy, workers);
+        inserted += result.total_inserted;
+        deleted += result.total_deleted;
+      }
+      testing::ExpectStoresEqual(db.GetProgram(), db.Store(),
+                                 reference.Store(), "insert-only load");
+      // Negation retracts some rows on the way (cold once hot, deadend
+      // once hasout), so the net counts balance to the final size.
+      EXPECT_EQ(inserted - deleted, reference.Store().TotalTuples());
+    }
+  }
+}
+
+TEST(LeanPipelineTest, ReAddedTupleIsInNeitherNetList) {
+  // e(0,1) goes and e(0,3), e(3,1) arrive in one batch.  tc(0,1), tc(0,2),
+  // revtc(1,0) and hasout(0) each lose their old support and are erased
+  // (DRed) or probed (B/F), but other support brings each back — in DRed's
+  // rederive step (hasout) or the forward phase (the closures).  None of
+  // them is a net change.
+  for (const MaintenanceStrategy strategy : kStrategies) {
+    SCOPED_TRACE(MaintenanceStrategyName(strategy));
+    testing::WideFixture f;
+    const auto e = f.program.PredicateId("e");
+    for (int i = 0; i < 4; ++i) {
+      f.store.Of(f.program.PredicateId("n")).Insert({Value::Int(i)});
+    }
+    f.store.Of(e).Insert({Value::Int(0), Value::Int(1)});
+    f.store.Of(e).Insert({Value::Int(1), Value::Int(2)});
+    EvaluateProgram(f.program, f.strat, f.store);
+
+    UpdateRequest request;
+    request.deletions.emplace_back(e, Tuple{Value::Int(0), Value::Int(1)});
+    request.insertions.emplace_back(e, Tuple{Value::Int(0), Value::Int(3)});
+    request.insertions.emplace_back(e, Tuple{Value::Int(3), Value::Int(1)});
+    const GroupedBaseChanges base(f.program, request);
+    std::vector<PredicateDelta> net(f.program.NumPredicates());
+    for (const std::uint32_t c : f.strat.component_order) {
+      if (ComponentInputTouched(f.program, f.strat, c, base, net)) {
+        (void)RunMaintenancePhase(strategy, f.program, f.strat, c, f.store,
+                                  base, net);
+      }
+    }
+    const auto expect_net = [&](const char* pred, std::vector<Tuple> inserted,
+                                std::vector<Tuple> deleted) {
+      const PredicateDelta& delta = net[f.program.PredicateId(pred)];
+      EXPECT_EQ(Sorted(delta.inserted), Sorted(std::move(inserted))) << pred;
+      EXPECT_EQ(Sorted(delta.deleted), Sorted(std::move(deleted))) << pred;
+    };
+    expect_net("tc", Pairs({{0, 3}, {3, 1}, {3, 2}}), {});
+    expect_net("revtc", Pairs({{3, 0}, {1, 3}, {2, 3}}), {});
+    expect_net("hasout", Ints({3}), {});
+    expect_net("deadend", {}, Ints({3}));
+    expect_net("e", Pairs({{0, 3}, {3, 1}}), Pairs({{0, 1}}));
+
+    std::vector<std::pair<std::uint32_t, Tuple>> final_base;
+    for (int i = 0; i < 4; ++i) {
+      final_base.emplace_back(f.program.PredicateId("n"),
+                              Tuple{Value::Int(i)});
+    }
+    for (const Tuple& t : Pairs({{1, 2}, {0, 3}, {3, 1}})) {
+      final_base.emplace_back(e, t);
+    }
+    ExpectEqualsFromScratch(f.program, f.strat, f.store, final_base);
+  }
+}
+
+TEST(LeanPipelineTest, UpdateTotalsMatchPinnedCounts) {
+  // Mixed random churn on the wide program, including tuples a batch both
+  // inserts and deletes.  The summed net counts are pinned: the copy-free
+  // pipeline must report exactly what the copying one did.
+  constexpr std::size_t kPinnedInserted = 441;
+  constexpr std::size_t kPinnedDeleted = 241;
+  for (const MaintenanceStrategy strategy : kStrategies) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(MaintenanceStrategyName(strategy)) + " w" +
+                   std::to_string(workers));
+      Database db(testing::kWideProgram);
+      util::Rng rng(2718);
+      constexpr int kNodes = 12;
+      for (int i = 0; i < kNodes; ++i) {
+        db.Insert("n", {Value::Int(i)});
+        if (rng.NextBool(0.3)) {
+          db.Insert("mark", {Value::Int(i)});
+        }
+        for (int j = 0; j < kNodes; ++j) {
+          if (i != j && rng.NextBool(0.2)) {
+            db.Insert("e", {Value::Int(i), Value::Int(j)});
+          }
+        }
+      }
+      db.Materialize();
+      std::size_t inserted = 0;
+      std::size_t deleted = 0;
+      for (int batch = 0; batch < 24; ++batch) {
+        const UpdateResult result = ApplyWith(
+            db, testing::RandomUpdate(db.GetProgram(), rng, kNodes), strategy,
+            workers);
+        inserted += result.total_inserted;
+        deleted += result.total_deleted;
+      }
+      EXPECT_EQ(inserted, kPinnedInserted);
+      EXPECT_EQ(deleted, kPinnedDeleted);
+    }
+  }
 }
 
 }  // namespace
