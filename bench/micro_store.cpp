@@ -7,7 +7,10 @@
 // trajectory.
 //
 // Workloads (arity-2 tuples, multiplicative key scatter):
-//   serial_insert_pP    — one thread, direct Insert() into P shards.
+//   serial_insert_pP    — one thread, direct Insert() into P shards; also
+//                         reports the store's bytes per row
+//                         (MemoryBytes() / rows), self-gated at
+//                         kMaxBytesPerRow (exit 1 above it).
 //   publish_insert_pP_wW— W writer threads, disjoint keyspaces, each staging
 //                         into its own ShardedWriteBuffer and flushing; the
 //                         tentpole's hot path.
@@ -52,6 +55,12 @@ using datalog::Value;
 // shards and slots; sequential keys would serialize on one shard.
 std::uint64_t Scatter(std::uint64_t i) { return i * 0x9e3779b97f4a7c15ULL; }
 
+/// Ceiling on serial_insert_pP's MemoryBytes() / rows at scale >= 1: 16 B
+/// of values per row plus one slot word, the 7/8-load table headroom and at
+/// most one partly filled arena block per shard.  Smaller smoke scales are
+/// dominated by that fixed per-shard slack and are not gated.
+constexpr double kMaxBytesPerRow = 34.0;
+
 Tuple MakeTuple(std::uint64_t i) {
   const std::uint64_t k = Scatter(i);
   return {Value::Int(static_cast<std::int64_t>(k & 0x7fffffffULL)),
@@ -73,6 +82,7 @@ struct Row {
   std::uint64_t rows = 0;      ///< tuples touched per rep
   std::uint64_t checksum = 0;  ///< content fingerprint after the last rep
   double seconds = 0.0;
+  double bytes_per_row = 0.0;  ///< MemoryBytes() / rows; 0 = not measured
 
   [[nodiscard]] double Mops(std::size_t reps) const {
     return seconds > 0.0
@@ -83,9 +93,13 @@ struct Row {
 };
 
 void Report(const Row& r, std::size_t reps) {
-  std::printf("%-24s %10llu rows  %10s  %7.2f Mop/s\n", r.workload.c_str(),
+  std::printf("%-24s %10llu rows  %10s  %7.2f Mop/s", r.workload.c_str(),
               static_cast<unsigned long long>(r.rows),
               util::FormatSeconds(r.seconds).c_str(), r.Mops(reps));
+  if (r.bytes_per_row > 0.0) {
+    std::printf("  %5.1f B/row", r.bytes_per_row);
+  }
+  std::printf("\n");
 }
 
 }  // namespace dsched::bench
@@ -135,6 +149,8 @@ int main(int argc, char** argv) {
         r.Insert(MakeTuple(i));
       }
       row.checksum = Checksum(r);
+      row.bytes_per_row = static_cast<double>(r.MemoryBytes()) /
+                          static_cast<double>(r.Size());
     }
     row.seconds = timer.ElapsedSeconds();
     check(row);
@@ -314,10 +330,14 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(out,
                  "    {\"workload\": \"%s\", \"rows\": %llu, "
-                 "\"checksum\": %llu, \"seconds\": %.6f, \"mops\": %.2f}%s\n",
+                 "\"checksum\": %llu, \"seconds\": %.6f, \"mops\": %.2f",
                  r.workload.c_str(), static_cast<unsigned long long>(r.rows),
                  static_cast<unsigned long long>(r.checksum), r.seconds,
-                 r.Mops(reps), i + 1 < rows.size() ? "," : "");
+                 r.Mops(reps));
+    if (r.bytes_per_row > 0.0) {
+      std::fprintf(out, ", \"bytes_per_row\": %.1f", r.bytes_per_row);
+    }
+    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
@@ -332,6 +352,10 @@ int main(int argc, char** argv) {
                 static_cast<std::uint64_t>(r.seconds * 1e9));
     metrics.Set(key + "mops_x100",
                 static_cast<std::uint64_t>(r.Mops(reps) * 100.0));
+    if (r.bytes_per_row > 0.0) {
+      metrics.Set(key + "bytes_per_row_x10",
+                  static_cast<std::uint64_t>(r.bytes_per_row * 10.0));
+    }
   }
   metrics.Set("micro_store.scale_p16_vs_p1_w8_x100",
               static_cast<std::uint64_t>(scale_p16_vs_p1_w8 * 100.0));
@@ -339,5 +363,14 @@ int main(int argc, char** argv) {
               static_cast<std::uint64_t>(staged_vs_locked_w8 * 100.0));
   PrintMetrics(metrics);
   FinishTrace(session.get(), trace_path);
-  return 0;
+
+  int status = 0;
+  for (const Row& r : rows) {
+    if (scale >= 1.0 && r.bytes_per_row > kMaxBytesPerRow) {
+      std::fprintf(stderr, "%s: %.1f B/row exceeds the %.1f B/row bar\n",
+                   r.workload.c_str(), r.bytes_per_row, kMaxBytesPerRow);
+      status = 1;
+    }
+  }
+  return status;
 }

@@ -47,6 +47,14 @@ constexpr std::uint64_t kIdMask = 0x00000000ffffffffULL;
   return (hash & kTagMask) | (std::uint64_t{id} + 1);
 }
 
+/// Home slot of a membership entry, from a tuple hash or from the entry's
+/// own slot word (both carry the same high 32 bits).  Disjoint from the
+/// shard bits (24..31) at every table size.
+[[nodiscard]] std::size_t HomeSlot(std::uint64_t hash_or_word,
+                                   std::size_t mask) {
+  return static_cast<std::size_t>(hash_or_word >> 32) & mask;
+}
+
 /// Hash of `row` restricted to `columns`, equal by construction to
 /// HashValues over the gathered key tuple (lookups hash flat keys).
 [[nodiscard]] std::uint64_t HashRowColumns(
@@ -107,8 +115,16 @@ void Relation::CopyFrom(const Relation& other) {
   for (std::size_t s = 0; s < num_shards_; ++s) {
     Shard& dst = shards_[s];
     const Shard& src = other.shards_[s];
-    dst.arena = src.arena;
-    dst.hashes = src.hashes;
+    // Like a vector copy, the first block is sized to the live rows.
+    const std::uint32_t rows = src.num_rows.load(std::memory_order_relaxed);
+    dst.head_rows = std::min(rows, kBlockRows);
+    for (std::uint32_t base = 0; base < rows; base += kBlockRows) {
+      dst.blocks.push_back(
+          AllocateBlock(base == 0 ? dst.head_rows : kBlockRows));
+      std::copy_n(src.blocks[base >> kBlockShift].get(),
+                  std::size_t{std::min(rows - base, kBlockRows)} * arity_,
+                  dst.blocks.back().get());
+    }
     dst.slots = src.slots;
     dst.num_rows.store(src.num_rows.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
@@ -218,13 +234,12 @@ std::size_t Relation::FindSlotLocal(const Shard& shard, RowView tuple,
   }
   const std::size_t mask = shard.slots.size() - 1;
   const std::uint64_t tag = hash & kTagMask;
-  std::size_t slot = hash & mask;
+  std::size_t slot = HomeSlot(hash, mask);
   while (shard.slots[slot] != 0) {
     if ((shard.slots[slot] & kTagMask) == tag) {
       const auto local =
           static_cast<std::uint32_t>((shard.slots[slot] & kIdMask) - 1);
-      if (std::equal(tuple.begin(), tuple.end(),
-                     shard.arena.data() + std::size_t{local} * arity_)) {
+      if (std::equal(tuple.begin(), tuple.end(), RowData(shard, local))) {
         return slot;
       }
     }
@@ -247,16 +262,41 @@ bool Relation::Contains(RowView tuple) const {
 
 // --- Relation: single-owner mutation ---------------------------------------
 
+Relation::Block Relation::AllocateBlock(std::size_t rows) const {
+  // Uninitialized on purpose: Value is trivially copyable, and rows are
+  // only read after they are written.
+  return Block(static_cast<Value*>(::operator new(rows * arity_ *
+                                                  sizeof(Value))));
+}
+
+void Relation::GrowHead(Shard& shard, std::uint32_t rows) const {
+  Block head = AllocateBlock(rows);
+  const std::uint32_t live = shard.num_rows.load(std::memory_order_relaxed);
+  if (live > 0) {
+    std::copy_n(shard.blocks[0].get(), std::size_t{live} * arity_,
+                head.get());
+  }
+  if (shard.blocks.empty()) {
+    shard.blocks.push_back(std::move(head));
+  } else {
+    shard.blocks[0] = std::move(head);
+  }
+  shard.head_rows = rows;
+}
+
 void Relation::RehashShard(Shard& shard, std::size_t capacity) {
-  shard.slots.assign(capacity, 0);
+  std::vector<std::uint64_t> old(capacity, 0);
+  old.swap(shard.slots);
   const std::size_t mask = capacity - 1;
-  const std::uint32_t rows = shard.num_rows.load(std::memory_order_relaxed);
-  for (std::uint32_t local = 0; local < rows; ++local) {
-    std::size_t slot = shard.hashes[local] & mask;
+  for (const std::uint64_t word : old) {
+    if (word == 0) {
+      continue;
+    }
+    std::size_t slot = HomeSlot(word, mask);
     while (shard.slots[slot] != 0) {
       slot = (slot + 1) & mask;
     }
-    shard.slots[slot] = SlotWord(shard.hashes[local], local);
+    shard.slots[slot] = word;
   }
 }
 
@@ -274,13 +314,19 @@ bool Relation::InsertLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
     RehashShard(shard, shard.slots.size() * 2);
   }
   const std::size_t mask = shard.slots.size() - 1;
-  std::size_t slot = hash & mask;
+  std::size_t slot = HomeSlot(hash, mask);
   while (shard.slots[slot] != 0) {
     slot = (slot + 1) & mask;
   }
   shard.slots[slot] = SlotWord(hash, rows);
-  shard.arena.insert(shard.arena.end(), tuple.begin(), tuple.end());
-  shard.hashes.push_back(hash);
+  if (rows < kBlockRows) {
+    if (rows == shard.head_rows) {
+      GrowHead(shard, std::min(kBlockRows, std::max(1u, rows * 2)));
+    }
+  } else if ((rows >> kBlockShift) == shard.blocks.size()) {
+    shard.blocks.push_back(AllocateBlock(kBlockRows));
+  }
+  std::copy(tuple.begin(), tuple.end(), RowData(shard, rows));
   shard.num_rows.store(rows + 1, std::memory_order_relaxed);
   shard.version.store(shard.version.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
@@ -309,8 +355,7 @@ bool Relation::EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
     if (shard.slots[scan] == 0) {
       break;
     }
-    const std::size_t ideal =
-        shard.hashes[(shard.slots[scan] & kIdMask) - 1] & mask;
+    const std::size_t ideal = HomeSlot(shard.slots[scan], mask);
     const bool movable = (scan > hole) ? (ideal <= hole || ideal > scan)
                                        : (ideal <= hole && ideal > scan);
     if (movable) {
@@ -320,21 +365,22 @@ bool Relation::EraseLocal(Shard& shard, RowView tuple, std::uint64_t hash) {
   }
   shard.slots[hole] = 0;
 
-  // Swap-removal in the arena; the moved row keeps its hash, its table
-  // entry is repointed at its new local id.
+  // Swap-removal in the arena: the last row moves into the hole, and its
+  // table entry (found from its recomputed hash) is repointed at its new
+  // local id.
   const std::uint32_t last = rows - 1;
   if (local != last) {
-    std::copy_n(shard.arena.data() + std::size_t{last} * arity_, arity_,
-                shard.arena.data() + std::size_t{local} * arity_);
-    shard.hashes[local] = shard.hashes[last];
-    std::size_t s = shard.hashes[last] & mask;
+    const Value* moved = RowData(shard, last);
+    std::copy_n(moved, arity_, RowData(shard, local));
+    std::size_t s = HomeSlot(HashValues({moved, arity_}), mask);
     while ((shard.slots[s] & kIdMask) != std::uint64_t{last} + 1) {
       s = (s + 1) & mask;
     }
-    shard.slots[s] = SlotWord(shard.hashes[last], local);
+    shard.slots[s] = (shard.slots[s] & kTagMask) | (std::uint64_t{local} + 1);
   }
-  shard.arena.resize(std::size_t{last} * arity_);
-  shard.hashes.pop_back();
+  if (last >= kBlockRows && (last & (kBlockRows - 1)) == 0) {
+    shard.blocks.pop_back();  // the last tail block just emptied
+  }
   shard.num_rows.store(last, std::memory_order_relaxed);
   shard.version.store(shard.version.load(std::memory_order_relaxed) + 1,
                       std::memory_order_relaxed);
@@ -362,14 +408,12 @@ void Relation::Reserve(std::size_t rows) {
   const std::size_t per_shard = (rows + num_shards_ - 1) / num_shards_;
   for (std::size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    // Keep amortized growth: a reserve that barely exceeds the current
-    // capacity must not pin the vector to exact-size reallocations.
-    if (per_shard * arity_ > shard.arena.capacity()) {
-      shard.arena.reserve(
-          std::max(per_shard * arity_, shard.arena.capacity() * 2));
-    }
-    if (per_shard > shard.hashes.capacity()) {
-      shard.hashes.reserve(std::max(per_shard, shard.hashes.capacity() * 2));
+    // Keep amortized growth: a reserve that barely exceeds the first
+    // block's capacity must not pin it to exact-size reallocations.
+    if (per_shard > shard.head_rows && shard.head_rows < kBlockRows) {
+      GrowHead(shard, static_cast<std::uint32_t>(std::min<std::size_t>(
+                          kBlockRows, std::max<std::size_t>(
+                                          per_shard, shard.head_rows * 2))));
     }
     const std::size_t capacity = SlotCapacityFor(per_shard);
     if (capacity > shard.slots.size()) {
@@ -382,8 +426,11 @@ std::size_t Relation::MemoryBytes() const {
   std::size_t bytes = 0;
   for (std::size_t s = 0; s < num_shards_; ++s) {
     const Shard& shard = shards_[s];
-    bytes += shard.arena.capacity() * sizeof(Value) +
-             shard.hashes.capacity() * sizeof(std::uint64_t) +
+    const std::size_t tail_blocks =
+        shard.blocks.empty() ? 0 : shard.blocks.size() - 1;
+    bytes += (shard.head_rows + tail_blocks * kBlockRows) * arity_ *
+                 sizeof(Value) +
+             shard.blocks.capacity() * sizeof(Block) +
              shard.slots.capacity() * sizeof(std::uint64_t);
   }
   return bytes;
@@ -852,6 +899,7 @@ void RelationStore::ExportMetrics(obs::MetricsRegistry& registry,
   registry.Set(prefix + "shards", shards);
   registry.Set(prefix + "rows", rows);
   registry.Set(prefix + "shard_rows_max", max_shard_rows);
+  registry.Set(prefix + "bytes", MemoryBytes());
 }
 
 }  // namespace dsched::datalog

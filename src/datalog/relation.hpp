@@ -3,11 +3,12 @@
 //
 // Layout: a Relation is partitioned into P independent shards by a stable
 // tuple-hash (P a power of two, fixed at construction).  Each shard keeps its
-// rows in one flat arena of tagged words (`arity` Values per row, contiguous)
-// with an open-addressing (linear-probe, backward-shift-delete) hash table
-// over shard-local row ids for O(1) membership.  No per-tuple heap
-// allocation, no re-hashing of std::vector keys — a membership probe touches
-// one shard's slot array and the candidate's arena words only.
+// rows in a block arena of tagged words (`arity` Values per row, contiguous
+// within a block) with an open-addressing (linear-probe, backward-shift-
+// delete) hash table over shard-local row ids for O(1) membership.  A row
+// costs its values plus one slot word: no per-tuple heap allocation, no
+// per-row hash array — a membership probe touches one shard's slot array
+// and the candidate's arena words only.
 //
 // Row ids are encoded as (local_row << shard_bits) | shard, so decoding a
 // public row id costs two shifts and ids from different shards never collide.
@@ -47,6 +48,11 @@ class Relation {
   /// Default shard count.  Power of two; 1 degenerates to the unsharded
   /// store (dense row ids, single arena).
   static constexpr std::size_t kDefaultShards = 4;
+
+  /// Rows per arena block (see Shard).  Shard-local row `local` lives in
+  /// block `local >> kBlockShift` at offset `local & (kBlockRows - 1)`.
+  static constexpr std::uint32_t kBlockShift = 12;
+  static constexpr std::uint32_t kBlockRows = 1u << kBlockShift;
 
   /// Reserved id bit for overlay views: row ids produced by a Relation are
   /// always < 2^31, so views layered on top (OldStateView) can tag ids of
@@ -108,10 +114,10 @@ class Relation {
   [[nodiscard]] std::size_t NumShards() const { return num_shards_; }
   [[nodiscard]] std::size_t ShardBits() const { return shard_bits_; }
 
-  /// Shard owning a tuple with hash `hash`.  Uses bits 24..31 of the hash:
-  /// the membership slot index consumes the low bits and the slot tag the
-  /// high 32, so shard choice stays independent of both for any slot table
-  /// up to 16M entries.
+  /// Shard owning a tuple with hash `hash`.  Uses bits 24..31 of the hash;
+  /// a membership entry's home slot and tag both come from the high 32
+  /// bits, so shard choice stays independent of probe placement at any
+  /// slot-table size.
   [[nodiscard]] std::size_t ShardOfHash(std::uint64_t hash) const {
     return static_cast<std::size_t>(hash >> 24) & shard_mask_;
   }
@@ -160,20 +166,16 @@ class Relation {
   }
 
   /// The row at public id `row` as a view into its shard's arena.  Valid
-  /// until the next Insert (arena growth may move it) or Erase (swap-removal
-  /// may overwrite it).
+  /// until the next Insert (growing the first block moves its rows) or
+  /// Erase (swap-removal may overwrite it).
   [[nodiscard]] RowView Row(std::uint32_t row) const {
-    const Shard& shard = shards_[row & shard_mask_];
-    return {shard.arena.data() +
-                std::size_t{row >> shard_bits_} * arity_,
-            arity_};
+    return {RowData(shards_[row & shard_mask_], row >> shard_bits_), arity_};
   }
 
   /// The shard-local row `local` of `shard`.
   [[nodiscard]] RowView ShardRow(std::size_t shard,
                                  std::uint32_t local) const {
-    return {shards_[shard].arena.data() + std::size_t{local} * arity_,
-            arity_};
+    return {RowData(shards_[shard], local), arity_};
   }
 
   /// Calls fn(public_row_id, row_view) for every row, shard-major.
@@ -182,9 +184,13 @@ class Relation {
     for (std::size_t s = 0; s < num_shards_; ++s) {
       const Shard& shard = shards_[s];
       const std::uint32_t n = shard.num_rows.load(std::memory_order_relaxed);
-      for (std::uint32_t local = 0; local < n; ++local) {
-        fn(EncodeRowId(s, local),
-           RowView{shard.arena.data() + std::size_t{local} * arity_, arity_});
+      for (std::uint32_t base = 0; base < n; base += kBlockRows) {
+        const Value* block = shard.blocks[base >> kBlockShift].get();
+        const std::uint32_t end = std::min(n, base + kBlockRows);
+        for (std::uint32_t local = base; local < end; ++local) {
+          fn(EncodeRowId(s, local),
+             RowView{block + std::size_t{local - base} * arity_, arity_});
+        }
       }
     }
   }
@@ -209,8 +215,8 @@ class Relation {
   bool Erase(RowView tuple);
   bool Erase(const Tuple& tuple) { return Erase(RowView(tuple)); }
 
-  /// Pre-sizes arenas and hash tables for `rows` total rows (spread evenly
-  /// across shards).
+  /// Pre-sizes first blocks and hash tables for `rows` total rows (spread
+  /// evenly across shards).  Tail blocks are allocated as rows arrive.
   void Reserve(std::size_t rows);
 
   /// Monotone change counter: the sum of per-shard versions.  Cached
@@ -282,17 +288,31 @@ class Relation {
  private:
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
-  /// One hash partition: arena + per-row hashes + membership table over
-  /// shard-local row ids.  num_rows/version/erase_epoch are atomics only so
-  /// observers on other threads (Size(), index freshness checks) read
-  /// torn-free values; every mutation happens under exclusive ownership of
-  /// the shard (direct writer or absorbing-flag holder).
+  /// Frees a block allocated uninitialized by AllocateBlock.
+  struct BlockFree {
+    void operator()(Value* block) const noexcept { ::operator delete(block); }
+  };
+  using Block = std::unique_ptr<Value[], BlockFree>;
+
+  /// One hash partition: block arena + membership table over shard-local
+  /// row ids.  num_rows/version/erase_epoch are atomics only so observers
+  /// on other threads (Size(), index freshness checks) read torn-free
+  /// values; every mutation happens under exclusive ownership of the shard
+  /// (direct writer or absorbing-flag holder).
   struct Shard {
-    std::vector<Value> arena;            ///< num_rows × arity words
-    std::vector<std::uint64_t> hashes;   ///< per-row full hash
-    /// Hash-tagged slots: high 32 bits = hash tag, low 32 = local row id
-    /// + 1; 0 = empty.  A probe rejects mismatched entries on the tag
-    /// alone — without touching the per-row hash array or the arena.
+    /// Block-pointer table.  blocks[0] holds rows [0, head_rows) and grows
+    /// by doubling (copying its rows) up to kBlockRows rows; every later
+    /// block holds exactly kBlockRows rows and never moves.  Slack is at
+    /// most one block, growth past the first block copies nothing, and an
+    /// erase that empties the last tail block frees it.
+    std::vector<Block> blocks;
+    std::uint32_t head_rows = 0;  ///< blocks[0] capacity in rows
+    /// Hash-tagged slots: high 32 bits = hash tag (the hash's high 32
+    /// bits), low 32 = local row id + 1; 0 = empty.  An entry's home slot
+    /// is `tag & mask`, read from the word itself, so rehashing and
+    /// backward-shift erase never need the row's hash again, and a probe
+    /// rejects mismatched entries on the tag alone without touching the
+    /// arena.
     std::vector<std::uint64_t> slots;
     std::atomic<std::uint32_t> num_rows{0};
     std::atomic<std::uint64_t> version{0};
@@ -306,11 +326,25 @@ class Relation {
   void InitShards(std::size_t shards);
   void CopyFrom(const Relation& other);
 
+  /// First word of shard-local row `local`.
+  [[nodiscard]] Value* RowData(const Shard& shard,
+                               std::uint32_t local) const {
+    return shard.blocks[local >> kBlockShift].get() +
+           std::size_t{local & (kBlockRows - 1)} * arity_;
+  }
+
+  /// Uninitialized storage for `rows` rows.
+  [[nodiscard]] Block AllocateBlock(std::size_t rows) const;
+
+  /// Regrows `shard`'s first block to `rows` rows, copying its live rows.
+  void GrowHead(Shard& shard, std::uint32_t rows) const;
+
   /// Slot of `shard` whose entry matches `tuple` (hash `hash`), or kNoSlot.
   [[nodiscard]] std::size_t FindSlotLocal(const Shard& shard, RowView tuple,
                                           std::uint64_t hash) const;
 
-  /// Rebuilds `shard`'s slot table at `capacity` (a power of two).
+  /// Rebuilds `shard`'s slot table at `capacity` (a power of two) by
+  /// re-placing its slot words.
   static void RehashShard(Shard& shard, std::size_t capacity);
 
   /// Single-owner insert/erase into one shard (hash already computed).

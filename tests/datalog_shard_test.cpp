@@ -279,5 +279,71 @@ TEST(ShardTest, PublishersRaceAgainstADedicatedAbsorber) {
   EXPECT_EQ(shared.Size(), kWriters * kPerWriter);
 }
 
+TEST(ShardTest, PublishedBlockGrowthWithErasesMatchesSerialStore) {
+  // Publishers with interleaved erases and a dedicated absorber drive each
+  // shard past three arena blocks, so tail blocks are allocated (and,
+  // when an erase empties one, freed) by whichever thread absorbs.
+  constexpr std::size_t kWriters = 3;
+  constexpr std::uint64_t kPerWriter = 12000;
+  constexpr std::uint64_t kBatch = 600;
+  constexpr std::size_t kShards = 2;
+  const auto tuple = [](std::uint64_t w, std::uint64_t i) {
+    return T2(Scatter(w * kPerWriter + i), static_cast<std::int64_t>(w));
+  };
+  // Each batch inserts kBatch tuples, then erases every fourth of them.
+  Relation serial(2, kShards);
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    for (std::uint64_t start = 0; start < kPerWriter; start += kBatch) {
+      for (std::uint64_t i = start; i < start + kBatch; ++i) {
+        serial.Insert(tuple(w, i));
+      }
+      for (std::uint64_t i = start; i < start + kBatch; i += 4) {
+        serial.Erase(tuple(w, i));
+      }
+    }
+  }
+
+  Relation shared(2, kShards);
+  std::atomic<bool> stop{false};
+  std::thread absorber([&shared, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (std::size_t s = 0; s < shared.NumShards(); ++s) {
+        shared.TryAbsorb(s);
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&shared, &tuple, w] {
+      ShardedWriteBuffer buffer(shared);
+      for (std::uint64_t start = 0; start < kPerWriter; start += kBatch) {
+        for (std::uint64_t i = start; i < start + kBatch; ++i) {
+          buffer.StageInsert(tuple(w, i));
+        }
+        buffer.Flush();
+        for (std::uint64_t i = start; i < start + kBatch; i += 4) {
+          buffer.StageErase(tuple(w, i));
+        }
+        buffer.Flush();
+      }
+    });
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  absorber.join();
+  shared.Quiesce();
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_GT(shared.ShardSize(s), 3 * Relation::kBlockRows) << s;
+  }
+  EXPECT_EQ(Sorted(shared), Sorted(serial));
+  for (const Tuple& t : serial.Tuples()) {
+    ASSERT_TRUE(shared.Contains(t));
+  }
+}
+
 }  // namespace
 }  // namespace dsched::datalog

@@ -1,9 +1,12 @@
 // Focused tests for the storage layer details the incremental engine leans
-// on: copy semantics, append-only index extension, predicate extension, and
-// the snapshot-free OldStateView.
+// on: copy semantics, append-only index extension, predicate extension, the
+// block arena, and the snapshot-free OldStateView.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
 
 #include "datalog/incremental.hpp"
 #include "datalog/parser.hpp"
@@ -61,11 +64,19 @@ TEST(RelationStoreTest, MetricsExportIsPrefixIsolated) {
   two.ExportMetrics(registry, "session.b.store.");
   EXPECT_EQ(registry.Value("session.a.store.rows"), 1u);
   EXPECT_EQ(registry.Value("session.b.store.rows"), 2u);
+  EXPECT_GT(registry.Value("session.a.store.bytes"), 0u);
+  EXPECT_EQ(registry.Value("session.a.store.bytes"), one.MemoryBytes());
+  EXPECT_EQ(registry.Value("session.b.store.bytes"), two.MemoryBytes());
   // Re-export after divergence keeps the other prefix untouched.
-  one.Of(e).Insert(T2(5, 6));
+  const std::uint64_t b_bytes = registry.Value("session.b.store.bytes");
+  for (int i = 0; i < 64; ++i) {
+    one.Of(e).Insert(T2(5, i));
+  }
   one.ExportMetrics(registry, "session.a.store.");
-  EXPECT_EQ(registry.Value("session.a.store.rows"), 2u);
+  EXPECT_EQ(registry.Value("session.a.store.rows"), 65u);
   EXPECT_EQ(registry.Value("session.b.store.rows"), 2u);
+  EXPECT_EQ(registry.Value("session.a.store.bytes"), one.MemoryBytes());
+  EXPECT_EQ(registry.Value("session.b.store.bytes"), b_bytes);
 }
 
 TEST(RelationStoreTest, AppendOnlyIndexExtension) {
@@ -208,6 +219,252 @@ TEST(RelationEraseTest, EraseEpochGatesIndexRebuild) {
   for (const auto id : rows) {
     EXPECT_EQ(store.RowAt(e, id)[0], Value::Int(1));
   }
+}
+
+// --- Block arena ----------------------------------------------------------
+//
+// Rows past the first kBlockRows of a shard live in fixed tail blocks; these
+// tests drive shards across block boundaries in both directions and check
+// every read path against a reference set.
+
+constexpr std::int64_t kKeys = 97;  // distinct column-0 keys for Lookup
+
+// Tuple i of the block-arena tests: column 0 is a small lookup key,
+// column 1 makes the tuple unique.
+Tuple BlockTuple(std::uint64_t i) {
+  return {Value::Int(static_cast<std::int64_t>(
+              (i * 0x9e3779b97f4a7c15ULL >> 40) % kKeys)),
+          Value::Int(static_cast<std::int64_t>(i))};
+}
+
+// Checks `pred` of `store` against `model` through Contains, Tuples,
+// Row/ForEachRow and a cached-index Lookup on column 0; every tuple of
+// `absent` must be reported missing.  Reports only the first mismatch, so a
+// broken store fails with one short message.
+testing::AssertionResult MatchesModel(const RelationStore& store,
+                                      std::uint32_t pred,
+                                      const std::set<Tuple>& model,
+                                      const std::vector<Tuple>& absent = {}) {
+  const Relation& r = store.Of(pred);
+  if (r.Size() != model.size()) {
+    return testing::AssertionFailure()
+           << "Size " << r.Size() << " != " << model.size();
+  }
+  for (const Tuple& t : model) {
+    if (!r.Contains(t)) {
+      return testing::AssertionFailure() << "missing " << t[1].AsInt();
+    }
+  }
+  for (const Tuple& t : absent) {
+    if (r.Contains(t)) {
+      return testing::AssertionFailure() << "erased " << t[1].AsInt()
+                                         << " still present";
+    }
+  }
+  const std::vector<Tuple> tuples = r.Tuples();
+  if (std::set<Tuple>(tuples.begin(), tuples.end()) != model) {
+    return testing::AssertionFailure() << "Tuples() differs";
+  }
+  std::set<Tuple> scanned;
+  std::size_t mismatched = 0;
+  r.ForEachRow([&](std::uint32_t id, RowView row) {
+    const RowView by_id = r.Row(id);
+    if (!std::equal(row.begin(), row.end(), by_id.begin(), by_id.end())) {
+      ++mismatched;
+    }
+    scanned.emplace(row.begin(), row.end());
+  });
+  if (mismatched != 0 || scanned != model) {
+    return testing::AssertionFailure()
+           << "ForEachRow differs (" << mismatched << " rows unlike Row(id))";
+  }
+  std::map<std::int64_t, std::set<Tuple>> by_key;
+  for (const Tuple& t : model) {
+    by_key[t[0].AsInt()].insert(t);
+  }
+  for (std::int64_t key = 0; key < kKeys; ++key) {
+    std::set<Tuple> found;
+    for (const std::uint32_t id :
+         store.Lookup(pred, {0}, {Value::Int(key)})) {
+      const RowView row = store.RowAt(pred, id);
+      found.emplace(row.begin(), row.end());
+    }
+    if (found != by_key[key]) {
+      return testing::AssertionFailure() << "Lookup of key " << key
+                                         << " differs";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+class BlockArenaTest : public testing::Test {
+ protected:
+  static constexpr std::uint32_t kBlock = Relation::kBlockRows;
+  static constexpr std::size_t kBlockBytes = kBlock * 2 * sizeof(Value);
+
+  BlockArenaTest() : program_(ParseProgram("e(a, b).")) {
+    e_ = program_.PredicateId("e");
+  }
+
+  // Inserts tuples next_ .. next_ + n - 1 into `store` and the model.
+  void Grow(RelationStore& store, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i, ++next_) {
+      ASSERT_TRUE(store.Of(e_).Insert(BlockTuple(next_)));
+      model_.insert(BlockTuple(next_));
+    }
+  }
+
+  // Erases `t` from `store` and the model, remembering it as absent.
+  void EraseOne(RelationStore& store, const Tuple& t) {
+    ASSERT_TRUE(store.Of(e_).Erase(t));
+    model_.erase(t);
+    erased_.push_back(t);
+  }
+
+  Program program_;
+  std::uint32_t e_ = 0;
+  std::uint64_t next_ = 0;
+  std::set<Tuple> model_;
+  std::vector<Tuple> erased_;
+};
+
+TEST_F(BlockArenaTest, GrowShrinkAndRegrowAcrossEveryBlockBoundary) {
+  // One shard, so row ids are dense local ids and block boundaries are
+  // directly observable.
+  RelationStore store(program_, 1);
+  Relation& r = store.Of(e_);
+  Grow(store, 3 * kBlock + 100);
+  ASSERT_TRUE(MatchesModel(store, e_, model_));
+
+  // Swap-removal of a head-block row while tail blocks exist moves the
+  // last row (in the last tail block) into the head block.
+  {
+    const std::uint32_t last = static_cast<std::uint32_t>(r.Size() - 1);
+    const RowView tail = r.Row(last);
+    const Tuple moved(tail.begin(), tail.end());
+    const RowView head = r.Row(5);
+    EraseOne(store, Tuple(head.begin(), head.end()));
+    const RowView now = r.Row(5);
+    EXPECT_EQ(Tuple(now.begin(), now.end()), moved);
+  }
+  ASSERT_TRUE(MatchesModel(store, e_, model_, erased_));
+
+  // Erase back down to a few rows in a scattered order.  Each erase that
+  // takes the shard to an exact multiple of kBlockRows empties the last
+  // tail block, which must be freed.
+  std::uint64_t rng = 0x243f6a8885a308d3ULL;
+  std::size_t freed_blocks = 0;
+  while (r.Size() > 40) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    const RowView victim = r.Row(static_cast<std::uint32_t>(rng % r.Size()));
+    const Tuple t(victim.begin(), victim.end());
+    const std::size_t before = r.MemoryBytes();
+    EraseOne(store, t);
+    ASSERT_FALSE(HasFatalFailure());
+    const std::size_t rows = r.Size();
+    if (rows >= kBlock && rows % kBlock == 0) {
+      ASSERT_EQ(r.MemoryBytes(), before - kBlockBytes) << rows << " rows";
+      ++freed_blocks;
+      ASSERT_TRUE(MatchesModel(store, e_, model_));
+    } else {
+      ASSERT_EQ(r.MemoryBytes(), before) << rows << " rows";
+    }
+  }
+  EXPECT_EQ(freed_blocks, 3u);
+  ASSERT_TRUE(MatchesModel(store, e_, model_, erased_));
+
+  // Grow again past three blocks: freed blocks come back on demand.
+  Grow(store, 3 * kBlock + 7);
+  ASSERT_TRUE(MatchesModel(store, e_, model_, erased_));
+}
+
+TEST_F(BlockArenaTest, SlotTableDoublingsWithInterleavedErases) {
+  // From an empty table, every shard's slot table doubles many times while
+  // one step in three erases a present tuple — rehashes see tables that
+  // backward-shift erases have already compacted.
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    SCOPED_TRACE(shards);
+    model_.clear();
+    erased_.clear();
+    next_ = 0;
+    RelationStore store(program_, shards);
+    std::vector<Tuple> live;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ULL ^ shards;
+    for (int step = 0; step < 60000; ++step) {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      if (rng % 3 == 0 && !live.empty()) {
+        const std::size_t pick = (rng >> 8) % live.size();
+        EraseOne(store, live[pick]);
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        live.push_back(BlockTuple(next_));
+        Grow(store, 1);
+      }
+      ASSERT_FALSE(HasFatalFailure());
+      if (step % 15000 == 14999) {
+        ASSERT_TRUE(MatchesModel(store, e_, model_, erased_));
+      }
+    }
+    EXPECT_GT(model_.size(), 3u * kBlock);
+  }
+}
+
+TEST_F(BlockArenaTest, CopyAndMoveOfAMultiBlockRelation) {
+  RelationStore source(program_, 1);
+  Grow(source, 3 * kBlock + 33);
+  for (std::uint64_t i = 0; i < 3 * kBlock; i += 7) {
+    EraseOne(source, BlockTuple(i));
+  }
+  ASSERT_TRUE(MatchesModel(source, e_, model_, erased_));  // warms the cache
+  std::vector<std::pair<std::uint32_t, Tuple>> order;
+  source.Of(e_).ForEachRow([&order](std::uint32_t id, RowView row) {
+    order.emplace_back(id, Tuple(row.begin(), row.end()));
+  });
+  const auto same_order = [&order](const Relation& r) {
+    std::size_t i = 0;
+    std::size_t mismatched = 0;
+    r.ForEachRow([&](std::uint32_t id, RowView row) {
+      if (i >= order.size() || order[i].first != id ||
+          order[i].second != Tuple(row.begin(), row.end())) {
+        ++mismatched;
+      }
+      ++i;
+    });
+    return mismatched == 0 && i == order.size();
+  };
+
+  // Copy construction keeps row ids, and the copy is independent.
+  RelationStore copied(source);
+  ASSERT_TRUE(MatchesModel(copied, e_, model_, erased_));
+  EXPECT_TRUE(same_order(copied.Of(e_)));
+  ASSERT_TRUE(copied.Of(e_).Insert(T2(-1, -1)));
+  ASSERT_TRUE(copied.Of(e_).Erase(BlockTuple(1)));
+  ASSERT_TRUE(MatchesModel(source, e_, model_, erased_));
+
+  // Copy assignment over a populated relation.
+  RelationStore assigned(program_, 1);
+  assigned.Of(e_).Insert(T2(-2, -2));
+  assigned = source;
+  ASSERT_TRUE(MatchesModel(assigned, e_, model_, erased_));
+  EXPECT_TRUE(same_order(assigned.Of(e_)));
+  EXPECT_LE(assigned.Of(e_).MemoryBytes(), source.Of(e_).MemoryBytes());
+
+  // Move construction and move assignment hand the blocks over.
+  Relation moved(std::move(assigned.Of(e_)));
+  EXPECT_TRUE(same_order(moved));
+  RelationStore target(program_, 1);
+  target.Of(e_).Insert(T2(-3, -3));
+  target.Of(e_) = std::move(moved);
+  ASSERT_TRUE(MatchesModel(target, e_, model_, erased_));
+  EXPECT_TRUE(same_order(target.Of(e_)));
+  Grow(target, kBlock);  // the moved-to relation keeps growing normally
+  ASSERT_TRUE(MatchesModel(target, e_, model_, erased_));
 }
 
 TEST(TupleHashTest, MixesAllWordsAcrossBucketRanges) {

@@ -24,8 +24,9 @@ Usage:
 CI gates all nine checked-in baselines (see .github/workflows/ci.yml
 perf-gate for the per-bench flags):
   BENCH_datalog.json   — micro_join: rows/checksums exact
-  BENCH_store.json     — micro_store: rows/checksums exact, w8 scaling
-                         ratios ungated (runner-core-count dependent)
+  BENCH_store.json     — micro_store: rows/checksums exact,
+                         bytes_per_row banded, w8 scaling ratios ungated
+                         (runner-core-count dependent)
   BENCH_executor.json  — micro_executor: task counts exact; speedups and
                          hw_concurrency ungated
   BENCH_sched.json     — micro_sched trace mode: pops/ops_total exact
