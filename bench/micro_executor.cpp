@@ -8,15 +8,15 @@
 // namespace legacy.  Emits BENCH_executor.json so future PRs can track the
 // trajectory.
 //
-// Usage: micro_executor [--out=BENCH_executor.json] [--scale=1.0]
-//                       [--trace=out.json] [--adaptive=0|1]
+// The batched engine runs every cascade on one shared TaskRouter per
+// worker count, built before any timer starts — the way the service runs
+// them — so its rows time dispatch, not thread start-up.  Its steal / sleep
+// / wakeup columns are that router's pool-counter deltas over the cascade;
+// the window_adjusts / final_window columns show what the duty-cycle
+// dispatch-window controller decided.
 //
-// --adaptive=0 pins the batched engine's dispatch window to the fixed
-// max(16, 2 * workers) heuristic (the pre-controller behaviour);
-// --adaptive=1 (default) runs the duty-cycle controller
-// (runtime/executor.hpp Options::adaptive_window).  Run both and diff the
-// JSONs for an A/B of the controller — the window_adjusts / final_window
-// columns show what it decided.
+// Usage: micro_executor [--out=BENCH_executor.json] [--scale=1.0]
+//                       [--trace=out.json]
 #include <algorithm>
 #include <condition_variable>
 #include <cstdio>
@@ -30,6 +30,7 @@
 #include "bench_common.hpp"
 #include "graph/digraph_builder.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/task_router.hpp"
 #include "sched/factory.hpp"
 #include "trace/generators.hpp"
 #include "util/error.hpp"
@@ -159,7 +160,7 @@ inline RunStats Run(const trace::JobTrace& trace, sched::Scheduler& scheduler,
     }
   }
 
-  ThreadPool pool(workers);
+  ThreadPool legacy_pool(workers);
   std::unique_lock<std::mutex> lock(mutex);
   for (;;) {
     {
@@ -178,7 +179,7 @@ inline RunStats Run(const trace::JobTrace& trace, sched::Scheduler& scheduler,
           scheduler.OnStarted(t);
         }
         ++inflight;
-        pool.Submit([&, t] {
+        legacy_pool.Submit([&, t] {
           if (spin_iters > 0) {
             SpinWork(spin_iters);
           }
@@ -216,7 +217,7 @@ inline RunStats Run(const trace::JobTrace& trace, sched::Scheduler& scheduler,
     }
   }
   lock.unlock();
-  pool.Wait();
+  legacy_pool.Wait();
 
   stats.wall_seconds = wall.ElapsedSeconds();
   stats.sched_wall_seconds = sched_watch.TotalSeconds();
@@ -275,15 +276,15 @@ struct Row {
   std::uint64_t steals = 0;
   std::uint64_t sleeps = 0;
   std::uint64_t wakeups = 0;
-  /// Duty-cycle controller activity (batched engine only; zero when the
-  /// window is pinned with --adaptive=0).
+  /// Duty-cycle controller activity (batched engine only).
   std::uint64_t window_adjusts = 0;
   std::uint64_t final_window = 0;
 };
 
 Row Measure(const trace::JobTrace& trace, const std::string& workload,
-            const std::string& spec, std::size_t workers, bool batched,
-            std::size_t spin_iters, bool adaptive) {
+            const std::string& spec, runtime::TaskRouter& router,
+            bool batched, std::size_t spin_iters) {
+  const std::size_t workers = router.NumWorkers();
   Row row;
   row.workload = workload;
   row.scheduler = spec;
@@ -294,14 +295,15 @@ Row Measure(const trace::JobTrace& trace, const std::string& workload,
   if (batched) {
     runtime::Executor::TaskBody body;
     if (spin_iters > 0) {
-      body = [&trace, spin_iters](util::TaskId t) {
+      body = [&trace, spin_iters](util::TaskId t, std::size_t) {
         SpinWork(spin_iters);
         return trace.Info(t).output_changes;
       };
     }
-    const auto stats = runtime::Executor::Run(
-        trace, *scheduler, body,
-        {.workers = workers, .adaptive_window = adaptive});
+    const runtime::ThreadPoolStats pool_before = router.PoolStats();
+    const auto stats =
+        runtime::Executor::Run(router, trace, *scheduler, body, {});
+    const runtime::ThreadPoolStats pool_after = router.PoolStats();
     row.tasks = stats.executed;
     row.wall_seconds = stats.wall_seconds;
     row.sched_wall_seconds = stats.sched_wall_seconds;
@@ -310,11 +312,11 @@ Row Measure(const trace::JobTrace& trace, const std::string& workload,
     row.avg_batch = stats.AvgDispatchBatch();
     row.max_batch = stats.max_dispatch_batch;
     row.completion_drains = stats.completion_drains;
-    row.steals = stats.pool_steals;
-    row.sleeps = stats.pool_sleeps;
-    row.wakeups = stats.pool_wakeups;
+    row.steals = pool_after.steals - pool_before.steals;
+    row.sleeps = pool_after.sleeps - pool_before.sleeps;
+    row.wakeups = pool_after.wakeups - pool_before.wakeups;
     row.window_adjusts = stats.window_adjusts;
-    row.final_window = stats.final_dispatch_window;
+    row.final_window = stats.final_window;
   } else {
     const auto stats = legacy::Run(trace, *scheduler, workers, spin_iters);
     row.tasks = stats.executed;
@@ -373,21 +375,6 @@ int main(int argc, char** argv) {
   if (!bench::ParseMicroBenchArgs(argc, argv, &args)) {
     return 2;
   }
-  // A/B switch for the adaptive dispatch-window controller (defaults on,
-  // matching the engine default); ParseMicroBenchArgs skips unknown flags.
-  bool adaptive = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--adaptive=0") {
-      adaptive = false;
-    } else if (arg == "--adaptive=1") {
-      adaptive = true;
-    } else if (arg.rfind("--adaptive", 0) == 0) {
-      std::fprintf(stderr, "bad flag: %s (want --adaptive=0|1)\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
   const std::string& out_path = args.out;
   const double scale = args.scale;
   const auto scaled = [scale](std::size_t n) {
@@ -410,6 +397,10 @@ int main(int argc, char** argv) {
   const std::vector<std::string> specs = {"levelbased", "lbl:8", "logicblox",
                                           "signal", "hybrid"};
   const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
+  std::deque<runtime::TaskRouter> routers;
+  for (const std::size_t workers : worker_counts) {
+    routers.emplace_back(runtime::TaskRouter::Options{.workers = workers});
+  }
 
   // ~1us of fake work per task for the "spin" body variant (wide DAG
   // only): gives the overhead share a meaningful denominator.
@@ -422,11 +413,11 @@ int main(int argc, char** argv) {
         is_wide ? std::vector<std::size_t>{0, kSpinIters}
                 : std::vector<std::size_t>{0};
     for (const std::string& spec : specs) {
-      for (const std::size_t workers : worker_counts) {
+      for (runtime::TaskRouter& router : routers) {
         for (const std::size_t spin : bodies) {
           for (const bool batched : {false, true}) {
             rows.push_back(bench::Measure(workload.trace, workload.name, spec,
-                                          workers, batched, spin, adaptive));
+                                          router, batched, spin));
             const bench::Row& r = rows.back();
             std::printf(
                 "%-8s %-10s P=%zu %-7s %-4s : %9.0f tasks/s  sched %5.1f%%  "
@@ -498,8 +489,6 @@ int main(int argc, char** argv) {
   json += "  \"hw_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"scale\": " + std::to_string(scale) + ",\n";
-  json += std::string("  \"adaptive_window\": ") +
-          (adaptive ? "true" : "false") + ",\n";
   json += "  \"summary\": {\n" + summary + "  },\n";
   json += "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -18,6 +18,10 @@
 // (ComponentUpdateStats::maint_ops); the deletion-heavy summary ratios are
 // self-gated at >= 2x, the tentpole's acceptance bar.
 //
+// The w4 cells run on one shared 4-worker TaskRouter built before any
+// timer starts, the way the service runs every cascade, so they time the
+// serving path and not thread start-up.
+//
 // NOTE on determinism: serial maint_ops are exactly reproducible and CI
 // gates them exactly.  Parallel B/F re-probe counts depend on physical row
 // order (scheduling-dependent), so w4 op counts are only banded.
@@ -39,6 +43,7 @@
 
 #include "bench_common.hpp"
 #include "datalog/database.hpp"
+#include "runtime/task_router.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -209,8 +214,9 @@ struct Cell {
   double seconds = 0.0;
 };
 
+/// Runs one cell: serially at workers == 1, else on `router`'s pool.
 Cell RunCell(const Workload& w, const std::string& strategy_name,
-             std::size_t workers) {
+             std::size_t workers, runtime::TaskRouter& router) {
   Cell cell;
   cell.workload = w.name;
   cell.strategy = strategy_name;
@@ -240,10 +246,9 @@ Cell RunCell(const Workload& w, const std::string& strategy_name,
     if (workers <= 1) {
       result = db.ApplyRequest(update.Request(), strategy);
     } else {
-      result = db.ApplyRequestParallel(update.Request(),
-                                       {.scheduler_spec = "hybrid",
-                                        .workers = workers,
-                                        .strategy = strategy})
+      result = db.ApplyRequestParallel(
+                     update.Request(), router,
+                     {.scheduler_spec = "hybrid", .strategy = strategy})
                    .update;
     }
     cell.maint_ops += result.total_maint_ops;
@@ -352,13 +357,14 @@ int main(int argc, char** argv) {
 
   const char* strategies[] = {"dred", "bf"};
   const std::size_t worker_counts[] = {1, 4};
+  runtime::TaskRouter router({.workers = 4});
   std::vector<Cell> cells;
   int failures = 0;
   for (const Workload& w : workloads) {
     std::uint64_t expected_checksum = 0;
     for (const char* strategy : strategies) {
       for (const std::size_t workers : worker_counts) {
-        Cell cell = RunCell(w, strategy, workers);
+        Cell cell = RunCell(w, strategy, workers, router);
         Report(cell);
         if (expected_checksum == 0) {
           expected_checksum = cell.checksum;

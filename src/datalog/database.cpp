@@ -210,8 +210,9 @@ Database::EvolveResult Database::EvolveRemoveRule(
 }
 
 UpdateResult Database::ApplyParallel(const Update& update,
+                                     runtime::TaskRouter& router,
                                      const ParallelOptions& options) {
-  return ApplyRequestParallel(update.request_, options).update;
+  return ApplyRequestParallel(update.request_, router, options).update;
 }
 
 UpdateResult Database::ApplyRequest(const UpdateRequest& request) {
@@ -229,7 +230,8 @@ UpdateResult Database::ApplyRequest(const UpdateRequest& request,
 }
 
 ParallelUpdateResult Database::ApplyRequestParallel(
-    const UpdateRequest& request, const ParallelOptions& options) {
+    const UpdateRequest& request, runtime::TaskRouter& router,
+    const ParallelOptions& options) {
   DSCHED_CHECK_MSG(materialized_, "Materialize() before applying updates");
   // One snapshot acquire per dispatch: program, stratification, and plan
   // all come off this pin, so the cascade can never observe a torn program
@@ -237,8 +239,6 @@ ParallelUpdateResult Database::ApplyRequestParallel(
   const std::shared_ptr<const CompiledProgram> snap = Snapshot();
   ParallelUpdateOptions parallel_options;
   parallel_options.scheduler_spec = options.scheduler_spec;
-  parallel_options.workers = options.workers;
-  parallel_options.router = options.router;
   parallel_options.strategy = options.strategy.value_or(default_strategy_);
   parallel_options.frontier = options.frontier;
   parallel_options.epoch = options.epoch;
@@ -246,7 +246,7 @@ ParallelUpdateResult Database::ApplyRequestParallel(
   parallel_options.memory_budget = options.memory_budget;
   parallel_options.account = options.account;
   return ::dsched::datalog::ApplyParallel(snap->program, snap->strat, store_,
-                                          request, parallel_options);
+                                          request, router, parallel_options);
 }
 
 }  // namespace dsched::datalog

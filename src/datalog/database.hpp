@@ -104,14 +104,10 @@ class Database {
   UpdateResult Apply(const Update& update);
 
   /// Applies a batch incrementally with the per-component phases executed
-  /// in parallel on worker threads, ordered by a scheduler (see
+  /// in parallel on `router`'s shared pool, ordered by a scheduler (see
   /// datalog/parallel_update.hpp).  Final state identical to Apply().
   struct ParallelOptions {
     std::string scheduler_spec = "hybrid";
-    std::size_t workers = 4;
-    /// When set, the update's cascade runs on this shared router instead of
-    /// a private pool and `workers` is ignored (see parallel_update.hpp).
-    runtime::TaskRouter* router = nullptr;
     /// Maintenance strategy for this update; empty inherits the database
     /// default (SetDefaultStrategy).
     std::optional<MaintenanceStrategy> strategy;
@@ -128,10 +124,11 @@ class Database {
     std::uint64_t memory_budget = 0;
     runtime::ResourceAccount* account = nullptr;
   };
-  UpdateResult ApplyParallel(const Update& update,
+  UpdateResult ApplyParallel(const Update& update, runtime::TaskRouter& router,
                              const ParallelOptions& options);
-  UpdateResult ApplyParallel(const Update& update) {
-    return ApplyParallel(update, ParallelOptions{});
+  UpdateResult ApplyParallel(const Update& update,
+                             runtime::TaskRouter& router) {
+    return ApplyParallel(update, router, ParallelOptions{});
   }
 
   /// Raw-request variants of Apply/ApplyParallel for callers (the service
@@ -143,6 +140,7 @@ class Database {
   UpdateResult ApplyRequest(const UpdateRequest& request,
                             MaintenanceStrategy strategy);
   ParallelUpdateResult ApplyRequestParallel(const UpdateRequest& request,
+                                            runtime::TaskRouter& router,
                                             const ParallelOptions& options);
 
   /// Default maintenance strategy for Apply/ApplyRequest and for

@@ -1,7 +1,5 @@
 #include "datalog/parallel_update.hpp"
 
-#include <algorithm>
-
 #include "datalog/delta_buffer.hpp"
 #include "graph/digraph_builder.hpp"
 #include "sched/factory.hpp"
@@ -14,6 +12,7 @@ ParallelUpdateResult ApplyParallel(const Program& program,
                                    const Stratification& strat,
                                    RelationStore& store,
                                    const UpdateRequest& request,
+                                   runtime::TaskRouter& router,
                                    const ParallelUpdateOptions& options) {
   DSCHED_CHECK_MSG(options.scheduler_spec.find("oracle") == std::string::npos,
                    "the clairvoyant oracle cannot drive a live update — it "
@@ -122,12 +121,8 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   // One write buffer per executor worker: a phase stages its base inserts
   // per shard and publishes them lock-free (see delta_buffer.hpp).  Buffers
   // are indexed by the worker running the task, so each is single-owner —
-  // on a shared router that means one buffer per POOL worker, since worker
-  // indices span the router's pool.
-  const std::size_t num_workers = options.router != nullptr
-                                      ? options.router->NumWorkers()
-                                      : std::max<std::size_t>(options.workers, 1);
-  std::vector<StoreWriteBuffer> scratch(num_workers);
+  // one buffer per POOL worker, since worker indices span the router's pool.
+  std::vector<StoreWriteBuffer> scratch(router.NumWorkers());
   for (StoreWriteBuffer& buffer : scratch) {
     buffer.SetEpoch(options.epoch);
   }
@@ -186,7 +181,7 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   }
 
   auto scheduler = sched::CreateScheduler(options.scheduler_spec);
-  const runtime::Executor::WorkerTaskBody task_body(
+  const runtime::Executor::TaskBody task_body(
       [&](util::TaskId t, std::size_t worker) -> bool {
         if (t >= num_preds) {
           return run_phase(node_component[t], worker);
@@ -201,19 +196,11 @@ ParallelUpdateResult ApplyParallel(const Program& program,
         // Derived predicate collector: forward the owner's verdict.
         return pred_changed[p] != 0;
       });
-  const runtime::PipelineGate* gate_ptr = gated ? &gate : nullptr;
-  result.run =
-      options.router != nullptr
-          ? runtime::Executor::RunOn(*options.router, result.trace, *scheduler,
-                                     task_body,
-                                     {.gate = gate_ptr,
-                                      .memory_budget = options.memory_budget,
-                                      .account = options.account})
-          : runtime::Executor::Run(result.trace, *scheduler, task_body,
-                                   {.workers = options.workers,
-                                    .gate = gate_ptr,
-                                    .memory_budget = options.memory_budget,
-                                    .account = options.account});
+  result.run = runtime::Executor::Run(
+      router, result.trace, *scheduler, task_body,
+      {.gate = gated ? &gate : nullptr,
+       .memory_budget = options.memory_budget,
+       .account = options.account});
 
   // --- Assemble the sequential-compatible result.
   for (const std::uint32_t c : strat.component_order) {

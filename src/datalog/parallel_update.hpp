@@ -35,13 +35,6 @@ struct ParallelUpdateOptions {
   /// "lbl:<k>", "logicblox", "signal", "oracle" is NOT allowed — it would
   /// need the outcome in advance).
   std::string scheduler_spec = "hybrid";
-  std::size_t workers = 4;
-  /// When set, the update runs on this host-provided shared router (one
-  /// channel per update) instead of constructing a private pool, and
-  /// `workers` is ignored in favour of router->NumWorkers().  This is how
-  /// the service layer interleaves many sessions' cascades on one pool.
-  /// The caller must keep the router alive for the duration of the call.
-  runtime::TaskRouter* router = nullptr;
   /// How each component phase maintains deletions (maintenance.hpp).
   /// B/F falls back to DRed per component where required.
   MaintenanceStrategy strategy = MaintenanceStrategy::kDRed;
@@ -82,11 +75,14 @@ struct ParallelUpdateResult {
   trace::JobTrace trace;
 };
 
-/// Applies `request` to the materialized `store` using `workers` threads.
-/// Equivalent to IncrementalEngine::Apply in final state (the tests verify
-/// store equality); faster when independent components dominate.
+/// Applies `request` to the materialized `store`, running the cascade on
+/// `router`'s shared pool (one channel per update — this is how the service
+/// layer interleaves many sessions' cascades on one pool).  Equivalent to
+/// IncrementalEngine::Apply in final state (the tests verify store
+/// equality); faster when independent components dominate.
 [[nodiscard]] ParallelUpdateResult ApplyParallel(
     const Program& program, const Stratification& strat, RelationStore& store,
-    const UpdateRequest& request, const ParallelUpdateOptions& options = {});
+    const UpdateRequest& request, runtime::TaskRouter& router,
+    const ParallelUpdateOptions& options = {});
 
 }  // namespace dsched::datalog

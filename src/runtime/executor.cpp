@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -54,38 +55,30 @@ class CompletionBuffer {
   std::vector<Completion> items_;
 };
 
-/// How a cascade hands a ready batch to its workers — the only difference
-/// between the private-pool and shared-router paths.
-using SubmitFn = std::function<void(std::span<const TaskId>)>;
-
-// The coordinator loop, shared by Run (private pool) and RunOn (shared
-// router).  The scheduler and the activation bookkeeping live exclusively
-// on this (coordinator) thread — workers never touch them, so neither needs
-// a lock.  The ONLY coordinator/worker shared state is `completions` (plus,
-// when gated, the epoch frontier shared with the neighbouring epochs'
-// coordinators).
+// The coordinator loop.  The scheduler and the activation bookkeeping live
+// exclusively on this (coordinator) thread — workers never touch them, so
+// neither needs a lock.  The ONLY coordinator/worker shared state is
+// `completions` (plus, when gated, the epoch frontier shared with the
+// neighbouring epochs' coordinators).
 Executor::RunStats RunCascade(const trace::JobTrace& trace,
                               sched::Scheduler& scheduler,
-                              std::size_t num_workers,
                               const Executor::Options& options,
                               CompletionBuffer& completions,
-                              const SubmitFn& submit) {
+                              TaskRouter::Channel& channel,
+                              std::size_t num_workers) {
   const graph::Dag& dag = trace.Graph();
   Executor::RunStats stats;
   util::WallTimer wall;
   util::Stopwatch sched_watch;
   util::Stopwatch dispatch_watch;
   util::Stopwatch idle_watch;
-  std::size_t window = options.dispatch_window > 0
-                           ? options.dispatch_window
-                           : std::max<std::size_t>(16, 2 * num_workers);
-  // Adaptive window controller (only when the caller didn't pin one):
-  // every kControlPeriod completion drains, compare the coordinator's
-  // dispatch vs idle duty cycle since the last decision.  Dispatch-bound
-  // means per-batch overhead dominates — double the window to amortize it;
-  // strongly idle-bound means the workers are the bottleneck and coarse
-  // pops only make the scheduler's choices staler — halve it.
-  const bool adaptive = options.dispatch_window == 0 && options.adaptive_window;
+  // Adaptive window controller: every kControlPeriod completion drains,
+  // compare the coordinator's dispatch vs idle duty cycle since the last
+  // decision.  Dispatch-bound means per-batch overhead dominates — double
+  // the window to amortize it; strongly idle-bound means the workers are
+  // the bottleneck and coarse pops only make the scheduler's choices
+  // staler — halve it.
+  std::size_t window = std::max<std::size_t>(16, 2 * num_workers);
   constexpr std::size_t kMinWindow = 4;
   constexpr std::size_t kMaxWindow = 4096;
   constexpr std::uint64_t kControlPeriod = 16;
@@ -170,7 +163,7 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
     inflight += tasks.size();
     stats.inflight_high_water =
         std::max<std::uint64_t>(stats.inflight_high_water, inflight);
-    submit(tasks);
+    channel.SubmitBatch(tasks);
   };
   const auto account_task = [&](std::uint64_t utility, std::uint64_t level) {
     stats.mem_acquired_bytes += utility;
@@ -425,7 +418,7 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
         gate->frontier->Advance(gate->epoch, published_levels);
       }
     }
-    if (adaptive && stats.completion_drains - control_drains >= kControlPeriod) {
+    if (stats.completion_drains - control_drains >= kControlPeriod) {
       control_drains = stats.completion_drains;
       const double d = dispatch_watch.TotalSeconds() - control_dispatch;
       const double i = idle_watch.TotalSeconds() - control_idle;
@@ -449,7 +442,7 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
   // One worker-side push per executed task, by construction.
   stats.completion_pushes = stats.executed;
   stats.activations = activated_count;
-  stats.final_dispatch_window = window;
+  stats.final_window = window;
   stats.wall_seconds = wall.ElapsedSeconds();
   stats.sched_wall_seconds = sched_watch.TotalSeconds();
   stats.dispatch_wall_seconds = dispatch_watch.TotalSeconds();
@@ -459,106 +452,39 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
 
 }  // namespace
 
-Executor::RunStats Executor::Run(const trace::JobTrace& trace,
-                                 sched::Scheduler& scheduler,
-                                 const WorkerTaskBody& body,
-                                 const Options& options) {
-  DSCHED_CHECK_MSG(options.workers >= 1, "need at least one worker");
-  CompletionBuffer completions;
-  ThreadPool pool(options.workers,
-                  [&](ThreadPool::WorkItem item, std::size_t worker) {
-                    const auto t = static_cast<TaskId>(item);
-                    const bool changed =
-                        body ? body(t, worker) : trace.Info(t).output_changes;
-                    completions.Push(t, changed);
-                  });
-  // Private pool: items are bare TaskIds widened into reusable scratch.
-  std::vector<ThreadPool::WorkItem> wide;
-  RunStats stats = RunCascade(
-      trace, scheduler, options.workers, options, completions,
-      [&](std::span<const TaskId> tasks) {
-        wide.assign(tasks.begin(), tasks.end());
-        pool.SubmitBatch(wide);
-      });
-  pool.Wait();
-
-  const ThreadPoolStats pool_stats = pool.Stats();
-  stats.pool_steals = pool_stats.steals;
-  stats.pool_sleeps = pool_stats.sleeps;
-  stats.pool_wakeups = pool_stats.wakeups;
-  return stats;
-}
-
-Executor::RunStats Executor::RunOn(TaskRouter& router,
-                                   const trace::JobTrace& trace,
-                                   sched::Scheduler& scheduler,
-                                   const WorkerTaskBody& body,
-                                   const Options& options) {
-  CompletionBuffer completions;
-  TaskRouter::Channel channel =
-      router.OpenChannel([&](TaskId t, std::size_t worker) {
-        const bool changed =
-            body ? body(t, worker) : trace.Info(t).output_changes;
-        completions.Push(t, changed);
-      });
-  RunStats stats = RunCascade(
-      trace, scheduler, router.NumWorkers(), options, completions,
-      [&](std::span<const TaskId> tasks) { channel.SubmitBatch(tasks); });
-  // All completions are counted, so Close's precondition holds; it spins
-  // out any worker still unwinding from the body before returning.
-  channel.Close();
-  return stats;
-}
-
-Executor::RunStats Executor::Run(const trace::JobTrace& trace,
+Executor::RunStats Executor::Run(TaskRouter& router,
+                                 const trace::JobTrace& trace,
                                  sched::Scheduler& scheduler,
                                  const TaskBody& body,
                                  const Options& options) {
-  if (!body) {
-    return Run(trace, scheduler, WorkerTaskBody{}, options);
+  CompletionBuffer completions;
+  // A throwing body must not unwind a pool worker (that would terminate
+  // the process).  The first exception is kept, its task reports
+  // "unchanged" so the cascade still drains, and Run rethrows it below.
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  TaskRouter::Channel channel =
+      router.OpenChannel([&](TaskId t, std::size_t worker) {
+        bool changed = false;
+        try {
+          changed = body ? body(t, worker) : trace.Info(t).output_changes;
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (error == nullptr) {
+            error = std::current_exception();
+          }
+        }
+        completions.Push(t, changed);
+      });
+  RunStats stats = RunCascade(trace, scheduler, options, completions, channel,
+                              router.NumWorkers());
+  // All completions are counted, so Close's precondition holds; it spins
+  // out any worker still unwinding from the body before returning.
+  channel.Close();
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
-  return Run(trace, scheduler,
-             WorkerTaskBody([&body](TaskId t, std::size_t) { return body(t); }),
-             options);
-}
-
-namespace {
-
-std::uint64_t SecondsToNs(double seconds) {
-  return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e9);
-}
-
-}  // namespace
-
-void Executor::RunStats::ExportMetrics(obs::MetricsRegistry& registry,
-                                       const std::string& prefix) const {
-  registry.Set(prefix + "executed", executed);
-  registry.Set(prefix + "activations", activations);
-  registry.Set(prefix + "wall_ns", SecondsToNs(wall_seconds));
-  registry.Set(prefix + "sched_overhead_ns", SecondsToNs(sched_wall_seconds));
-  registry.Set(prefix + "dispatch_ns", SecondsToNs(dispatch_wall_seconds));
-  registry.Set(prefix + "idle_ns", SecondsToNs(idle_wall_seconds));
-  registry.Set(prefix + "dispatch_batches", dispatch_batches);
-  registry.Set(prefix + "dispatched", dispatched);
-  registry.Max(prefix + "max_dispatch_batch", max_dispatch_batch);
-  registry.Max(prefix + "inflight_high_water", inflight_high_water);
-  registry.Set(prefix + "completion_drains", completion_drains);
-  registry.Set(prefix + "completion_pushes", completion_pushes);
-  registry.Set(prefix + "pool_steals", pool_steals);
-  registry.Set(prefix + "pool_sleeps", pool_sleeps);
-  registry.Set(prefix + "pool_wakeups", pool_wakeups);
-  registry.Set(prefix + "frontier_stalls", frontier_stalls);
-  registry.Set(prefix + "frontier_stall_ns",
-               SecondsToNs(frontier_stall_seconds));
-  registry.Max(prefix + "held_high_water", held_high_water);
-  registry.Set(prefix + "levels_finalized", levels_finalized);
-  registry.Set(prefix + "mem_acquired_bytes", mem_acquired_bytes);
-  registry.Max(prefix + "mem_peak_bytes", mem_peak_bytes);
-  registry.Set(prefix + "mem_deferred", mem_deferred);
-  registry.Set(prefix + "mem_budget_stalls", mem_budget_stalls);
-  registry.Set(prefix + "mem_forced", mem_forced);
-  registry.Set(prefix + "window_adjusts", window_adjusts);
-  registry.Set(prefix + "final_dispatch_window", final_dispatch_window);
+  return stats;
 }
 
 }  // namespace dsched::runtime

@@ -22,12 +22,9 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 
-#include "obs/metrics.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/task_router.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sched/scheduler.hpp"
 #include "trace/job_trace.hpp"
 
@@ -111,32 +108,17 @@ struct ResourceAccount {
 /// Executes the activation cascade of a trace with real task bodies.
 class Executor {
  public:
-  /// A task body: does the task's work, returns true iff the task's output
-  /// changed (which activates its children).  Bodies run concurrently and
-  /// must not touch the scheduler.  A null body falls back to the trace's
-  /// recorded output_changes bits and does no work.
-  using TaskBody = std::function<bool(TaskId)>;
-
-  /// Worker-aware task body: like TaskBody, but also receives the index of
-  /// the pool worker running the task (in [0, Options::workers)).  This is
-  /// how per-worker state — e.g. the parallel Datalog engine's worker-local
+  /// A task body: does the task's work for `task` on pool worker `worker`
+  /// (in [0, router.NumWorkers())) and returns true iff the task's output
+  /// changed (which activates its children).  The worker index is how
+  /// per-worker state — e.g. the parallel Datalog engine's worker-local
   /// delta buffers — reaches the body without thread-local lookups.
-  using WorkerTaskBody = std::function<bool(TaskId, std::size_t)>;
+  /// Bodies run concurrently and must not touch the scheduler.  A null
+  /// body falls back to the trace's recorded output_changes bits and does
+  /// no work.
+  using TaskBody = std::function<bool(TaskId task, std::size_t worker)>;
 
   struct Options {
-    std::size_t workers = 4;
-    /// Max tasks per PopReadyBatch call; 0 = auto.  The dispatch loop
-    /// keeps calling until the scheduler runs dry, so this bounds batch
-    /// granularity, not total in-flight work.  A nonzero value pins the
-    /// window (disables the adaptive controller).
-    std::size_t dispatch_window = 0;
-    /// With dispatch_window == 0: true (default) runs the duty-cycle
-    /// controller — the window starts at max(16, 2 * workers) and is
-    /// doubled/halved from the dispatch/idle stopwatch ratio every few
-    /// completion drains; false keeps the fixed max(16, 2 * workers)
-    /// heuristic (the pre-controller behaviour, kept for A/B runs — see
-    /// bench/micro_executor --adaptive=0).
-    bool adaptive_window = true;
     /// Epoch-pipelining context (runtime/pipeline.hpp).  When set, popped
     /// tasks whose fence exceeds epoch-1's finalized level are HELD at the
     /// coordinator (never blocking a pool worker) until the frontier
@@ -187,10 +169,6 @@ class Executor {
     std::uint64_t completion_drains = 0;
     /// Worker-side completion pushes (one short lock each; == executed).
     std::uint64_t completion_pushes = 0;
-    /// Work-stealing pool behaviour.
-    std::uint64_t pool_steals = 0;
-    std::uint64_t pool_sleeps = 0;
-    std::uint64_t pool_wakeups = 0;
     /// Most tasks simultaneously handed to the pool and not yet drained —
     /// the ready-queue depth high-water mark seen by the coordinator.
     std::uint64_t inflight_high_water = 0;
@@ -222,10 +200,11 @@ class Executor {
     std::uint64_t mem_forced = 0;
 
     // --- adaptive dispatch window ---
-    /// Controller decisions that changed the window.
+    /// Duty-cycle controller decisions that changed the window (it starts
+    /// at max(16, 2 * router.NumWorkers())).
     std::uint64_t window_adjusts = 0;
     /// The window in effect when the cascade finished.
-    std::uint64_t final_dispatch_window = 0;
+    std::uint64_t final_window = 0;
 
     /// Mean tasks per non-empty dispatch batch.
     [[nodiscard]] double AvgDispatchBatch() const {
@@ -234,38 +213,23 @@ class Executor {
                  : static_cast<double>(dispatched) /
                        static_cast<double>(dispatch_batches);
     }
-
-    /// Publishes the stats into `registry` under `prefix` (e.g.
-    /// "exec.hybrid.").  Durations are recorded in nanoseconds.
-    void ExportMetrics(obs::MetricsRegistry& registry,
-                       const std::string& prefix) const;
   };
 
-  /// Runs the cascade to completion on a private pool of Options::workers
-  /// threads created for this run.  The scheduler must be fresh (Prepare is
-  /// called here).  Throws util::LogicError on scheduler deadlock.
-  static RunStats Run(const trace::JobTrace& trace,
-                      sched::Scheduler& scheduler, const WorkerTaskBody& body,
-                      const Options& options);
-
-  /// Convenience overload for bodies that don't care which worker runs
-  /// them.
-  static RunStats Run(const trace::JobTrace& trace,
+  /// Runs the cascade to completion on the router's shared pool.  Tasks
+  /// are tagged with a router channel, so concurrent Run calls from
+  /// different coordinator threads (one per service session) interleave
+  /// their cascades on the same workers.  The scheduler must be fresh
+  /// (Prepare is called here, with router.NumWorkers() processors).
+  /// Steal/sleep behaviour belongs to the shared pool, not to any one
+  /// cascade: read it from TaskRouter::PoolStats (host.pool.* metrics).
+  ///
+  /// Throws util::LogicError on scheduler deadlock.  A body that throws
+  /// fails the cascade, not the process: the task counts as unchanged, the
+  /// cascade drains (and, when gated, finalizes its frontier), and Run
+  /// rethrows the first body exception once the channel is closed.
+  static RunStats Run(TaskRouter& router, const trace::JobTrace& trace,
                       sched::Scheduler& scheduler, const TaskBody& body,
                       const Options& options);
-
-  /// Multi-tenant variant: runs the cascade on a host-provided router's
-  /// SHARED pool instead of constructing one.  Tasks are tagged with a
-  /// router channel, so concurrent RunOn calls from different coordinator
-  /// threads (one per service session) interleave their cascades on the
-  /// same workers.  Options::workers is ignored — the scheduler is
-  /// prepared with router.NumWorkers() processors, and worker indices seen
-  /// by `body` span the router's pool.  RunStats pool_* counters stay zero
-  /// here: steal/sleep behaviour belongs to the shared pool, not to any
-  /// one cascade (see TaskRouter::PoolStats / host.pool.* metrics).
-  static RunStats RunOn(TaskRouter& router, const trace::JobTrace& trace,
-                        sched::Scheduler& scheduler,
-                        const WorkerTaskBody& body, const Options& options);
 };
 
 }  // namespace dsched::runtime

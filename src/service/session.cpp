@@ -258,14 +258,13 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
       outcome.update = db_.ApplyRequest(job.request, strategy_);
     } else {
       datalog::ParallelUpdateResult result = db_.ApplyRequestParallel(
-          job.request, {.scheduler_spec = spec_,
-                        .workers = 0,  // ignored: the router decides
-                        .router = &core_->router,
-                        .strategy = strategy_,
-                        .frontier = depth_ > 1 ? &frontier_ : nullptr,
-                        .epoch = job.epoch,
-                        .memory_budget = memory_budget_,
-                        .account = &account_});
+          job.request, core_->router,
+          {.scheduler_spec = spec_,
+           .strategy = strategy_,
+           .frontier = depth_ > 1 ? &frontier_ : nullptr,
+           .epoch = job.epoch,
+           .memory_budget = memory_budget_,
+           .account = &account_});
       outcome.update = std::move(result.update);
       outcome.run = result.run;
     }

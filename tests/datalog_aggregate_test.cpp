@@ -10,6 +10,7 @@
 #include "datalog/parser.hpp"
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
+#include "runtime/task_router.hpp"
 #include "util/error.hpp"
 
 namespace dsched::datalog {
@@ -222,6 +223,7 @@ TEST(AggregateIncrementalTest, ParallelMatchesSequential) {
   };
   auto sequential = build();
   auto parallel = build();
+  runtime::TaskRouter router({.workers = 4});
   for (int round = 0; round < 3; ++round) {
     auto up_seq = sequential->MakeUpdate();
     auto up_par = parallel->MakeUpdate();
@@ -230,7 +232,7 @@ TEST(AggregateIncrementalTest, ParallelMatchesSequential) {
     up_seq.Insert("stock", ins);
     up_par.Insert("stock", ins);
     sequential->Apply(up_seq);
-    parallel->ApplyParallel(up_par);
+    parallel->ApplyParallel(up_par, router);
     for (const char* pred : {"total", "n", "overstocked"}) {
       auto a = sequential->Query(pred);
       auto b = parallel->Query(pred);

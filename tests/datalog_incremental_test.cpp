@@ -17,6 +17,7 @@
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
 #include "graph/levels.hpp"
+#include "runtime/task_router.hpp"
 #include "sched/factory.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
@@ -348,14 +349,16 @@ TEST(ScheduleBridgeTest, UnchangedComponentDoesNotPropagate) {
 constexpr MaintenanceStrategy kStrategies[] = {
     MaintenanceStrategy::kDRed, MaintenanceStrategy::kBackwardForward};
 
-/// Applies `request` serially (workers == 0) or through ApplyParallel.
+/// Applies `request` serially (workers == 0) or through ApplyParallel on
+/// one 4-worker router shared by every call.
 UpdateResult ApplyWith(Database& db, const UpdateRequest& request,
                        MaintenanceStrategy strategy, std::size_t workers) {
   if (workers == 0) {
     return db.ApplyRequest(request, strategy);
   }
-  return db.ApplyRequestParallel(request,
-                                 {.workers = workers, .strategy = strategy})
+  static runtime::TaskRouter router({.workers = 4});
+  EXPECT_EQ(workers, router.NumWorkers());
+  return db.ApplyRequestParallel(request, router, {.strategy = strategy})
       .update;
 }
 

@@ -11,6 +11,7 @@
 #include "datalog/database.hpp"
 #include "datalog/maintenance.hpp"
 #include "datalog/parallel_update.hpp"
+#include "runtime/task_router.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wide_program_fixture.hpp"
@@ -101,6 +102,7 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
                                       MaintenanceStrategy::kDRed);
   }
 
+  runtime::TaskRouter router({.workers = 4});
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     for (const char* scheduler : {"hybrid", "levelbased"}) {
       WideFixture fixture;
@@ -112,10 +114,9 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
       for (const UpdateRequest& request : batches) {
         ParallelUpdateOptions options;
         options.scheduler_spec = scheduler;
-        options.workers = 4;
         options.strategy = MaintenanceStrategy::kBackwardForward;
         (void)ApplyParallel(fixture.program, fixture.strat, fixture.store,
-                            request, options);
+                            request, router, options);
       }
       ExpectStoresEqual(reference.program, reference.store, fixture.store,
                         (std::string("bf/") + scheduler + "/" +

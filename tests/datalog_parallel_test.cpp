@@ -14,6 +14,7 @@
 #include "datalog/parser.hpp"
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
+#include "runtime/task_router.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wide_program_fixture.hpp"
@@ -29,6 +30,7 @@ using dsched::testing::Sorted;
 using Fixture = dsched::testing::WideFixture;
 
 TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
+  runtime::TaskRouter router({.workers = 3});
   for (const char* spec : {"hybrid", "levelbased", "lbl:4", "logicblox",
                            "signal"}) {
     util::Rng rng(777);
@@ -47,9 +49,9 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
       const UpdateResult seq_result = engine.Apply(request);
       ParallelUpdateOptions options;
       options.scheduler_spec = spec;
-      options.workers = 3;
-      const ParallelUpdateResult par_result = ApplyParallel(
-          parallel.program, parallel.strat, parallel.store, request, options);
+      const ParallelUpdateResult par_result =
+          ApplyParallel(parallel.program, parallel.strat, parallel.store,
+                        request, router, options);
       ExpectStoresEqual(sequential.program, sequential.store, parallel.store,
                         spec);
       EXPECT_EQ(par_result.update.total_inserted, seq_result.total_inserted)
@@ -62,6 +64,7 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
 
 TEST(ParallelUpdateTest, MatchesFromScratchAcrossWorkerCounts) {
   for (const std::size_t workers : {1u, 2u, 8u}) {
+    runtime::TaskRouter router({.workers = workers});
     util::Rng rng(991);
     Fixture parallel;
     parallel.Base(rng, 9, 0.18);
@@ -82,10 +85,8 @@ TEST(ParallelUpdateTest, MatchesFromScratchAcrossWorkerCounts) {
     for (int batch = 0; batch < 3; ++batch) {
       const UpdateRequest request =
           RandomUpdate(parallel.program, update_rng, 9);
-      ParallelUpdateOptions options;
-      options.workers = workers;
       (void)ApplyParallel(parallel.program, parallel.strat, parallel.store,
-                          request, options);
+                          request, router);
       // Track the reference base.
       for (const auto& [pred, tuple] : request.insertions) {
         if (pred == e) {
@@ -129,8 +130,9 @@ TEST(ParallelUpdateTest, ExecutesOnlyTouchedComponents) {
   UpdateRequest request;
   request.insertions.emplace_back(fixture.program.PredicateId("mark"),
                                   Tuple{Value::Int(7)});
+  runtime::TaskRouter router({.workers = 4});
   const ParallelUpdateResult result = ApplyParallel(
-      fixture.program, fixture.strat, fixture.store, request, {});
+      fixture.program, fixture.strat, fixture.store, request, router);
   const auto tc_comp =
       fixture.strat.component_of[fixture.program.PredicateId("tc")];
   for (const ComponentUpdateStats& c : result.update.components) {
@@ -150,8 +152,9 @@ TEST(ParallelUpdateTest, ReportsExecutorStats) {
   UpdateRequest request;
   request.insertions.emplace_back(fixture.program.PredicateId("e"),
                                   Tuple{Value::Int(0), Value::Int(7)});
+  runtime::TaskRouter router({.workers = 4});
   const ParallelUpdateResult result = ApplyParallel(
-      fixture.program, fixture.strat, fixture.store, request, {});
+      fixture.program, fixture.strat, fixture.store, request, router);
   EXPECT_GT(result.run.executed, 0u);
   EXPECT_GT(result.run.wall_seconds, 0.0);
   EXPECT_EQ(result.update.components.size(), fixture.strat.NumComponents());
@@ -166,8 +169,9 @@ TEST(ParallelUpdateTest, OracleSpecRejected) {
                                   Tuple{Value::Int(1)});
   ParallelUpdateOptions options;
   options.scheduler_spec = "oracle";
+  runtime::TaskRouter router({.workers = 2});
   EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat,
-                                   fixture.store, request, options),
+                                   fixture.store, request, router, options),
                util::LogicError);
 }
 
@@ -183,7 +187,8 @@ TEST(ParallelUpdateTest, DatabaseFacade) {
   auto update = db.MakeUpdate();
   update.Insert("e", {Value::Int(7), Value::Int(0)});  // close the cycle? no —
   // e(7,0) creates tc pairs but the DAG of *components* stays acyclic.
-  const UpdateResult result = db.ApplyParallel(update);
+  runtime::TaskRouter router({.workers = 4});
+  const UpdateResult result = db.ApplyParallel(update, router);
   EXPECT_GT(result.total_inserted, 0u);
   EXPECT_TRUE(db.Contains("tc", {Value::Int(0), Value::Int(0)}));
 }

@@ -836,6 +836,47 @@ TEST(ServiceServerTest, UnknownStrategyIsBadProgramAndConnectionStaysOpen) {
   EXPECT_EQ(ok.epoch, 1u);
 }
 
+TEST(ServiceServerTest, ThrowingCascadeIsUpdateFailedAndConnectionStaysOpen) {
+  // A symbol reaching an ordered comparison throws inside a pool task body.
+  // SUBMIT answers UPDATE_FAILED (code 7) with the message; the server, the
+  // connection and the session all stay up for the next SUBMIT and QUERY.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = "small(X) :- v(X), X < 5.";
+  open.scheduler_spec = "hybrid";
+  const std::uint64_t sid = client.OpenSessionSync(open);
+
+  SubmitRequest bad;
+  bad.request_id = 2;
+  bad.session_id = sid;
+  bad.ops.push_back(Insert("v", {WireValue::Sym("oops")}));
+  client.SendSubmit(bad);
+  ServiceClient::Response resp;
+  ASSERT_TRUE(client.ReadResponse(&resp, 30000));
+  ASSERT_EQ(resp.opcode, Opcode::kError);
+  EXPECT_EQ(resp.error.request_id, 2u);
+  EXPECT_EQ(static_cast<int>(resp.error.code), 7);
+  EXPECT_EQ(resp.error.code, ErrorCode::kUpdateFailed);
+  EXPECT_EQ(resp.error.message, "ordered comparison requires integer operands");
+
+  SubmitRequest good;
+  good.request_id = 3;
+  good.session_id = sid;
+  good.ops.push_back(Insert("v", {WireValue::Int(4)}));
+  const SubmitResultResponse ok = client.SubmitSync(good);
+  EXPECT_EQ(ok.epoch, 2u);
+
+  QueryRequest q;
+  q.request_id = 4;
+  q.session_id = sid;
+  q.predicate = "small";
+  const QueryResultResponse small = client.QuerySync(q);
+  ASSERT_EQ(small.rows.size(), 1u);
+  EXPECT_EQ(small.rows[0], (WireTuple{WireValue::Int(4)}));
+}
+
 TEST(ServiceServerTest, OversizedQueryResultIsATypedError) {
   // A 1100 x 1100 cross product renders past kMaxFrameLength: the server
   // answers RESULT_TOO_LARGE and both the connection and the session stay

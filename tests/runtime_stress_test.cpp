@@ -89,8 +89,9 @@ TEST(RuntimeStressTest, PrecedenceHoldsAcrossSchedulersAndWorkerCounts) {
         trace::MakeRandomDag(70, 0.07, 0.2, 0.65, rng);
     const trace::Cascade cascade = trace::ComputeCascade(trace);
     const auto ancestors = ActiveAncestors(trace, cascade);
-    for (const char* spec : kSpecs) {
-      for (std::size_t workers = 1; workers <= 8; ++workers) {
+    for (std::size_t workers = 1; workers <= 8; ++workers) {
+      TaskRouter router({.workers = workers});
+      for (const char* spec : kSpecs) {
         auto scheduler = sched::CreateScheduler(spec);
         std::vector<std::atomic<bool>> completed(trace.NumNodes());
         for (auto& flag : completed) {
@@ -98,8 +99,8 @@ TEST(RuntimeStressTest, PrecedenceHoldsAcrossSchedulersAndWorkerCounts) {
         }
         std::atomic<int> violations{0};
         const auto stats = Executor::Run(
-            trace, *scheduler,
-            [&](util::TaskId t) {
+            router, trace, *scheduler,
+            [&](util::TaskId t, std::size_t) {
               for (const util::TaskId a : ancestors[t]) {
                 if (!completed[a].load()) {
                   violations.fetch_add(1);
@@ -108,13 +109,14 @@ TEST(RuntimeStressTest, PrecedenceHoldsAcrossSchedulersAndWorkerCounts) {
               completed[t].store(true);
               return trace.Info(t).output_changes;
             },
-            {.workers = workers});
+            {});
         EXPECT_EQ(violations.load(), 0)
             << spec << " workers=" << workers << " seed=" << seed;
         EXPECT_EQ(stats.executed, cascade.NumActive())
             << spec << " workers=" << workers << " seed=" << seed;
         EXPECT_EQ(stats.completion_pushes, stats.executed);
       }
+      EXPECT_EQ(router.OpenChannels(), 0u);
     }
   }
 }
@@ -123,7 +125,9 @@ TEST(RuntimeStressTest, BatchedDispatchKeepsStatsConsistent) {
   util::Rng rng(5);
   const trace::JobTrace trace = trace::MakeRandomDag(80, 0.06, 0.3, 0.7, rng);
   auto scheduler = sched::CreateScheduler("hybrid");
-  const auto stats = Executor::Run(trace, *scheduler, Executor::TaskBody{}, {.workers = 4});
+  TaskRouter router({.workers = 4});
+  const auto stats =
+      Executor::Run(router, trace, *scheduler, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.dispatched, stats.executed);
   EXPECT_GE(stats.dispatch_batches, 1u);
   EXPECT_LE(stats.dispatch_batches, stats.dispatched);
@@ -144,117 +148,119 @@ TEST(RuntimeStressTest, BatchedDispatchKeepsStatsConsistent) {
 using dsched::testing::kWideProgram;
 using dsched::testing::Sorted;
 
-TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
+/// Input 1 of the sweep: a hand-built base instance, with `e` and `mark`
+/// changes in every batch.
+void ExpectHandBuiltStreamMatchesSerial(TaskRouter& router, const char* spec) {
   using datalog::Tuple;
   using datalog::Value;
-  for (const char* spec : kSpecs) {
-    for (const std::size_t workers : {1u, 2u, 5u, 8u}) {
-      datalog::Program seq_program = datalog::ParseProgram(kWideProgram);
-      datalog::ValidateProgram(seq_program);
-      const datalog::Stratification seq_strat = datalog::Stratify(seq_program);
-      datalog::RelationStore seq_store(seq_program);
-      datalog::Program par_program = datalog::ParseProgram(kWideProgram);
-      datalog::ValidateProgram(par_program);
-      const datalog::Stratification par_strat = datalog::Stratify(par_program);
-      datalog::RelationStore par_store(par_program);
+  datalog::Program seq_program = datalog::ParseProgram(kWideProgram);
+  datalog::ValidateProgram(seq_program);
+  const datalog::Stratification seq_strat = datalog::Stratify(seq_program);
+  datalog::RelationStore seq_store(seq_program);
+  datalog::Program par_program = datalog::ParseProgram(kWideProgram);
+  datalog::ValidateProgram(par_program);
+  const datalog::Stratification par_strat = datalog::Stratify(par_program);
+  datalog::RelationStore par_store(par_program);
 
-      util::Rng rng(1234);
-      const auto e = seq_program.PredicateId("e");
-      const auto n_pred = seq_program.PredicateId("n");
-      const auto mark = seq_program.PredicateId("mark");
-      for (int i = 0; i < 9; ++i) {
-        seq_store.Of(n_pred).Insert({Value::Int(i)});
-        par_store.Of(n_pred).Insert({Value::Int(i)});
-        if (rng.NextBool(0.4)) {
-          seq_store.Of(mark).Insert({Value::Int(i)});
-          par_store.Of(mark).Insert({Value::Int(i)});
-        }
+  util::Rng rng(1234);
+  const auto e = seq_program.PredicateId("e");
+  const auto n_pred = seq_program.PredicateId("n");
+  const auto mark = seq_program.PredicateId("mark");
+  for (int i = 0; i < 9; ++i) {
+    seq_store.Of(n_pred).Insert({Value::Int(i)});
+    par_store.Of(n_pred).Insert({Value::Int(i)});
+    if (rng.NextBool(0.4)) {
+      seq_store.Of(mark).Insert({Value::Int(i)});
+      par_store.Of(mark).Insert({Value::Int(i)});
+    }
+  }
+  for (int i = 0; i < 9; ++i) {
+    for (int j = 0; j < 9; ++j) {
+      if (i != j && rng.NextBool(0.18)) {
+        seq_store.Of(e).Insert({Value::Int(i), Value::Int(j)});
+        par_store.Of(e).Insert({Value::Int(i), Value::Int(j)});
       }
-      for (int i = 0; i < 9; ++i) {
-        for (int j = 0; j < 9; ++j) {
-          if (i != j && rng.NextBool(0.18)) {
-            seq_store.Of(e).Insert({Value::Int(i), Value::Int(j)});
-            par_store.Of(e).Insert({Value::Int(i), Value::Int(j)});
-          }
-        }
-      }
-      datalog::EvaluateProgram(seq_program, seq_strat, seq_store);
-      datalog::EvaluateProgram(par_program, par_strat, par_store);
+    }
+  }
+  datalog::EvaluateProgram(seq_program, seq_strat, seq_store);
+  datalog::EvaluateProgram(par_program, par_strat, par_store);
 
-      datalog::IncrementalEngine engine(seq_program, seq_strat, seq_store);
-      util::Rng update_rng(999);
-      for (int batch = 0; batch < 3; ++batch) {
-        datalog::UpdateRequest request;
-        for (int tries = 0; tries < 6; ++tries) {
-          const int i = static_cast<int>(update_rng.NextBelow(9));
-          const int j = static_cast<int>(update_rng.NextBelow(9));
-          if (i == j) {
-            continue;
-          }
-          if (update_rng.NextBool(0.5)) {
-            request.insertions.emplace_back(e,
-                                            Tuple{Value::Int(i), Value::Int(j)});
-          } else {
-            request.deletions.emplace_back(e,
-                                           Tuple{Value::Int(i), Value::Int(j)});
-          }
-        }
-        const int m = static_cast<int>(update_rng.NextBelow(9));
-        if (update_rng.NextBool(0.5)) {
-          request.insertions.emplace_back(mark, Tuple{Value::Int(m)});
-        } else {
-          request.deletions.emplace_back(mark, Tuple{Value::Int(m)});
-        }
-
-        (void)engine.Apply(request);
-        datalog::ParallelUpdateOptions options;
-        options.scheduler_spec = spec;
-        options.workers = workers;
-        (void)datalog::ApplyParallel(par_program, par_strat, par_store,
-                                     request, options);
-        for (std::uint32_t pred = 0; pred < seq_program.NumPredicates();
-             ++pred) {
-          EXPECT_EQ(Sorted(seq_store.Of(pred).Tuples()),
-                    Sorted(par_store.Of(pred).Tuples()))
-              << spec << " workers=" << workers << " batch=" << batch
-              << " predicate " << seq_program.predicate_names[pred];
-        }
+  datalog::IncrementalEngine engine(seq_program, seq_strat, seq_store);
+  util::Rng update_rng(999);
+  for (int batch = 0; batch < 3; ++batch) {
+    datalog::UpdateRequest request;
+    for (int tries = 0; tries < 6; ++tries) {
+      const int i = static_cast<int>(update_rng.NextBelow(9));
+      const int j = static_cast<int>(update_rng.NextBelow(9));
+      if (i == j) {
+        continue;
       }
+      if (update_rng.NextBool(0.5)) {
+        request.insertions.emplace_back(e, Tuple{Value::Int(i), Value::Int(j)});
+      } else {
+        request.deletions.emplace_back(e, Tuple{Value::Int(i), Value::Int(j)});
+      }
+    }
+    const int m = static_cast<int>(update_rng.NextBelow(9));
+    if (update_rng.NextBool(0.5)) {
+      request.insertions.emplace_back(mark, Tuple{Value::Int(m)});
+    } else {
+      request.deletions.emplace_back(mark, Tuple{Value::Int(m)});
+    }
+
+    (void)engine.Apply(request);
+    datalog::ParallelUpdateOptions options;
+    options.scheduler_spec = spec;
+    (void)datalog::ApplyParallel(par_program, par_strat, par_store, request,
+                                 router, options);
+    for (std::uint32_t pred = 0; pred < seq_program.NumPredicates(); ++pred) {
+      EXPECT_EQ(Sorted(seq_store.Of(pred).Tuples()),
+                Sorted(par_store.Of(pred).Tuples()))
+          << spec << " workers=" << router.NumWorkers() << " batch=" << batch
+          << " predicate " << seq_program.predicate_names[pred];
     }
   }
 }
 
-TEST(RuntimeStressTest, ParallelViaSharedRouterEqualsSerial) {
-  // Same store-equality guarantee as the sweep above, but every parallel
-  // update runs through ONE shared TaskRouter — the service-layer
-  // configuration — instead of a per-call private pool.
-  TaskRouter router({.workers = 4});
-  for (const char* spec : kSpecs) {
-    util::Rng rng(321);
-    dsched::testing::WideFixture serial;
-    serial.Base(rng, 9, 0.18);
-    util::Rng rng2(321);
-    dsched::testing::WideFixture routed;
-    routed.Base(rng2, 9, 0.18);
+/// Input 2 of the sweep: the shared WideFixture base and its random
+/// update stream.
+void ExpectFixtureStreamMatchesSerial(TaskRouter& router, const char* spec) {
+  util::Rng rng(321);
+  dsched::testing::WideFixture serial;
+  serial.Base(rng, 9, 0.18);
+  util::Rng rng2(321);
+  dsched::testing::WideFixture routed;
+  routed.Base(rng2, 9, 0.18);
 
-    datalog::IncrementalEngine engine(serial.program, serial.strat,
-                                      serial.store);
-    util::Rng update_rng(654);
-    for (int batch = 0; batch < 3; ++batch) {
-      const datalog::UpdateRequest request =
-          dsched::testing::RandomUpdate(serial.program, update_rng, 9);
-      (void)engine.Apply(request);
-      datalog::ParallelUpdateOptions options;
-      options.scheduler_spec = spec;
-      options.router = &router;
-      const auto result = datalog::ApplyParallel(
-          routed.program, routed.strat, routed.store, request, options);
-      EXPECT_GT(result.run.executed, 0u) << spec << " batch=" << batch;
-      dsched::testing::ExpectStoresEqual(serial.program, serial.store,
-                                         routed.store, spec);
-    }
+  datalog::IncrementalEngine engine(serial.program, serial.strat,
+                                    serial.store);
+  util::Rng update_rng(654);
+  for (int batch = 0; batch < 3; ++batch) {
+    const datalog::UpdateRequest request =
+        dsched::testing::RandomUpdate(serial.program, update_rng, 9);
+    (void)engine.Apply(request);
+    datalog::ParallelUpdateOptions options;
+    options.scheduler_spec = spec;
+    const auto result = datalog::ApplyParallel(
+        routed.program, routed.strat, routed.store, request, router, options);
+    EXPECT_GT(result.run.executed, 0u)
+        << spec << " workers=" << router.NumWorkers() << " batch=" << batch;
+    dsched::testing::ExpectStoresEqual(serial.program, serial.store,
+                                       routed.store, spec);
   }
-  EXPECT_EQ(router.OpenChannels(), 0u);
+}
+
+TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
+  // One shared router per worker count, reused across every spec and
+  // batch — the service-layer configuration.
+  for (const std::size_t workers : {1u, 2u, 5u, 8u}) {
+    TaskRouter router({.workers = workers});
+    for (const char* spec : kSpecs) {
+      ExpectHandBuiltStreamMatchesSerial(router, spec);
+      ExpectFixtureStreamMatchesSerial(router, spec);
+    }
+    EXPECT_EQ(router.OpenChannels(), 0u);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "sched/level_based.hpp"
 #include "trace/cascade.hpp"
 #include "trace/generators.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dsched::runtime {
@@ -183,7 +184,7 @@ TEST(TaskRouterTest, ConcurrentCoordinatorsInterleaveOnOnePool) {
   EXPECT_EQ(router.PoolStats().executed, 4u * 20u * 50u);
 }
 
-TEST(ExecutorTest, RunOnSharedRouterMatchesPrivatePool) {
+TEST(ExecutorTest, OneRouterRunsEverySpecsCascade) {
   util::Rng rng(99);
   const trace::JobTrace trace = trace::MakeRandomDag(60, 0.06, 0.2, 0.7, rng);
   const trace::Cascade cascade = trace::ComputeCascade(trace);
@@ -191,7 +192,7 @@ TEST(ExecutorTest, RunOnSharedRouterMatchesPrivatePool) {
   for (const char* spec : {"levelbased", "hybrid", "signal"}) {
     auto scheduler = sched::CreateScheduler(spec);
     std::atomic<int> executed{0};
-    const auto stats = Executor::RunOn(
+    const auto stats = Executor::Run(
         router, trace, *scheduler,
         [&](util::TaskId t, std::size_t) {
           executed.fetch_add(1);
@@ -204,7 +205,7 @@ TEST(ExecutorTest, RunOnSharedRouterMatchesPrivatePool) {
   EXPECT_EQ(router.OpenChannels(), 0u);
 }
 
-TEST(ExecutorTest, ConcurrentRunOnCascadesStayIsolated) {
+TEST(ExecutorTest, ConcurrentCascadesStayIsolated) {
   // Two cascades with different bodies run simultaneously on one router;
   // each must execute exactly its own active set.
   TaskRouter router({.workers = 4});
@@ -218,7 +219,7 @@ TEST(ExecutorTest, ConcurrentRunOnCascadesStayIsolated) {
       const trace::Cascade cascade = trace::ComputeCascade(trace);
       auto scheduler = sched::CreateScheduler("hybrid");
       std::atomic<std::size_t> count{0};
-      const auto stats = Executor::RunOn(
+      const auto stats = Executor::Run(
           router, trace, *scheduler,
           [&](util::TaskId t, std::size_t) {
             count.fetch_add(1);
@@ -247,13 +248,14 @@ TEST(ExecutorTest, RunsExactlyTheCascade) {
   const trace::Cascade cascade = trace::ComputeCascade(trace);
   sched::LevelBasedScheduler scheduler;
   std::atomic<int> executed{0};
+  TaskRouter router({.workers = 4});
   const auto stats = Executor::Run(
-      trace, scheduler,
-      [&](util::TaskId t) {
+      router, trace, scheduler,
+      [&](util::TaskId t, std::size_t) {
         executed.fetch_add(1);
         return trace.Info(t).output_changes;
       },
-      {.workers = 4});
+      {});
   EXPECT_EQ(stats.executed, cascade.NumActive());
   EXPECT_EQ(executed.load(), static_cast<int>(cascade.NumActive()));
   EXPECT_GT(stats.wall_seconds, 0.0);
@@ -262,7 +264,9 @@ TEST(ExecutorTest, RunsExactlyTheCascade) {
 TEST(ExecutorTest, NullBodyUsesTraceBits) {
   const trace::JobTrace trace = trace::MakeChain(20);
   sched::LevelBasedScheduler scheduler;
-  const auto stats = Executor::Run(trace, scheduler, Executor::TaskBody{}, {.workers = 2});
+  TaskRouter router({.workers = 2});
+  const auto stats =
+      Executor::Run(router, trace, scheduler, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.executed, 20u);
   EXPECT_EQ(stats.activations, 20u);
 }
@@ -271,8 +275,10 @@ TEST(ExecutorTest, DynamicOutputChangesControlActivation) {
   // The body decides at runtime: cut the cascade at node 2 of a chain.
   const trace::JobTrace trace = trace::MakeChain(10);
   sched::LevelBasedScheduler scheduler;
+  TaskRouter router({.workers = 2});
   const auto stats = Executor::Run(
-      trace, scheduler, [](util::TaskId t) { return t < 2; }, {.workers = 2});
+      router, trace, scheduler,
+      [](util::TaskId t, std::size_t) { return t < 2; }, {});
   EXPECT_EQ(stats.executed, 3u);  // 0, 1, 2 (2 runs but stops the cascade)
 }
 
@@ -280,13 +286,14 @@ TEST(ExecutorTest, ParallelismActuallyOverlaps) {
   // 8 independent 20ms tasks on 4 workers should take well under 160ms.
   const trace::JobTrace trace = trace::MakeFork(8);
   auto scheduler = sched::CreateScheduler("hybrid");
+  TaskRouter router({.workers = 4});
   const auto stats = Executor::Run(
-      trace, *scheduler,
-      [](util::TaskId) {
+      router, trace, *scheduler,
+      [](util::TaskId, std::size_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         return true;
       },
-      {.workers = 4});
+      {});
   EXPECT_EQ(stats.executed, 9u);
   EXPECT_LT(stats.wall_seconds, 0.140);  // ~3 waves of 20ms + slack
 }
@@ -309,8 +316,9 @@ TEST(ExecutorTest, AccountingTracksUtilityTotalsAndPeak) {
   // single task and the sum.
   const trace::JobTrace trace = MakeUtilityFork(8, 1024);
   sched::LevelBasedScheduler scheduler;
+  TaskRouter router({.workers = 4});
   const auto stats =
-      Executor::Run(trace, scheduler, Executor::TaskBody{}, {.workers = 4});
+      Executor::Run(router, trace, scheduler, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.executed, 9u);
   EXPECT_EQ(stats.mem_acquired_bytes, 8u * 1024u);
   EXPECT_GE(stats.mem_peak_bytes, 1024u);
@@ -326,8 +334,10 @@ TEST(ExecutorTest, BudgetGateNeverExceedsCeiling) {
   // failure), and at least one dispatch must have been parked.
   const trace::JobTrace trace = MakeUtilityFork(16, 1024);
   sched::LevelBasedScheduler scheduler;
-  const auto stats = Executor::Run(trace, scheduler, Executor::TaskBody{},
-                                   {.workers = 4, .memory_budget = 2048});
+  TaskRouter router({.workers = 4});
+  const auto stats = Executor::Run(router, trace, scheduler,
+                                   Executor::TaskBody{},
+                                   {.memory_budget = 2048});
   EXPECT_EQ(stats.executed, 17u);
   EXPECT_LE(stats.mem_peak_bytes, 2048u);
   EXPECT_GE(stats.mem_deferred, 1u);
@@ -342,8 +352,10 @@ TEST(ExecutorTest, OversizedTaskRunsSoloViaEscapeHatch) {
   // single utility instead of a deadlock.
   const trace::JobTrace trace = MakeUtilityFork(3, 8192);
   sched::LevelBasedScheduler scheduler;
-  const auto stats = Executor::Run(trace, scheduler, Executor::TaskBody{},
-                                   {.workers = 4, .memory_budget = 1024});
+  TaskRouter router({.workers = 4});
+  const auto stats = Executor::Run(router, trace, scheduler,
+                                   Executor::TaskBody{},
+                                   {.memory_budget = 1024});
   EXPECT_EQ(stats.executed, 4u);
   EXPECT_EQ(stats.mem_forced, 3u);
   // Solo means solo: the oversized tasks never overlap, so the peak is
@@ -365,10 +377,10 @@ TEST(ExecutorTest, SharedAccountBoundsConcurrentCascadesJointly) {
     runners.emplace_back([&router, &account, &stats, s] {
       const trace::JobTrace trace = MakeUtilityFork(12, 512);
       auto scheduler = sched::CreateScheduler("levelbased");
-      stats[s] = Executor::RunOn(router, trace, *scheduler,
-                                 Executor::WorkerTaskBody{},
-                                 {.memory_budget = kBudget,
-                                  .account = &account});
+      stats[s] = Executor::Run(router, trace, *scheduler,
+                               Executor::TaskBody{},
+                               {.memory_budget = kBudget,
+                                .account = &account});
     });
   }
   for (std::thread& t : runners) {
@@ -389,13 +401,48 @@ TEST(ExecutorTest, EveryFactorySchedulerDrivesTheExecutor) {
   util::Rng rng(88);
   const trace::JobTrace trace = trace::MakeRandomDag(40, 0.08, 0.25, 0.8, rng);
   const trace::Cascade cascade = trace::ComputeCascade(trace);
+  TaskRouter router({.workers = 3});
   for (const char* spec :
        {"levelbased", "lbl:3", "logicblox", "signal", "hybrid", "oracle"}) {
     auto scheduler = sched::CreateScheduler(spec);
     const auto stats =
-        Executor::Run(trace, *scheduler, Executor::TaskBody{}, {.workers = 3});
+        Executor::Run(router, trace, *scheduler, Executor::TaskBody{}, {});
     EXPECT_EQ(stats.executed, cascade.NumActive()) << spec;
   }
+}
+
+TEST(ExecutorTest, ThrowingBodyFailsTheCascadeNotTheProcess) {
+  // A body that throws on one task must not unwind a pool worker.  Run
+  // drains the cascade with that task counted as unchanged, closes its
+  // channel, then rethrows the body's exception; the router stays usable.
+  const trace::JobTrace trace = trace::MakeChain(10);
+  TaskRouter router({.workers = 2});
+  sched::LevelBasedScheduler failing;
+  std::atomic<int> ran{0};
+  try {
+    (void)Executor::Run(
+        router, trace, failing,
+        [&](util::TaskId t, std::size_t) {
+          ran.fetch_add(1);
+          if (t == 3) {
+            throw util::InvalidArgument("task 3 failed");
+          }
+          return true;
+        },
+        {});
+    FAIL() << "the body's exception was swallowed";
+  } catch (const util::InvalidArgument& err) {
+    EXPECT_STREQ(err.what(), "task 3 failed");
+  }
+  // Task 3 counts as unchanged, so the chain stops after it.
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(router.OpenChannels(), 0u);
+
+  sched::LevelBasedScheduler clean;
+  const auto stats =
+      Executor::Run(router, trace, clean, Executor::TaskBody{}, {});
+  EXPECT_EQ(stats.executed, 10u);
+  EXPECT_EQ(router.OpenChannels(), 0u);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -517,6 +519,73 @@ TEST(ServiceTest, QueriesSeeAppliedEpochs) {
   EXPECT_TRUE(session->Contains(
       "tc", {datalog::Value::Int(0), datalog::Value::Int(2)}));
   session->Close();
+}
+
+/// The exception `future` fails with; null (and a test failure) when it
+/// resolves instead.
+std::exception_ptr FailureOf(std::future<UpdateOutcome>& future) {
+  try {
+    (void)future.get();
+  } catch (...) {
+    return std::current_exception();
+  }
+  ADD_FAILURE() << "the batch applied instead of failing";
+  return nullptr;
+}
+
+/// The message of an InvalidArgument `error`; empty for anything else.
+std::string InvalidArgumentMessage(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const util::InvalidArgument& err) {
+    return err.what();
+  } catch (...) {
+  }
+  return {};
+}
+
+TEST(ServiceTest, ThrowingTaskBodyFailsOnlyItsBatch) {
+  // An ordered comparison or a sum over a symbol throws inside a pool task
+  // body.  That batch's future fails with the message, and the session
+  // stays live: the next batch applies, unpipelined and at depth 4.
+  EngineHost host({.workers = 2});
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("K=" + std::to_string(depth));
+    auto session = host.OpenSession(R"(
+      small(X) :- v(X), X < 5.
+      total(K; sum(V)) :- w(K, V).
+    )",
+                                    {.scheduler_spec = "hybrid",
+                                     .pipeline_depth = depth});
+    (void)session->Materialize();
+    ASSERT_EQ(session->PipelineDepth(), depth);
+
+    auto compare = session->MakeUpdate();
+    compare.Insert("v", {session->Sym("oops")});
+    auto sum = session->MakeUpdate();
+    sum.Insert("w", {datalog::Value::Int(1), session->Sym("oops")});
+    auto good = session->MakeUpdate();
+    good.Insert("v", {datalog::Value::Int(4)});
+    std::future<UpdateOutcome> compare_future = session->Submit(compare);
+    std::future<UpdateOutcome> sum_future = session->Submit(sum);
+    std::future<UpdateOutcome> good_future = session->Submit(good);
+
+    const std::exception_ptr compare_error = FailureOf(compare_future);
+    const std::exception_ptr sum_error = FailureOf(sum_future);
+    EXPECT_EQ(good_future.get().epoch, 3u);
+    session->Drain();
+    EXPECT_EQ(session->AppliedEpoch(), 3u);
+    EXPECT_TRUE(session->Contains("small", {datalog::Value::Int(4)}));
+    // Read the messages only once Close has joined the apply threads.  An
+    // apply thread's promise shares each exception object with this
+    // thread, and its last reference must drop here, after the reads.
+    session->Close();
+    EXPECT_EQ(InvalidArgumentMessage(compare_error),
+              "ordered comparison requires integer operands");
+    EXPECT_EQ(InvalidArgumentMessage(sum_error),
+              "sum aggregates integer values only");
+  }
+  EXPECT_EQ(host.Router().OpenChannels(), 0u);
 }
 
 }  // namespace
