@@ -118,11 +118,18 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   // share a byte the way vector<bool> bits would).
   std::vector<std::uint8_t> pred_changed(num_preds, 0);
 
+  // Dispatch in proportion to work: a small batch's cascade runs inline on
+  // this thread, a large one on the router's pool.
+  const bool run_inline = request.insertions.size() +
+                              request.deletions.size() <=
+                          kInlineMaxBaseChanges;
+
   // One write buffer per executor worker: a phase stages its base inserts
   // per shard and publishes them lock-free (see delta_buffer.hpp).  Buffers
   // are indexed by the worker running the task, so each is single-owner —
-  // one buffer per POOL worker, since worker indices span the router's pool.
-  std::vector<StoreWriteBuffer> scratch(router.NumWorkers());
+  // one buffer per POOL worker, since worker indices span the router's pool
+  // (inline, every task runs as worker 0).
+  std::vector<StoreWriteBuffer> scratch(run_inline ? 1 : router.NumWorkers());
   for (StoreWriteBuffer& buffer : scratch) {
     buffer.SetEpoch(options.epoch);
   }
@@ -200,7 +207,8 @@ ParallelUpdateResult ApplyParallel(const Program& program,
       router, result.trace, *scheduler, task_body,
       {.gate = gated ? &gate : nullptr,
        .memory_budget = options.memory_budget,
-       .account = options.account});
+       .account = options.account,
+       .run_inline = run_inline});
 
   // --- Assemble the sequential-compatible result.
   for (const std::uint32_t c : strat.component_order) {

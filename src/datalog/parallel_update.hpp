@@ -18,6 +18,7 @@
 // "activated ancestors first" rule doing real synchronization work.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "datalog/incremental.hpp"
@@ -28,6 +29,12 @@
 #include "trace/job_trace.hpp"
 
 namespace dsched::datalog {
+
+/// Largest update, in base changes (insertions + deletions), whose cascade
+/// runs inline on the calling thread instead of the router's pool: below
+/// it a pool round trip costs more than it saves.  Taken from the sweep in
+/// EXPERIMENTS.md ("Dispatch in proportion to work"); not an option.
+inline constexpr std::size_t kInlineMaxBaseChanges = 64;
 
 /// Options for one parallel update.
 struct ParallelUpdateOptions {
@@ -77,7 +84,9 @@ struct ParallelUpdateResult {
 
 /// Applies `request` to the materialized `store`, running the cascade on
 /// `router`'s shared pool (one channel per update — this is how the service
-/// layer interleaves many sessions' cascades on one pool).  Equivalent to
+/// layer interleaves many sessions' cascades on one pool), or inline on the
+/// calling thread when the request has at most kInlineMaxBaseChanges base
+/// changes.  Either way the same scheduler orders it.  Equivalent to
 /// IncrementalEngine::Apply in final state (the tests verify store
 /// equality); faster when independent components dominate.
 [[nodiscard]] ParallelUpdateResult ApplyParallel(

@@ -59,15 +59,24 @@ class CompletionBuffer {
 // exclusively on this (coordinator) thread — workers never touch them, so
 // neither needs a lock.  The ONLY coordinator/worker shared state is
 // `completions` (plus, when gated, the epoch frontier shared with the
-// neighbouring epochs' coordinators).
-Executor::RunStats RunCascade(const trace::JobTrace& trace,
+// neighbouring epochs' coordinators).  An inline cascade opens no channel:
+// `run_task` is called here on each dispatched task, and the completion
+// buffer stays unused.
+Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
                               sched::Scheduler& scheduler,
                               const Executor::Options& options,
-                              CompletionBuffer& completions,
-                              TaskRouter::Channel& channel,
-                              std::size_t num_workers) {
+                              const Executor::TaskBody& run_task) {
   const graph::Dag& dag = trace.Graph();
+  const std::size_t num_workers = router.NumWorkers();
+  CompletionBuffer completions;
+  TaskRouter::Channel channel;
+  if (!options.run_inline) {
+    channel = router.OpenChannel([&](TaskId t, std::size_t worker) {
+      completions.Push(t, run_task(t, worker));
+    });
+  }
   Executor::RunStats stats;
+  stats.ran_inline = options.run_inline;
   util::WallTimer wall;
   util::Stopwatch sched_watch;
   util::Stopwatch dispatch_watch;
@@ -77,7 +86,8 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
   // decision.  Dispatch-bound means per-batch overhead dominates — double
   // the window to amortize it; strongly idle-bound means the workers are
   // the bottleneck and coarse pops only make the scheduler's choices
-  // staler — halve it.
+  // staler — halve it.  An inline cascade never drains the buffer, so its
+  // window stays where it starts.
   std::size_t window = std::max<std::size_t>(16, 2 * num_workers);
   constexpr std::size_t kMinWindow = 4;
   constexpr std::size_t kMaxWindow = 4096;
@@ -85,7 +95,9 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
   std::uint64_t control_drains = 0;
   double control_dispatch = 0.0;
   double control_idle = 0.0;
-  completions.Reserve(2 * window);
+  if (!options.run_inline) {
+    completions.Reserve(2 * window);
+  }
 
   scheduler.Prepare({&trace, num_workers});
 
@@ -156,6 +168,7 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
   /// the head blocks the rest so a large task cannot be starved.
   std::vector<TaskId> budget_held;
   std::vector<TaskId> admitted;  ///< budget-cleared slice, dispatch scratch
+  std::vector<TaskId> queued;  ///< inline: dispatched, not yet run
   std::vector<Completion> drained;
   drained.reserve(2 * window);
 
@@ -163,7 +176,11 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
     inflight += tasks.size();
     stats.inflight_high_water =
         std::max<std::uint64_t>(stats.inflight_high_water, inflight);
-    channel.SubmitBatch(tasks);
+    if (options.run_inline) {
+      queued.insert(queued.end(), tasks.begin(), tasks.end());
+    } else {
+      channel.SubmitBatch(tasks);
+    }
   };
   const auto account_task = [&](std::uint64_t utility, std::uint64_t level) {
     stats.mem_acquired_bytes += utility;
@@ -368,9 +385,16 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
     }
 
     // Drain: one lock acquisition + buffer swap collects every completion
-    // that arrived since the last drain.
+    // that arrived since the last drain.  Inline, the coordinator runs the
+    // dispatched tasks itself; body time is the cascade's work, so it
+    // counts as neither dispatch nor idle time.
     drained.clear();
-    {
+    if (options.run_inline) {
+      for (const TaskId t : queued) {
+        drained.push_back({t, run_task(t, 0)});
+      }
+      queued.clear();
+    } else {
       OBS_SCOPE(Category::kExecIdle);
       const util::StopwatchGuard idle_guard(idle_watch);
       completions.WaitAndDrain(drained);
@@ -439,14 +463,17 @@ Executor::RunStats RunCascade(const trace::JobTrace& trace,
     stats.levels_finalized = gate->num_levels;
   }
 
-  // One worker-side push per executed task, by construction.
-  stats.completion_pushes = stats.executed;
+  // One worker-side push per pooled task, by construction.
+  stats.completion_pushes = stats.ran_inline ? 0 : stats.executed;
   stats.activations = activated_count;
   stats.final_window = window;
   stats.wall_seconds = wall.ElapsedSeconds();
   stats.sched_wall_seconds = sched_watch.TotalSeconds();
   stats.dispatch_wall_seconds = dispatch_watch.TotalSeconds();
   stats.idle_wall_seconds = idle_watch.TotalSeconds();
+  // All completions are counted, so Close's precondition holds; it spins
+  // out any worker still unwinding from the body before returning.
+  channel.Close();
   return stats;
 }
 
@@ -457,30 +484,23 @@ Executor::RunStats Executor::Run(TaskRouter& router,
                                  sched::Scheduler& scheduler,
                                  const TaskBody& body,
                                  const Options& options) {
-  CompletionBuffer completions;
   // A throwing body must not unwind a pool worker (that would terminate
   // the process).  The first exception is kept, its task reports
   // "unchanged" so the cascade still drains, and Run rethrows it below.
   std::mutex error_mutex;
   std::exception_ptr error;
-  TaskRouter::Channel channel =
-      router.OpenChannel([&](TaskId t, std::size_t worker) {
-        bool changed = false;
-        try {
-          changed = body ? body(t, worker) : trace.Info(t).output_changes;
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (error == nullptr) {
-            error = std::current_exception();
-          }
-        }
-        completions.Push(t, changed);
-      });
-  RunStats stats = RunCascade(trace, scheduler, options, completions, channel,
-                              router.NumWorkers());
-  // All completions are counted, so Close's precondition holds; it spins
-  // out any worker still unwinding from the body before returning.
-  channel.Close();
+  const TaskBody run_task = [&](TaskId t, std::size_t worker) {
+    try {
+      return body ? body(t, worker) : trace.Info(t).output_changes;
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (error == nullptr) {
+        error = std::current_exception();
+      }
+      return false;
+    }
+  };
+  RunStats stats = RunCascade(router, trace, scheduler, options, run_task);
   if (error != nullptr) {
     std::rethrow_exception(error);
   }

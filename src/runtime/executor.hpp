@@ -14,6 +14,11 @@
 // wakeup.  Per-task costs left on the hot path: one worker-side push under
 // the completion mutex, and the task body itself — no per-task notify, no
 // per-task std::function allocation, no per-task scheduler lock.
+//
+// A cascade too small to repay a pool round trip runs inline instead
+// (Options::run_inline): the coordinator runs each popped batch itself,
+// through the same scheduler, fence and budget gates, with no channel and
+// no completion buffer.
 #pragma once
 
 #include <array>
@@ -139,6 +144,13 @@ class Executor {
     /// Account shared across cascades (a session's K pipelined epochs);
     /// null = a private per-run account.
     ResourceAccount* account = nullptr;
+    /// Run every task on the calling (coordinator) thread instead of the
+    /// router's pool: no channel is opened, completions skip the buffer
+    /// lock, and every body sees worker 0.  The scheduler, fence and
+    /// budget gates and the exception contract are those of a pooled run.
+    /// Engine-set: the parallel Datalog engine picks it for cascades too
+    /// small to repay a pool round trip (datalog/parallel_update.cpp).
+    bool run_inline = false;
   };
 
   /// log2 buckets for the dispatch batch size histogram: bucket i counts
@@ -152,12 +164,15 @@ class Executor {
     double sched_wall_seconds = 0.0;  ///< inside scheduler calls
     /// Coordinator time spent on the serialized dispatch path: scheduler
     /// calls, batch submits, and completion bookkeeping — but NOT time
-    /// blocked waiting for workers.  sched_wall_seconds is the
-    /// scheduler-policy subcomponent; the difference is the executor's own
-    /// dispatch overhead.
+    /// blocked waiting for workers, nor (inline) time inside task bodies.
+    /// sched_wall_seconds is the scheduler-policy subcomponent; the
+    /// difference is the executor's own dispatch overhead.
     double dispatch_wall_seconds = 0.0;
-    /// Coordinator time blocked waiting for a completion to arrive.
+    /// Coordinator time blocked waiting for a completion to arrive (or, on
+    /// the budget and fence gates, for a sibling cascade).
     double idle_wall_seconds = 0.0;
+    /// The cascade ran on the coordinator thread (Options::run_inline).
+    bool ran_inline = false;
 
     // --- contention observability (all counted, not asserted) ---
     std::uint64_t dispatch_batches = 0;  ///< PopReadyBatch calls that yielded work
@@ -165,12 +180,14 @@ class Executor {
     std::uint64_t max_dispatch_batch = 0;
     /// log2 histogram of non-empty dispatch batch sizes.
     std::array<std::uint64_t, kBatchHistBuckets> batch_size_hist{};
-    /// Coordinator-side completion-buffer drains (one lock + swap each).
+    /// Coordinator-side completion-buffer drains (one lock + swap each;
+    /// 0 inline).
     std::uint64_t completion_drains = 0;
-    /// Worker-side completion pushes (one short lock each; == executed).
+    /// Worker-side completion pushes (one short lock each; == executed on
+    /// the pool, 0 inline).
     std::uint64_t completion_pushes = 0;
-    /// Most tasks simultaneously handed to the pool and not yet drained —
-    /// the ready-queue depth high-water mark seen by the coordinator.
+    /// Most tasks simultaneously dispatched and not yet drained — the
+    /// ready-queue depth high-water mark seen by the coordinator.
     std::uint64_t inflight_high_water = 0;
 
     // --- epoch pipelining (all zero for ungated cascades) ---
@@ -215,11 +232,13 @@ class Executor {
     }
   };
 
-  /// Runs the cascade to completion on the router's shared pool.  Tasks
-  /// are tagged with a router channel, so concurrent Run calls from
-  /// different coordinator threads (one per service session) interleave
-  /// their cascades on the same workers.  The scheduler must be fresh
-  /// (Prepare is called here, with router.NumWorkers() processors).
+  /// Runs the cascade to completion on the router's shared pool, or on the
+  /// calling thread when options.run_inline is set.  Pooled tasks are
+  /// tagged with a router channel, so concurrent Run calls from different
+  /// coordinator threads (one per service session) interleave their
+  /// cascades on the same workers.  The scheduler must be fresh (Prepare
+  /// is called here, with router.NumWorkers() processors either way, so an
+  /// inline cascade pops the batches a pooled one would).
   /// Steal/sleep behaviour belongs to the shared pool, not to any one
   /// cascade: read it from TaskRouter::PoolStats (host.pool.* metrics).
   ///

@@ -32,23 +32,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(WorkItem task) {
-  DSCHED_CHECK_MSG(!shutdown_.load(std::memory_order_relaxed),
-                   "submit on a shutting-down pool");
-  const std::size_t slot =
-      next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
-  // Counters first: a claimer's fetch_sub must never observe the item
-  // before the increment (unclaimed_ would underflow).
-  outstanding_.fetch_add(1);
-  unclaimed_.fetch_add(1);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(slots_[slot]->mutex);
-    slots_[slot]->deque.push_back(task);
-  }
-  WakeWorkers(1);
-}
-
 void ThreadPool::SubmitBatch(std::span<const WorkItem> tasks) {
   if (tasks.empty()) {
     return;
@@ -56,7 +39,8 @@ void ThreadPool::SubmitBatch(std::span<const WorkItem> tasks) {
   DSCHED_CHECK_MSG(!shutdown_.load(std::memory_order_relaxed),
                    "submit on a shutting-down pool");
   const std::size_t n = tasks.size();
-  outstanding_.fetch_add(n);
+  // Counter first: a claimer's fetch_sub must never observe an item
+  // before the increment (unclaimed_ would underflow).
   unclaimed_.fetch_add(n);
   submitted_.fetch_add(n, std::memory_order_relaxed);
   // Contiguous chunks, one lock acquisition per touched deque.  Stealing
@@ -92,20 +76,6 @@ void ThreadPool::WakeWorkers(std::size_t count) {
     for (std::size_t i = 0; i < wakes; ++i) {
       work_available_.notify_one();
     }
-  }
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(done_mutex_);
-  all_done_.wait(lock, [this] { return outstanding_.load() == 0; });
-}
-
-void ThreadPool::FinishOne() {
-  if (outstanding_.fetch_sub(1) == 1) {
-    // Pair with Wait(): taking the mutex orders this notify after any
-    // in-progress predicate check.
-    const std::lock_guard<std::mutex> lock(done_mutex_);
-    all_done_.notify_all();
   }
 }
 
@@ -167,7 +137,6 @@ void ThreadPool::WorkerLoop(std::size_t self) {
     if (TryPopOwn(self, task) || TrySteal(self, task)) {
       run_(task, self);
       own.executed.fetch_add(1, std::memory_order_relaxed);
-      FinishOne();
       continue;
     }
     if (shutdown_.load(std::memory_order_relaxed)) {

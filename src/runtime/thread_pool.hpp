@@ -38,7 +38,7 @@ namespace dsched::runtime {
 
 /// Contention/behaviour counters, aggregated across workers by Stats().
 struct ThreadPoolStats {
-  std::uint64_t submitted = 0;  ///< items handed to Submit/SubmitBatch
+  std::uint64_t submitted = 0;  ///< items handed to SubmitBatch
   std::uint64_t executed = 0;   ///< items whose body finished
   std::uint64_t steals = 0;     ///< items taken from another worker's deque
   std::uint64_t sleeps = 0;     ///< times a worker went to sleep
@@ -70,21 +70,17 @@ class ThreadPool {
   /// Drains pending items, then joins all workers.
   ~ThreadPool();
 
-  /// Enqueues one item.
-  void Submit(WorkItem task);
-
   /// Enqueues a batch, spreading contiguous chunks across worker deques
   /// under one lock acquisition per touched deque.
   void SubmitBatch(std::span<const WorkItem> tasks);
 
-  /// Blocks until every submitted item has finished executing.
-  void Wait();
-
   [[nodiscard]] std::size_t NumWorkers() const { return slots_.size(); }
 
   /// Aggregated counters; safe to call concurrently with running work
-  /// (individual counters are relaxed atomics, the sum is approximate
-  /// while work is in flight and exact once Wait() returned).
+  /// (individual counters are relaxed atomics, so the sum is approximate
+  /// while work is in flight).  The pool has no completion signal of its
+  /// own: a submitter that needs one counts completions in its TaskFn, as
+  /// the Executor does.
   [[nodiscard]] ThreadPoolStats Stats() const;
 
  private:
@@ -108,15 +104,12 @@ class ThreadPool {
   bool TryPopOwn(std::size_t self, WorkItem& out);
   bool TrySteal(std::size_t self, WorkItem& out);
   void WakeWorkers(std::size_t count);
-  void FinishOne();
 
   TaskFn run_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
   /// Queued-but-unclaimed items; the sleep predicate.  Incremented before
   /// an item becomes visible, decremented by the claimer.
   std::atomic<std::size_t> unclaimed_{0};
-  /// Submitted-but-unfinished items; the Wait() predicate.
-  std::atomic<std::size_t> outstanding_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<bool> shutdown_{false};
   /// Round-robin cursor for spreading external submits.
@@ -125,8 +118,6 @@ class ThreadPool {
 
   std::mutex sleep_mutex_;
   std::condition_variable work_available_;
-  std::mutex done_mutex_;
-  std::condition_variable all_done_;
   std::vector<std::thread> threads_;
 };
 

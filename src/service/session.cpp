@@ -294,6 +294,7 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
       }
       frontier_stalls_ += outcome.run.frontier_stalls;
       frontier_stall_seconds_ += outcome.run.frontier_stall_seconds;
+      inline_cascades_ += outcome.run.ran_inline ? 1 : 0;
       mem_acquired_total_ += outcome.run.mem_acquired_bytes;
       mem_deferred_total_ += outcome.run.mem_deferred;
       mem_budget_stalls_total_ += outcome.run.mem_budget_stalls;
@@ -405,6 +406,7 @@ void Session::PublishMetrics() {
   std::uint64_t avoided = 0;
   std::uint64_t inflight_hw = 0;
   std::uint64_t stalls = 0;
+  std::uint64_t inline_cascades = 0;
   std::uint64_t mem_acquired = 0;
   std::uint64_t mem_deferred = 0;
   std::uint64_t mem_stalls = 0;
@@ -430,6 +432,7 @@ void Session::PublishMetrics() {
     avoided = maint_avoided_total_;
     inflight_hw = inflight_high_water_;
     stalls = frontier_stalls_;
+    inline_cascades = inline_cascades_;
     mem_acquired = mem_acquired_total_;
     mem_deferred = mem_deferred_total_;
     mem_stalls = mem_budget_stalls_total_;
@@ -458,6 +461,7 @@ void Session::PublishMetrics() {
               static_cast<std::uint64_t>(busy_seconds * 1e9));
   metrics.Set(metrics_prefix_ + "pipeline.finalizations",
               frontier_.Finalizations());
+  metrics.Set(metrics_prefix_ + "pipeline.inline_cascades", inline_cascades);
   metrics.Set(metrics_prefix_ + "mem.budget_bytes", memory_budget_);
   metrics.Set(metrics_prefix_ + "mem.live_bytes",
               account_.live.load(std::memory_order_relaxed));

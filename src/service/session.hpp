@@ -248,6 +248,8 @@ class Session {
   double cascade_seconds_ = 0.0;
   std::uint64_t frontier_stalls_ = 0;
   double frontier_stall_seconds_ = 0.0;
+  /// Applied cascades that ran on the apply thread, not the pool.
+  std::uint64_t inline_cascades_ = 0;
   std::uint64_t mem_acquired_total_ = 0;
   std::uint64_t mem_deferred_total_ = 0;
   std::uint64_t mem_budget_stalls_total_ = 0;

@@ -250,6 +250,43 @@ void ExpectFixtureStreamMatchesSerial(TaskRouter& router, const char* spec) {
   }
 }
 
+/// Input 3 of the sweep: batches one change above the inline threshold,
+/// so every cascade runs on the router's pool whatever its worker count.
+/// (Inputs 1 and 2 are small batches, which run inline.)
+void ExpectPooledStreamMatchesSerial(TaskRouter& router, const char* spec) {
+  util::Rng rng(4321);
+  dsched::testing::WideFixture serial;
+  serial.Base(rng, 9, 0.18);
+  util::Rng rng2(4321);
+  dsched::testing::WideFixture routed;
+  routed.Base(rng2, 9, 0.18);
+
+  datalog::IncrementalEngine engine(serial.program, serial.strat,
+                                    serial.store);
+  util::Rng update_rng(987);
+  for (int batch = 0; batch < 2; ++batch) {
+    datalog::UpdateRequest request;
+    while (request.insertions.size() + request.deletions.size() <=
+           datalog::kInlineMaxBaseChanges) {
+      const datalog::UpdateRequest more =
+          dsched::testing::RandomUpdate(serial.program, update_rng, 9);
+      request.insertions.insert(request.insertions.end(),
+                                more.insertions.begin(), more.insertions.end());
+      request.deletions.insert(request.deletions.end(), more.deletions.begin(),
+                               more.deletions.end());
+    }
+    (void)engine.Apply(request);
+    datalog::ParallelUpdateOptions options;
+    options.scheduler_spec = spec;
+    const auto result = datalog::ApplyParallel(
+        routed.program, routed.strat, routed.store, request, router, options);
+    EXPECT_FALSE(result.run.ran_inline)
+        << spec << " workers=" << router.NumWorkers() << " batch=" << batch;
+    dsched::testing::ExpectStoresEqual(serial.program, serial.store,
+                                       routed.store, spec);
+  }
+}
+
 TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
   // One shared router per worker count, reused across every spec and
   // batch — the service-layer configuration.
@@ -258,6 +295,7 @@ TEST(RuntimeStressTest, ParallelStoreEqualsSerialAcrossSweep) {
     for (const char* spec : kSpecs) {
       ExpectHandBuiltStreamMatchesSerial(router, spec);
       ExpectFixtureStreamMatchesSerial(router, spec);
+      ExpectPooledStreamMatchesSerial(router, spec);
     }
     EXPECT_EQ(router.OpenChannels(), 0u);
   }

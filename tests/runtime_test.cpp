@@ -3,6 +3,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <thread>
 
 #include "runtime/executor.hpp"
@@ -18,67 +22,127 @@
 namespace dsched::runtime {
 namespace {
 
+// The pool has no completion signal of its own (its only submitter, the
+// TaskRouter, counts completions in the task body), so these tests do the
+// same: bodies count down a test-local latch.
+class Latch {
+ public:
+  explicit Latch(int count) : left_(count) {}
+
+  void CountDown() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (--left_ == 0) {
+      done_.notify_all();
+    }
+  }
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [this] { return left_ == 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_;
+  int left_;
+};
+
+// A worker bumps `executed` just after its body returns, so the counter
+// can trail the latch by a few instructions; settle before asserting it.
+ThreadPoolStats SettledStats(const ThreadPool& pool, std::uint64_t executed) {
+  ThreadPoolStats stats = pool.Stats();
+  for (int spin = 0; spin < 100000 && stats.executed < executed; ++spin) {
+    std::this_thread::yield();
+    stats = pool.Stats();
+  }
+  return stats;
+}
+
 TEST(ThreadPoolTest, RunsAllJobs) {
   std::atomic<int> counter{0};
-  ThreadPool pool(4, [&counter](util::TaskId, std::size_t) { counter.fetch_add(1); });
-  for (util::TaskId i = 0; i < 100; ++i) {
-    pool.Submit(i);
+  Latch latch(100);
+  ThreadPool pool(4, [&](ThreadPool::WorkItem, std::size_t) {
+    counter.fetch_add(1);
+    latch.CountDown();
+  });
+  for (ThreadPool::WorkItem i = 0; i < 100; ++i) {
+    pool.SubmitBatch(std::span<const ThreadPool::WorkItem>(&i, 1));
   }
-  pool.Wait();
+  latch.Wait();
   EXPECT_EQ(counter.load(), 100);
-  const ThreadPoolStats stats = pool.Stats();
+  const ThreadPoolStats stats = SettledStats(pool, 100);
   EXPECT_EQ(stats.submitted, 100u);
   EXPECT_EQ(stats.executed, 100u);
 }
 
-TEST(ThreadPoolTest, WaitBlocksUntilDrained) {
+TEST(ThreadPoolTest, SlowBodiesAllFinish) {
   std::atomic<int> done{0};
-  ThreadPool pool(2, [&done](util::TaskId, std::size_t) {
+  Latch latch(8);
+  ThreadPool pool(2, [&](ThreadPool::WorkItem, std::size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     done.fetch_add(1);
+    latch.CountDown();
   });
-  for (util::TaskId i = 0; i < 8; ++i) {
-    pool.Submit(i);
+  for (ThreadPool::WorkItem i = 0; i < 8; ++i) {
+    pool.SubmitBatch(std::span<const ThreadPool::WorkItem>(&i, 1));
   }
-  pool.Wait();
+  latch.Wait();
   EXPECT_EQ(done.load(), 8);
 }
 
-TEST(ThreadPoolTest, DestructorJoinsCleanly) {
+TEST(ThreadPoolTest, DestructorDrainsAndJoinsCleanly) {
+  // No latch: the destructor itself must run every pending item before
+  // it joins the workers.
   std::atomic<int> done{0};
   {
-    ThreadPool pool(3, [&done](util::TaskId, std::size_t) { done.fetch_add(1); });
-    for (util::TaskId i = 0; i < 20; ++i) {
-      pool.Submit(i);
+    ThreadPool pool(3, [&done](ThreadPool::WorkItem, std::size_t) {
+      done.fetch_add(1);
+    });
+    std::vector<ThreadPool::WorkItem> batch(20);
+    for (ThreadPool::WorkItem i = 0; i < 20; ++i) {
+      batch[i] = i;
     }
-    pool.Wait();
+    pool.SubmitBatch(batch);
   }
   EXPECT_EQ(done.load(), 20);
 }
 
 TEST(ThreadPoolTest, SubmitBatchRunsEveryItemExactlyOnce) {
   std::vector<std::atomic<int>> seen(500);
-  ThreadPool pool(4, [&seen](ThreadPool::WorkItem t, std::size_t) { seen[t].fetch_add(1); });
+  Latch latch(500);
+  ThreadPool pool(4, [&](ThreadPool::WorkItem t, std::size_t) {
+    seen[t].fetch_add(1);
+    latch.CountDown();
+  });
   std::vector<ThreadPool::WorkItem> batch(500);
   for (ThreadPool::WorkItem i = 0; i < 500; ++i) {
     batch[i] = i;
   }
   pool.SubmitBatch(batch);
-  pool.Wait();
+  latch.Wait();
   for (const auto& count : seen) {
     EXPECT_EQ(count.load(), 1);
   }
-  EXPECT_EQ(pool.Stats().executed, 500u);
+  EXPECT_EQ(SettledStats(pool, 500).executed, 500u);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossWaits) {
+TEST(ThreadPoolTest, ReusableAcrossBatches) {
   std::atomic<int> done{0};
-  ThreadPool pool(2, [&done](util::TaskId, std::size_t) { done.fetch_add(1); });
+  std::vector<std::unique_ptr<Latch>> latches;
   for (int round = 0; round < 5; ++round) {
+    latches.push_back(std::make_unique<Latch>(4));
+  }
+  std::atomic<Latch*> latch{nullptr};
+  ThreadPool pool(2, [&](ThreadPool::WorkItem, std::size_t) {
+    done.fetch_add(1);
+    latch.load()->CountDown();
+  });
+  for (std::size_t round = 0; round < latches.size(); ++round) {
+    latch.store(latches[round].get());
     std::vector<ThreadPool::WorkItem> batch = {0, 1, 2, 3};
     pool.SubmitBatch(batch);
-    pool.Wait();
-    EXPECT_EQ(done.load(), (round + 1) * 4);
+    latch.load()->Wait();
+    EXPECT_EQ(done.load(), static_cast<int>(round + 1) * 4);
   }
 }
 
@@ -88,20 +152,22 @@ TEST(ThreadPoolTest, StealsRebalanceSkewedBatches) {
   // workers, one deque holds ~half the items; the blocked owner forces
   // every one of them to be stolen.
   std::atomic<int> done{0};
-  ThreadPool pool(2, [&done](ThreadPool::WorkItem t, std::size_t) {
+  Latch latch(64);
+  ThreadPool pool(2, [&](ThreadPool::WorkItem t, std::size_t) {
     if (t == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
     }
     done.fetch_add(1);
+    latch.CountDown();
   });
   std::vector<ThreadPool::WorkItem> batch(64);
   for (ThreadPool::WorkItem i = 0; i < 64; ++i) {
     batch[i] = i;
   }
   pool.SubmitBatch(batch);
-  pool.Wait();
+  latch.Wait();
   EXPECT_EQ(done.load(), 64);
-  EXPECT_EQ(pool.Stats().executed, 64u);
+  EXPECT_EQ(SettledStats(pool, 64).executed, 64u);
 }
 
 TEST(TaskRouterTest, ChannelsRouteToTheirOwnBodies) {
@@ -443,6 +509,98 @@ TEST(ExecutorTest, ThrowingBodyFailsTheCascadeNotTheProcess) {
       Executor::Run(router, trace, clean, Executor::TaskBody{}, {});
   EXPECT_EQ(stats.executed, 10u);
   EXPECT_EQ(router.OpenChannels(), 0u);
+}
+
+TEST(ExecutorTest, InlineCascadeRunsOnTheCallerWithoutThePool) {
+  // run_inline keeps the whole cascade on the calling thread: every spec
+  // still executes exactly the active set, every body sees worker 0 on
+  // this thread, no channel opens, and the pool is never handed a task.
+  util::Rng rng(99);
+  const trace::JobTrace trace = trace::MakeRandomDag(60, 0.06, 0.2, 0.7, rng);
+  const trace::Cascade cascade = trace::ComputeCascade(trace);
+  TaskRouter router({.workers = 4});
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const char* spec :
+       {"levelbased", "lbl:3", "logicblox", "signal", "hybrid"}) {
+    auto scheduler = sched::CreateScheduler(spec);
+    const std::uint64_t submitted = router.PoolStats().submitted;
+    std::size_t executed = 0;
+    bool on_caller = true;
+    bool worker_zero = true;
+    bool no_channel = true;
+    const auto stats = Executor::Run(
+        router, trace, *scheduler,
+        [&](util::TaskId t, std::size_t worker) {
+          ++executed;
+          on_caller = on_caller && std::this_thread::get_id() == caller;
+          worker_zero = worker_zero && worker == 0;
+          no_channel = no_channel && router.OpenChannels() == 0;
+          return trace.Info(t).output_changes;
+        },
+        {.run_inline = true});
+    EXPECT_TRUE(stats.ran_inline) << spec;
+    EXPECT_EQ(stats.executed, cascade.NumActive()) << spec;
+    EXPECT_EQ(executed, cascade.NumActive()) << spec;
+    EXPECT_TRUE(on_caller) << spec;
+    EXPECT_TRUE(worker_zero) << spec;
+    EXPECT_TRUE(no_channel) << spec;
+    EXPECT_EQ(stats.completion_drains, 0u) << spec;
+    EXPECT_EQ(stats.completion_pushes, 0u) << spec;
+    EXPECT_EQ(router.PoolStats().submitted, submitted) << spec;
+  }
+  sched::LevelBasedScheduler pooled;
+  EXPECT_FALSE(
+      Executor::Run(router, trace, pooled, Executor::TaskBody{}, {}).ran_inline);
+}
+
+TEST(ExecutorTest, InlineBudgetGateNeverExceedsCeiling) {
+  // The budget gate applies to an inline cascade unchanged: the same 16
+  // ready 1 KiB tasks against a 2 KiB ceiling park and re-admit.
+  const trace::JobTrace trace = MakeUtilityFork(16, 1024);
+  sched::LevelBasedScheduler scheduler;
+  TaskRouter router({.workers = 4});
+  const auto stats =
+      Executor::Run(router, trace, scheduler, Executor::TaskBody{},
+                    {.memory_budget = 2048, .run_inline = true});
+  EXPECT_EQ(stats.executed, 17u);
+  EXPECT_LE(stats.mem_peak_bytes, 2048u);
+  EXPECT_GE(stats.mem_deferred, 1u);
+  EXPECT_EQ(stats.mem_forced, 0u);
+  EXPECT_EQ(stats.mem_acquired_bytes, 16u * 1024u);
+}
+
+TEST(ExecutorTest, InlineThrowingBodyFailsTheCascadeNotTheProcess) {
+  // Inline, the throw happens on the caller's own stack.  Run still
+  // drains the cascade with the task counted as unchanged and rethrows
+  // the first exception; the next inline cascade runs clean.
+  const trace::JobTrace trace = trace::MakeChain(10);
+  TaskRouter router({.workers = 2});
+  sched::LevelBasedScheduler failing;
+  int ran = 0;
+  try {
+    (void)Executor::Run(
+        router, trace, failing,
+        [&](util::TaskId t, std::size_t) {
+          ++ran;
+          if (t == 3) {
+            throw util::InvalidArgument("task 3 failed");
+          }
+          return true;
+        },
+        {.run_inline = true});
+    FAIL() << "the body's exception was swallowed";
+  } catch (const util::InvalidArgument& err) {
+    EXPECT_STREQ(err.what(), "task 3 failed");
+  }
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(router.OpenChannels(), 0u);
+  EXPECT_EQ(router.PoolStats().submitted, 0u);
+
+  sched::LevelBasedScheduler clean;
+  const auto stats = Executor::Run(router, trace, clean, Executor::TaskBody{},
+                                   {.run_inline = true});
+  EXPECT_EQ(stats.executed, 10u);
+  EXPECT_EQ(router.PoolStats().submitted, 0u);
 }
 
 }  // namespace

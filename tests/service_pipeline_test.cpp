@@ -20,6 +20,7 @@
 #include "datalog/database.hpp"
 #include "datalog/incremental.hpp"
 #include "datalog/maintenance.hpp"
+#include "datalog/parallel_update.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
 #include "util/rng.hpp"
@@ -68,6 +69,32 @@ void SeedDbLikeFixture(datalog::Database& db, util::Rng& rng, int nodes,
     }
   }
   db.Materialize();
+}
+
+/// A batch of exactly `size` base changes over e and mark, about half
+/// inserts and half deletes.  The dispatch decision counts raw changes, so
+/// repeats and no-ops count too.
+datalog::UpdateRequest SizedUpdate(const datalog::Program& program,
+                                   util::Rng& rng, int nodes,
+                                   std::size_t size) {
+  using datalog::Tuple;
+  using datalog::Value;
+  const auto e = program.PredicateId("e");
+  const auto mark = program.PredicateId("mark");
+  const auto pick = [&] {
+    return Value::Int(
+        static_cast<std::int64_t>(rng.NextBelow(static_cast<std::uint64_t>(nodes))));
+  };
+  datalog::UpdateRequest request;
+  while (request.insertions.size() + request.deletions.size() < size) {
+    auto& side = rng.NextBool(0.5) ? request.insertions : request.deletions;
+    if (rng.NextBool(0.8)) {
+      side.emplace_back(e, Tuple{pick(), pick()});
+    } else {
+      side.emplace_back(mark, Tuple{pick()});
+    }
+  }
+  return request;
 }
 
 TEST(ServicePipelineTest, DepthResolutionAndClamping) {
@@ -135,6 +162,66 @@ TEST(ServicePipelineTest, PipelinedStoreEqualsSerialReplayAllStrategies) {
     ExpectStoresEqual(session->Db().GetProgram(), replay.Store(),
                       session->Store(), strategy);
   }
+}
+
+TEST(ServicePipelineTest, DispatchSweepEqualsSerialReplay) {
+  // A cascade of at most kInlineMaxBaseChanges base changes runs inline on
+  // the session's apply thread; a larger one runs on the pool.  On both
+  // sides of that threshold, for every spec, depth and strategy, the store
+  // equals a serial Database::ApplyRequest replay, and inline epochs hand
+  // the shared pool nothing.
+  constexpr std::size_t kTheta = datalog::kInlineMaxBaseChanges;
+  constexpr int kNodes = 12;
+  constexpr int kBatches = 3;
+  EngineHost host({.workers = 4});
+  for (const std::size_t size : {std::size_t{1}, kTheta, kTheta + 1,
+                                 std::size_t{512}}) {
+    for (const char* spec : {"hybrid", "levelbased", "signal", "logicblox"}) {
+      for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+        for (const char* strategy : {"dred", "bf"}) {
+          const std::string what = "|delta|=" + std::to_string(size) + " " +
+                                   spec + " K=" + std::to_string(depth) +
+                                   " " + strategy;
+          SCOPED_TRACE(what);
+          auto session = host.OpenSession(
+              kWideProgram, {.name = "sweep",
+                             .scheduler_spec = spec,
+                             .maintenance_strategy = strategy,
+                             .pipeline_depth = depth});
+          util::Rng seed_rng(size + depth);
+          SeedLikeFixture(*session, seed_rng, kNodes, 0.15);
+          datalog::Database replay(kWideProgram);
+          util::Rng replay_rng(size + depth);
+          SeedDbLikeFixture(replay, replay_rng, kNodes, 0.15);
+
+          util::Rng update_rng(7 * size + depth);
+          const std::uint64_t submitted = host.Router().PoolStats().submitted;
+          std::vector<std::future<UpdateOutcome>> futures;
+          for (int b = 0; b < kBatches; ++b) {
+            const datalog::UpdateRequest batch = SizedUpdate(
+                session->Db().GetProgram(), update_rng, kNodes, size);
+            futures.push_back(session->Submit(batch));
+            (void)replay.ApplyRequest(
+                batch, datalog::ParseMaintenanceStrategy(strategy));
+          }
+          for (auto& future : futures) {
+            EXPECT_EQ(future.get().run.ran_inline, size <= kTheta);
+          }
+          const std::uint64_t moved =
+              host.Router().PoolStats().submitted - submitted;
+          if (size <= kTheta) {
+            EXPECT_EQ(moved, 0u);
+          } else {
+            EXPECT_GT(moved, 0u);
+          }
+          session->Close();
+          ExpectStoresEqual(session->Db().GetProgram(), replay.Store(),
+                            session->Store(), what.c_str());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(host.Router().OpenChannels(), 0u);
 }
 
 TEST(ServicePipelineTest, FuturesResolveInDenseEpochOrder) {
@@ -258,6 +345,8 @@ TEST(ServicePipelineTest, PipelineMetricsArePublished) {
   EXPECT_EQ(metrics.Value("session.pm.applied"), 20u);
   // Every epoch of a depth>1 session finalizes its frontier entry.
   EXPECT_GE(metrics.Value("session.pm.pipeline.finalizations"), 20u);
+  // RandomUpdate batches are far below the inline threshold.
+  EXPECT_EQ(metrics.Value("session.pm.pipeline.inline_cascades"), 20u);
 }
 
 }  // namespace

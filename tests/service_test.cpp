@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "datalog/incremental.hpp"
+#include "datalog/parallel_update.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
 #include "service/update_queue.hpp"
@@ -584,6 +585,54 @@ TEST(ServiceTest, ThrowingTaskBodyFailsOnlyItsBatch) {
               "ordered comparison requires integer operands");
     EXPECT_EQ(InvalidArgumentMessage(sum_error),
               "sum aggregates integer values only");
+  }
+  EXPECT_EQ(host.Router().OpenChannels(), 0u);
+}
+
+TEST(ServiceTest, ThrowingTaskBodyFailsOnlyItsBatchOnBothDispatchPaths) {
+  // The failing batch is padded with harmless facts to run inline (one
+  // change) or on the pool (kInlineMaxBaseChanges + 1 changes).  Either
+  // way only its own future fails, and the next batch applies; an inline
+  // failure never touches the pool.
+  constexpr std::size_t kTheta = datalog::kInlineMaxBaseChanges;
+  EngineHost host({.workers = 2});
+  for (const std::size_t size : {std::size_t{1}, kTheta + 1}) {
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("|delta|=" + std::to_string(size) +
+                   " K=" + std::to_string(depth));
+      auto session = host.OpenSession(R"(
+        small(X) :- v(X), X < 5.
+        seen(X) :- pad(X).
+      )",
+                                      {.scheduler_spec = "hybrid",
+                                       .pipeline_depth = depth});
+      (void)session->Materialize();
+      auto bad = session->MakeUpdate();
+      bad.Insert("v", {session->Sym("oops")});
+      for (std::size_t i = 1; i < size; ++i) {
+        bad.Insert("pad", {datalog::Value::Int(static_cast<std::int64_t>(i))});
+      }
+      auto good = session->MakeUpdate();
+      good.Insert("v", {datalog::Value::Int(4)});
+      const std::uint64_t submitted = host.Router().PoolStats().submitted;
+      std::future<UpdateOutcome> bad_future = session->Submit(bad);
+      std::future<UpdateOutcome> good_future = session->Submit(good);
+
+      const std::exception_ptr bad_error = FailureOf(bad_future);
+      const UpdateOutcome outcome = good_future.get();
+      EXPECT_EQ(outcome.epoch, 2u);
+      EXPECT_TRUE(outcome.run.ran_inline);
+      session->Drain();
+      EXPECT_TRUE(session->Contains("small", {datalog::Value::Int(4)}));
+      if (size <= kTheta) {
+        EXPECT_EQ(host.Router().PoolStats().submitted, submitted);
+      } else {
+        EXPECT_GT(host.Router().PoolStats().submitted, submitted);
+      }
+      session->Close();
+      EXPECT_EQ(InvalidArgumentMessage(bad_error),
+                "ordered comparison requires integer operands");
+    }
   }
   EXPECT_EQ(host.Router().OpenChannels(), 0u);
 }
