@@ -92,10 +92,10 @@ std::vector<GenOp> BatchOps(int conn, int b, int batch_size) {
 
 /// micro_pipeline's order-independent store fingerprint, recomputed here
 /// from WIRE rows so the cross-check covers the whole net path.
-std::uint64_t HashRow(std::uint32_t pred, const net::WireTuple& row) {
+std::uint64_t HashRow(std::uint32_t pred, net::WireRowView row) {
   std::uint64_t h = pred + 1;
-  for (const net::WireValue& v : row) {
-    h = h * 0x100000001b3ULL + Value::Int(v.int_value).Bits();
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    h = h * 0x100000001b3ULL + Value::Int(row.Int(i)).Bits();
   }
   return h;
 }
@@ -332,7 +332,7 @@ Cell RunCell(const CellSpec& spec, int batches, int batch_size) {
       q.session_id = sid;
       q.predicate = program.predicate_names[p];
       const net::QueryResultResponse rows = main_client.QuerySync(q);
-      for (const net::WireTuple& row : rows.rows) {
+      for (const net::WireRowView row : rows.rows) {
         wire_checksum += HashRow(p, row);
         ++wire_rows;
       }

@@ -39,6 +39,20 @@ void CheckFrameFits(std::size_t payload_size) {
   }
 }
 
+/// Row-by-row equality of flat rows and any indexable rows (flat or owned).
+template <typename Rows>
+bool RowsEqual(const WireRows& a, const Rows& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    if (!(a[r] == b[r])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // --- writer ---------------------------------------------------------------
@@ -140,6 +154,61 @@ WireTuple WireReader::Tuple() {
     t.push_back(Value());
   }
   return t;
+}
+
+// --- QUERY_RESULT rows -------------------------------------------------------
+
+WireRowView::operator WireTuple() const {
+  WireTuple t;
+  t.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    t.push_back(IsSymbol(i) ? WireValue::Sym(std::string(Symbol(i)))
+                            : WireValue::Int(Int(i)));
+  }
+  return t;
+}
+
+// Equality is for tests and checks, not hot paths: it compares owned
+// copies, so it agrees with WireValue's field-by-field operator== exactly.
+bool operator==(const WireRowView& a, const WireRowView& b) {
+  return WireTuple(a) == WireTuple(b);
+}
+
+bool operator==(const WireRowView& a, const WireTuple& b) {
+  return WireTuple(a) == b;
+}
+
+void WireRows::push_back(const WireTuple& row) {
+  if (num_rows_ == 0) {
+    arity_ = row.size();
+  }
+  DSCHED_CHECK_MSG(row.size() == arity_,
+                   "every row of a QUERY result must have the same width");
+  for (const WireValue& v : row) {
+    if (v.is_symbol) {
+      cells_.push_back({static_cast<std::int64_t>(symbols_.size()),
+                        static_cast<std::uint32_t>(v.symbol.size()), true});
+      symbols_.append(v.symbol);
+    } else {
+      cells_.push_back({v.int_value, 0, false});
+    }
+  }
+  ++num_rows_;
+}
+
+void WireRows::clear() {
+  cells_.clear();
+  symbols_.clear();
+  num_rows_ = 0;
+  arity_ = 0;
+}
+
+bool operator==(const WireRows& a, const WireRows& b) {
+  return RowsEqual(a, b);
+}
+
+bool operator==(const WireRows& a, const std::vector<WireTuple>& b) {
+  return RowsEqual(a, b);
 }
 
 // --- QUERY_RESULT writer ----------------------------------------------------
@@ -297,23 +366,21 @@ std::string EncodeSubmitResult(const SubmitResultResponse& m) {
 }
 
 std::string EncodeQueryResult(const QueryResultResponse& m) {
+  const WireRows& rows = m.rows;
   std::size_t value_bytes = 0;
-  for (const WireTuple& row : m.rows) {
-    for (const WireValue& v : row) {
-      value_bytes += v.is_symbol
-                         ? QueryResultWriter::SymbolValueBytes(v.symbol.size())
-                         : QueryResultWriter::kIntValueBytes;
-    }
+  for (const WireCell& cell : rows.cells_) {
+    value_bytes += cell.is_symbol
+                       ? QueryResultWriter::SymbolValueBytes(cell.size)
+                       : QueryResultWriter::kIntValueBytes;
   }
   QueryResultWriter w(m.request_id, m.arity,
-                      static_cast<std::uint32_t>(m.rows.size()), value_bytes);
-  for (const WireTuple& row : m.rows) {
-    for (const WireValue& v : row) {
-      if (v.is_symbol) {
-        w.Symbol(v.symbol);
-      } else {
-        w.Int(v.int_value);
-      }
+                      static_cast<std::uint32_t>(rows.size()), value_bytes);
+  for (const WireCell& cell : rows.cells_) {
+    if (cell.is_symbol) {
+      w.Symbol(std::string_view(rows.symbols_).substr(
+          static_cast<std::size_t>(cell.value), cell.size));
+    } else {
+      w.Int(cell.value);
     }
   }
   return w.Finish();
@@ -448,26 +515,41 @@ bool DecodeQueryResult(std::string_view payload, QueryResultResponse* out) {
   out->request_id = r.U64();
   out->arity = r.U16();
   const std::uint32_t num_rows = r.U32();
-  // Every value is at least 2 bytes (tag + something): a row count the
-  // remaining bytes cannot hold is rejected before any row is allocated.
+  WireRows& rows = out->rows;
+  // Every value is at least an empty symbol's bytes, so a row count the
+  // remaining bytes cannot hold is rejected before any cell is allocated.
+  // Arity-0 rows carry no bytes and take no cells: any count of them fits.
+  const std::size_t num_values = std::size_t{num_rows} * out->arity;
   if (r.Failed() ||
-      (num_rows != 0 && r.Remaining() / (2u * out->arity + (out->arity == 0)) <
-                            num_rows)) {
+      r.Remaining() / QueryResultWriter::SymbolValueBytes(0) < num_values) {
+    rows.clear();
     return false;
   }
-  // Resized in place: surviving rows keep their capacity, and every value
-  // below is overwritten whole, so nothing stale remains.
-  out->rows.resize(num_rows);
-  for (WireTuple& row : out->rows) {
-    row.resize(out->arity);
-    for (WireValue& v : row) {
-      r.ValueInto(v);
-    }
-    if (r.Failed()) {
+  // Resized, not cleared: surviving cells are overwritten whole below, so
+  // a reused result neither reallocates nor re-initialises them.
+  rows.symbols_.clear();
+  rows.cells_.resize(num_values);
+  rows.num_rows_ = num_rows;
+  rows.arity_ = out->arity;
+  for (WireCell& cell : rows.cells_) {
+    const std::uint8_t tag = r.U8();
+    if (tag == 0) {
+      cell = {r.I64(), 0, false};
+    } else if (tag == 1) {
+      const std::string_view name = r.StrView();
+      cell = {static_cast<std::int64_t>(rows.symbols_.size()),
+              static_cast<std::uint32_t>(name.size()), true};
+      rows.symbols_.append(name);
+    } else {
+      rows.clear();
       return false;
     }
   }
-  return r.Complete();
+  if (!r.Complete()) {
+    rows.clear();
+    return false;
+  }
+  return true;
 }
 
 bool DecodeSessionClosed(std::string_view payload,

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,10 +163,115 @@ struct SubmitResultResponse {
   std::uint64_t deleted = 0;
 };
 
+/// One value in a WireRows cell array: 16 bytes, no heap.  An integer sits
+/// in `value`; a symbol's name is the pool bytes [value, value + size).
+struct WireCell {
+  std::int64_t value = 0;
+  std::uint32_t size = 0;
+  bool is_symbol = false;
+};
+static_assert(sizeof(WireCell) <= 16);
+
+/// One row of a WireRows: a view into its cells and symbol pool, valid
+/// until that WireRows is next changed or destroyed.
+class WireRowView {
+ public:
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool IsSymbol(std::size_t i) const {
+    return cells_[i].is_symbol;
+  }
+  /// The integer; 0 for a symbol, as in WireValue::int_value.
+  [[nodiscard]] std::int64_t Int(std::size_t i) const {
+    return cells_[i].is_symbol ? 0 : cells_[i].value;
+  }
+  /// The symbol's name; empty for an integer.
+  [[nodiscard]] std::string_view Symbol(std::size_t i) const {
+    const WireCell& c = cells_[i];
+    return c.is_symbol ? std::string_view(pool_ + c.value, c.size)
+                       : std::string_view();
+  }
+  /// A copy of the row as owned values (a heap vector, plus a string per
+  /// symbol).  Implicit, so callers written against WireTuple, such as
+  /// `for (const WireTuple& row : result.rows)`, still compile.
+  operator WireTuple() const;
+
+  friend bool operator==(const WireRowView& a, const WireRowView& b);
+  friend bool operator==(const WireRowView& a, const WireTuple& b);
+
+ private:
+  friend class WireRows;
+  WireRowView(const WireCell* cells, std::size_t size, const char* pool)
+      : cells_(cells), size_(size), pool_(pool) {}
+  const WireCell* cells_;
+  std::size_t size_;
+  const char* pool_;
+};
+
+struct QueryResultResponse;
+
+/// The rows of a QUERY_RESULT, flat: one cell array holding every row's
+/// values back to back, one string pool holding every symbol's bytes, and
+/// the row count.  A result is two heap buffers whatever its row count, and
+/// a decode into a reused WireRows keeps the capacity of both.
+class WireRows {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = WireRowView;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = WireRowView;
+
+    WireRowView operator*() const { return (*rows_)[row_]; }
+    const_iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class WireRows;
+    const_iterator(const WireRows* rows, std::size_t row)
+        : rows_(rows), row_(row) {}
+    const WireRows* rows_;
+    std::size_t row_;
+  };
+  using iterator = const_iterator;
+
+  [[nodiscard]] std::size_t size() const { return num_rows_; }
+  [[nodiscard]] bool empty() const { return num_rows_ == 0; }
+  /// Values the cell array holds before it must grow.
+  [[nodiscard]] std::size_t capacity() const { return cells_.capacity(); }
+  WireRowView operator[](std::size_t row) const {
+    return {cells_.data() + row * arity_, arity_, symbols_.data()};
+  }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, num_rows_}; }
+
+  /// Appends a copy of `row`.  Every row must be as wide as the first
+  /// (util::LogicError otherwise).
+  void push_back(const WireTuple& row);
+  /// Drops every row; both buffers keep their capacity.
+  void clear();
+
+  friend bool operator==(const WireRows& a, const WireRows& b);
+  friend bool operator==(const WireRows& a, const std::vector<WireTuple>& b);
+
+ private:
+  friend std::string EncodeQueryResult(const QueryResultResponse& m);
+  friend bool DecodeQueryResult(std::string_view payload,
+                                QueryResultResponse* out);
+  std::vector<WireCell> cells_;
+  std::string symbols_;
+  std::size_t num_rows_ = 0;
+  std::size_t arity_ = 0;
+};
+
 struct QueryResultResponse {
   std::uint64_t request_id = 0;
   std::uint16_t arity = 0;
-  std::vector<WireTuple> rows;
+  WireRows rows;
 };
 
 struct SessionClosedResponse {
@@ -351,8 +457,9 @@ enum class FrameStatus {
                                        SessionOpenedResponse* out);
 [[nodiscard]] bool DecodeSubmitResult(std::string_view payload,
                                       SubmitResultResponse* out);
-/// Decodes in one pass, in place: a reused `out` keeps the capacity of its
-/// rows and their symbols, and ends up with exactly the payload's rows.
+/// Decodes in one bounds-checked pass, in place: a reused `out` keeps the
+/// capacity of its cells and symbol pool, and ends up with exactly the
+/// payload's rows (none after a failed decode).
 [[nodiscard]] bool DecodeQueryResult(std::string_view payload,
                                      QueryResultResponse* out);
 [[nodiscard]] bool DecodeSessionClosed(std::string_view payload,

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,21 @@
 #include "util/error.hpp"
 
 namespace dsched::net {
+
+// gtest prints a mismatched row as its values rather than its bytes.
+void PrintTo(const WireRowView& row, std::ostream* os) {
+  *os << "(";
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    *os << (i == 0 ? "" : ", ");
+    if (row.IsSymbol(i)) {
+      *os << '"' << row.Symbol(i) << '"';
+    } else {
+      *os << row.Int(i);
+    }
+  }
+  *os << ")";
+}
+
 namespace {
 
 constexpr const char* kChainProgram = R"(
@@ -137,6 +153,14 @@ TEST(WireCodecTest, ResponsesRoundTrip) {
     ASSERT_EQ(out.rows.size(), 2u);
     EXPECT_EQ(out.rows[1],
               (WireTuple{WireValue::Int(2), WireValue::Sym("b")}));
+    const WireRowView row = out.rows[1];
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_FALSE(row.IsSymbol(0));
+    EXPECT_EQ(row.Int(0), 2);
+    EXPECT_EQ(row.Symbol(0), "");
+    EXPECT_TRUE(row.IsSymbol(1));
+    EXPECT_EQ(row.Symbol(1), "b");
+    EXPECT_EQ(row.Int(1), 0);
   }
   {
     const std::string f = EncodeError(
@@ -240,6 +264,33 @@ TEST(WireCodecTest, EncodeFrameRefusesOversizedPayloads) {
   EXPECT_THROW((void)EncodeFrame(Opcode::kQueryResult, over), FrameTooLarge);
 }
 
+/// QUERY_RESULTs of int, symbol, mixed and empty-string values, and a
+/// nullary one: the shapes every QUERY_RESULT decoding test runs over.
+std::vector<QueryResultResponse> ResultShapes() {
+  std::vector<QueryResultResponse> shapes(5);
+  shapes[0].arity = 2;
+  shapes[1].arity = 2;
+  shapes[2].arity = 3;
+  shapes[3].arity = 2;
+  shapes[4].arity = 0;
+  for (int i = 0; i < 4; ++i) {
+    shapes[0].rows.push_back({WireValue::Int(i - 2),
+                              WireValue::Int(datalog::Value::kMaxInt - i)});
+    shapes[1].rows.push_back({WireValue::Sym("s" + std::to_string(i)),
+                              WireValue::Sym(std::string(
+                                  static_cast<std::size_t>(i) * 7, 'q'))});
+    shapes[2].rows.push_back({WireValue::Int(i), WireValue::Sym("m"),
+                              i % 2 == 0 ? WireValue::Sym("\xc3\xa9")
+                                         : WireValue::Int(-i)});
+    shapes[3].rows.push_back({WireValue::Sym(""), WireValue::Sym("")});
+  }
+  shapes[4].rows.push_back({});
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    shapes[k].request_id = 40 + k;
+  }
+  return shapes;
+}
+
 TEST(WireCodecTest, TruncatedPayloadsRejectedWithoutCrashing) {
   SubmitRequest req;
   req.request_id = 1;
@@ -259,6 +310,25 @@ TEST(WireCodecTest, TruncatedPayloadsRejectedWithoutCrashing) {
   const std::string padded = std::string(parsed.payload) + "x";
   SubmitRequest out;
   EXPECT_FALSE(DecodeSubmit(padded, &out));
+
+  // The same for flat QUERY_RESULTs, and a refused one leaves no rows.
+  for (const QueryResultResponse& shape : ResultShapes()) {
+    const std::string result_frame = EncodeQueryResult(shape);
+    Frame result;
+    ASSERT_EQ(ExtractFrame(result_frame, &result), FrameStatus::kFrame);
+    QueryResultResponse decoded;
+    ASSERT_TRUE(DecodeQueryResult(result.payload, &decoded));
+    EXPECT_EQ(decoded.rows, shape.rows);
+    for (std::size_t len = 0; len < result.payload.size(); ++len) {
+      EXPECT_FALSE(DecodeQueryResult(result.payload.substr(0, len), &decoded))
+          << "shape " << shape.request_id << " prefix length " << len;
+      EXPECT_TRUE(decoded.rows.empty());
+    }
+    EXPECT_FALSE(
+        DecodeQueryResult(std::string(result.payload) + "x", &decoded))
+        << shape.request_id;
+    EXPECT_TRUE(decoded.rows.empty());
+  }
 }
 
 TEST(WireCodecTest, TruncatedEvolvePayloadsRejectedWithoutCrashing) {
@@ -341,7 +411,98 @@ TEST(WireCodecTest, GarbagePayloadsRejectedWithoutCrashing) {
     EXPECT_FALSE(DecodeAddRules(payload, &add));
     EXPECT_FALSE(DecodeRemoveRule(payload, &remove));
     EXPECT_FALSE(DecodeRulesChanged(payload, &changed));
+    EXPECT_TRUE(rows.rows.empty());
   }
+  // Flat results with any one byte overwritten: the decoder either refuses
+  // the payload, leaving no rows, or accepts exactly what re-encodes to it.
+  for (const QueryResultResponse& shape : ResultShapes()) {
+    const std::string payload = EncodeQueryResult(shape).substr(5);
+    for (std::size_t at = 0; at < payload.size(); ++at) {
+      for (const char byte : {'\x02', '\x7f', '\xff'}) {
+        std::string mutated = payload;
+        mutated[at] = byte;
+        QueryResultResponse out;
+        if (DecodeQueryResult(mutated, &out)) {
+          EXPECT_EQ(EncodeQueryResult(out).substr(5), mutated)
+              << "shape " << shape.request_id << " byte " << at;
+        } else {
+          EXPECT_TRUE(out.rows.empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(WireCodecTest, HostileRowCountsAllocateNothingThePayloadCannotBack) {
+  const auto payload = [](std::uint16_t arity, std::uint32_t num_rows,
+                          std::string_view values) {
+    WireWriter w;
+    w.U64(7);
+    w.U16(arity);
+    w.U32(num_rows);
+    return w.Take() + std::string(values);
+  };
+  WireWriter one_int;
+  one_int.Value(WireValue::Int(5));
+  const std::string int_bytes = one_int.Take();
+  QueryResultResponse out;
+  // At arity > 0 a count past what the bytes can hold is refused before a
+  // single cell is allocated.
+  for (const std::uint16_t arity : {std::uint16_t{1}, std::uint16_t{2},
+                                    std::uint16_t{0xffff}}) {
+    for (const std::uint32_t n : {std::uint32_t{2}, std::uint32_t{1} << 20,
+                                  std::uint32_t{0xffffffff}}) {
+      EXPECT_FALSE(DecodeQueryResult(payload(arity, n, int_bytes), &out))
+          << arity << " x " << n;
+      EXPECT_TRUE(out.rows.empty());
+      EXPECT_EQ(out.rows.capacity(), 0u) << arity << " x " << n;
+    }
+  }
+  // A count the bytes could hold if every value were an empty symbol gets
+  // at most that many cells before the decode fails.
+  const std::string three_ints = int_bytes + int_bytes + int_bytes;
+  EXPECT_FALSE(DecodeQueryResult(payload(1, 5, three_ints), &out));
+  EXPECT_TRUE(out.rows.empty());
+  EXPECT_LE(out.rows.capacity(),
+            three_ints.size() / QueryResultWriter::SymbolValueBytes(0));
+  // An unknown tag is refused even as the payload's last byte.
+  EXPECT_FALSE(DecodeQueryResult(payload(2, 1, int_bytes + '\x02'), &out));
+  EXPECT_TRUE(out.rows.empty());
+  // Arity-0 rows carry no bytes and take no cells: any count is a valid
+  // result, and it still allocates nothing.
+  QueryResultResponse nullary;
+  ASSERT_TRUE(DecodeQueryResult(payload(0, 0xffffffff, ""), &nullary));
+  EXPECT_EQ(nullary.rows.size(), std::size_t{0xffffffff});
+  EXPECT_EQ(nullary.rows.capacity(), 0u);
+  EXPECT_EQ(nullary.rows[0].size(), 0u);
+  EXPECT_FALSE(DecodeQueryResult(payload(0, 3, "x"), &nullary));
+  EXPECT_TRUE(nullary.rows.empty());
+}
+
+TEST(WireCodecTest, NullaryResultCarriesRowCountAndNoValues) {
+  QueryResultResponse present;
+  present.request_id = 9;
+  present.arity = 0;
+  present.rows.push_back({});
+  const std::string frame = EncodeQueryResult(present);
+  // Header, arity 0, n_rows 1, and not one value byte.
+  EXPECT_EQ(frame.size(), 5u + 14u);
+  Frame parsed;
+  ASSERT_EQ(ExtractFrame(frame, &parsed), FrameStatus::kFrame);
+  QueryResultResponse out;
+  ASSERT_TRUE(DecodeQueryResult(parsed.payload, &out));
+  EXPECT_EQ(out.request_id, 9u);
+  EXPECT_EQ(out.arity, 0u);
+  ASSERT_EQ(out.rows.size(), 1u);
+  EXPECT_EQ(out.rows[0].size(), 0u);
+  EXPECT_EQ(out.rows[0], WireTuple{});
+  EXPECT_EQ(out.rows, present.rows);
+  EXPECT_TRUE(EncodeQueryResult(out) == frame);
+  // The empty nullary result is the predicate being false.
+  const std::string absent = EncodeQueryResult(QueryResultResponse{10, 0, {}});
+  ASSERT_EQ(ExtractFrame(absent, &parsed), FrameStatus::kFrame);
+  ASSERT_TRUE(DecodeQueryResult(parsed.payload, &out));
+  EXPECT_TRUE(out.rows.empty());
 }
 
 TEST(WireCodecTest, IntegerExtremesRoundTripLittleEndian) {
@@ -418,6 +579,12 @@ TEST(WireCodecTest, ReusedQueryResultHoldsExactlyTheLatestRows) {
   ASSERT_EQ(ExtractFrame(small_frame, &sp), FrameStatus::kFrame);
 
   QueryResultResponse out;
+  ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
+  // The buffers the large result grew: its cells, and the symbol pool that
+  // row 0's last symbol ("s0", the pool's first bytes) points into.
+  const std::size_t large_capacity = out.rows.capacity();
+  const char* const pool = out.rows[0].Symbol(2).data();
+  EXPECT_GE(large_capacity, 3u * 500u);
   for (std::size_t len = 0; len < sp.payload.size(); ++len) {
     ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
     EXPECT_FALSE(DecodeQueryResult(sp.payload.substr(0, len), &out))
@@ -446,9 +613,14 @@ TEST(WireCodecTest, ReusedQueryResultHoldsExactlyTheLatestRows) {
   ASSERT_TRUE(DecodeQueryResult(ep.payload, &out));
   EXPECT_EQ(out.arity, 4u);
   EXPECT_TRUE(out.rows.empty());
-  // And the large result decodes back whole.
+  // And the large result decodes back whole, into the buffers it grew the
+  // first time: every decode in between kept their capacity.
+  EXPECT_EQ(out.rows.capacity(), large_capacity);
   ASSERT_TRUE(DecodeQueryResult(lp.payload, &out));
   EXPECT_EQ(out.rows, large.rows);
+  EXPECT_EQ(out.rows.capacity(), large_capacity);
+  EXPECT_EQ(out.rows[0].Symbol(2), "s0");
+  EXPECT_EQ(out.rows[0].Symbol(2).data(), pool);
 }
 
 TEST(WireCodecTest, QueryResultWriterRefusesBeforeAllocating) {
@@ -643,6 +815,27 @@ TEST(ServiceServerTest, OpenSubmitQueryClose) {
   ASSERT_EQ(resp.opcode, Opcode::kError);
   EXPECT_EQ(resp.error.code, ErrorCode::kNoSession);
   EXPECT_EQ(fx.host.FindSession(sid), nullptr);
+}
+
+TEST(ServiceServerTest, NullaryPredicateQueriesOverTheWire) {
+  // p() holds once any e fact does: its QUERY_RESULT is arity 0, n_rows 1
+  // and no value bytes, which the client decodes as one empty row.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = "p() :- e(X, Y).";
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  const QueryResultResponse before = client.QuerySync(QueryRequest{2, sid, "p"});
+  EXPECT_EQ(before.arity, 0u);
+  EXPECT_TRUE(before.rows.empty());
+
+  (void)client.SubmitSync(ChainBatch(3, sid, 0, 3));
+  const QueryResultResponse after = client.QuerySync(QueryRequest{4, sid, "p"});
+  EXPECT_EQ(after.arity, 0u);
+  ASSERT_EQ(after.rows.size(), 1u);
+  EXPECT_EQ(after.rows[0].size(), 0u);
+  EXPECT_EQ(after.rows[0], WireTuple{});
 }
 
 TEST(ServiceServerTest, PipelinedPongOvertakesHeavySubmit) {
@@ -1277,10 +1470,10 @@ TEST(ServiceServerTest, QueriesEncodeSymbolsWhileSubmitsInternNewOnes) {
         reader.QuerySync(QueryRequest{request_id++, sid, "lbl"});
     EXPECT_GE(res.rows.size(), last);  // epochs only add rows
     last = res.rows.size();
-    for (const WireTuple& row : res.rows) {
+    for (const WireRowView row : res.rows) {
       ASSERT_EQ(row.size(), 2u);
-      ASSERT_TRUE(row[1].is_symbol);
-      EXPECT_EQ(row[1].symbol.rfind("fresh-", 0), 0u) << row[1].symbol;
+      ASSERT_TRUE(row.IsSymbol(1));
+      EXPECT_EQ(row.Symbol(1).rfind("fresh-", 0), 0u) << row.Symbol(1);
     }
   }
   submitter.join();
