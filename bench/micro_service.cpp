@@ -325,13 +325,14 @@ Cell RunCell(const CellSpec& spec, int batches, int batch_size) {
   std::uint64_t wire_checksum = 0;
   std::uint64_t wire_rows = 0;
   std::uint64_t next_request = 100;
+  net::QueryResultResponse rows;  // one decode buffer for every read-back
   for (const std::uint64_t sid : sids) {
     for (std::uint32_t p = 0; p < program.NumPredicates(); ++p) {
       net::QueryRequest q;
       q.request_id = next_request++;
       q.session_id = sid;
       q.predicate = program.predicate_names[p];
-      const net::QueryResultResponse rows = main_client.QuerySync(q);
+      main_client.QuerySync(q, &rows);
       for (const net::WireRowView row : rows.rows) {
         wire_checksum += HashRow(p, row);
         ++wire_rows;

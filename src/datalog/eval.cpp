@@ -51,11 +51,13 @@ namespace {
 /// interface ContainsTuple / RowAt / Lookup / RelationSize / IndexDistinct
 /// — the live RelationStore or the incremental engine's OldStateView.
 ///
-/// Construction plans the join:
-///  * a ground head tuple, when given (the rederive/probe queries), binds
-///    the head variables before anything is ordered, so every level and
-///    filter is planned against them; a head-constant or repeated-variable
-///    clash means no derivation;
+/// Construction plans the join once; Run executes it any number of times:
+///  * a head-bound join (the rederive/probe queries) plans every level and
+///    filter against the head variables as bound.  The plan depends only
+///    on WHICH variables the head binds, never on their values, so one
+///    plan serves every probe: BindHead writes a ground head's values per
+///    probe and re-checks head constants and repeated variables (a clash
+///    means no derivation);
 ///  * positive body literals are ordered greedily by estimated lookup
 ///    cardinality (relation size ÷ bound-column index fan-out when a fresh
 ///    index exists, an independence-assumption power law otherwise), with
@@ -70,12 +72,18 @@ namespace {
 ///  * negations and comparisons are hoisted to the earliest level at which
 ///    all their variables are bound, pruning partial bindings instead of
 ///    filtering complete ones.
+/// Index handles are re-obtained at the start of every Run: a handle is
+/// valid only while its relation is unchanged, and callers may insert
+/// between probes (rederivation does).  A Run must finish before the same
+/// join is rebound or run again.
 template <typename TStore>
 class RuleJoin {
  public:
+  /// Plans `rule`.  With `head_bound`, every head variable counts as bound
+  /// from the start and each Run needs a BindHead first.
   RuleJoin(const Program& program, const TStore& store,
            const Rule& rule, const DeltaRestriction& restriction,
-           EvalStats& stats, const Tuple* head_tuple = nullptr)
+           EvalStats& stats, bool head_bound = false)
       : program_(program),
         store_(store),
         rule_(rule),
@@ -85,24 +93,18 @@ class RuleJoin {
         head_(rule.head.args.size()) {
     OBS_SCOPE(Category::kJoinPlan);
 
-    // Ground head: its variables are bound before any planning decision.
+    // Head-bound plan: the head's variables are bound before any planning
+    // decision.  A position whose variable occurred earlier in the head is
+    // a repeat BindHead compares instead of writing.
     std::vector<char> sbound(rule.variable_names.size(), 0);
-    if (head_tuple != nullptr) {
-      DSCHED_CHECK_MSG(head_tuple->size() == rule_.head.args.size(),
-                       "head tuple arity mismatch");
-      for (std::size_t i = 0; i < head_tuple->size() && !head_clash_; ++i) {
+    if (head_bound) {
+      head_first_.resize(rule_.head.args.size(), 0);
+      for (std::size_t i = 0; i < rule_.head.args.size(); ++i) {
         const Term& term = rule_.head.args[i];
-        const Value v = (*head_tuple)[i];
         if (term.IsVar() && sbound[term.var] == 0) {
           sbound[term.var] = 1;
-          bindings_[term.var] = v;
-        } else {
-          head_clash_ =
-              !((term.IsVar() ? bindings_[term.var] : term.constant) == v);
+          head_first_[i] = 1;
         }
-      }
-      if (head_clash_) {
-        return;
       }
     }
     std::vector<char> hoist_bound = sbound;
@@ -112,6 +114,9 @@ class RuleJoin {
     // comparisons become filters hoisted onto the levels.
     std::vector<std::size_t> positives;
     std::vector<std::size_t> filters;
+    positives.reserve(rule_.body.size());
+    filters.reserve(rule_.body.size());
+    levels_.reserve(rule_.body.size());
     for (std::size_t i = 0; i < rule_.body.size(); ++i) {
       const bool restricted = (i == restriction_.body_index);
       if (const auto* literal = std::get_if<Literal>(&rule_.body[i])) {
@@ -124,16 +129,14 @@ class RuleJoin {
           delta.body_index = i;
           delta.is_delta = true;
           delta.atom = &literal->atom;
-          std::vector<char> seen(rule.variable_names.size(), 0);
           for (std::size_t pos = 0; pos < literal->atom.args.size(); ++pos) {
             const Term& term = literal->atom.args[pos];
             if (!term.IsVar()) {
               delta.const_slots.emplace_back(pos, term.constant);
             } else {
-              const bool check =
-                  sbound[term.var] != 0 || seen[term.var] != 0;
+              const bool check = sbound[term.var] != 0 ||
+                                 VarSeenBefore(literal->atom, pos);
               delta.var_slots.push_back({pos, term.var, check});
-              seen[term.var] = 1;
             }
           }
           levels_.push_back(std::move(delta));
@@ -192,15 +195,6 @@ class RuleJoin {
       place_bound_filters(level.filters);
     }
 
-    // Resolve each indexed level's cache entry once — the per-binding hot
-    // path then probes lock-free.  Done after all levels are planned:
-    // Prepare retains a pointer to level.columns, which must not move.
-    for (LevelPlan& level : levels_) {
-      if (!level.is_delta) {
-        level.prepared = store_.Prepare(level.atom->predicate, level.columns);
-      }
-    }
-
     // Head plan: constants are baked into the reusable buffer once;
     // EmitHead fills only the variable positions.
     for (std::size_t i = 0; i < rule_.head.args.size(); ++i) {
@@ -240,6 +234,26 @@ class RuleJoin {
     }
   }
 
+  /// Binds a ground head tuple for the next Run of a head-bound join.
+  /// Returns false (and the next Run finds nothing) when the tuple clashes
+  /// with a head constant or a repeated head variable.
+  bool BindHead(RowView head_tuple) {
+    DSCHED_CHECK_MSG(head_tuple.size() == head_first_.size(),
+                     "head tuple arity mismatch");
+    head_clash_ = false;
+    for (std::size_t i = 0; i < head_tuple.size() && !head_clash_; ++i) {
+      const Term& term = rule_.head.args[i];
+      const Value v = head_tuple[i];
+      if (head_first_[i] != 0) {
+        bindings_[term.var] = v;
+      } else {
+        head_clash_ =
+            !((term.IsVar() ? bindings_[term.var] : term.constant) == v);
+      }
+    }
+    return !head_clash_;
+  }
+
   /// Runs the join; emit is called per derived head tuple.  If
   /// `stop_after_first`, returns true as soon as one derivation succeeds.
   bool Run(const std::function<void(const Tuple&)>& emit,
@@ -248,6 +262,14 @@ class RuleJoin {
       return false;
     }
     OBS_SCOPE(Category::kJoinProbe);
+    // Resolve each indexed level's cache entry per Run — the per-binding
+    // hot path then probes lock-free, and inserts made between two Runs
+    // never leave a stale handle behind.
+    for (LevelPlan& level : levels_) {
+      if (!level.is_delta) {
+        level.prepared = store_.Prepare(level.atom->predicate, level.columns);
+      }
+    }
     ++stats_.rule_applications;
     const std::uint64_t derived_before = stats_.tuples_derived;
     emit_ = &emit;
@@ -339,6 +361,18 @@ class RuleJoin {
     return std::get<Literal>(rule_.body[body_index]).atom;
   }
 
+  /// True iff the variable at `atom.args[pos]` also occurs at an earlier
+  /// position of the same atom (arities are small: a scan beats a table).
+  static bool VarSeenBefore(const Atom& atom, std::size_t pos) {
+    const std::uint32_t var = atom.args[pos].var;
+    for (std::size_t j = 0; j < pos; ++j) {
+      if (atom.args[j].IsVar() && atom.args[j].var == var) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   static void MarkVars(const Atom& atom, std::vector<char>& bound) {
     for (const Term& term : atom.args) {
       if (term.IsVar()) {
@@ -356,15 +390,13 @@ class RuleJoin {
     if (n == 0.0 || atom.args.empty()) {
       return n;
     }
-    std::vector<std::size_t> columns;
-    std::vector<char> seen(sbound.size(), 0);
+    std::vector<std::size_t>& columns = cost_columns_;
+    columns.clear();
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
       const Term& term = atom.args[i];
-      if (!term.IsVar()) {
+      if (!term.IsVar() ||
+          (sbound[term.var] != 0 && !VarSeenBefore(atom, i))) {
         columns.push_back(i);
-      } else if (sbound[term.var] != 0 && seen[term.var] == 0) {
-        columns.push_back(i);
-        seen[term.var] = 1;
       }
     }
     if (columns.empty()) {
@@ -393,20 +425,15 @@ class RuleJoin {
     LevelPlan level;
     level.body_index = body_index;
     level.atom = &AtomAt(body_index);
-    std::vector<char> seen(sbound.size(), 0);
     for (std::size_t i = 0; i < level.atom->args.size(); ++i) {
       const Term& term = level.atom->args[i];
-      if (!term.IsVar()) {
+      const bool repeat = term.IsVar() && VarSeenBefore(*level.atom, i);
+      if (!term.IsVar() || (sbound[term.var] != 0 && !repeat)) {
         level.columns.push_back(i);
         level.key_terms.push_back(term);
-      } else if (sbound[term.var] != 0 && seen[term.var] == 0) {
-        level.columns.push_back(i);
-        level.key_terms.push_back(term);
-        seen[term.var] = 1;
       } else {
-        const bool check = sbound[term.var] != 0 || seen[term.var] != 0;
+        const bool check = sbound[term.var] != 0 || repeat;
         level.var_slots.push_back({i, term.var, check});
-        seen[term.var] = 1;
       }
     }
     level.key.resize(level.columns.size());
@@ -554,11 +581,15 @@ class RuleJoin {
   const Program& program_;
   const TStore& store_;
   const Rule& rule_;
-  const DeltaRestriction& restriction_;
+  const DeltaRestriction restriction_;
   EvalStats& stats_;
+  /// Head-bound joins: per head position, 1 where its variable first
+  /// occurs (BindHead writes it), 0 for constants and repeats (compared).
+  std::vector<char> head_first_;
 
   std::vector<Value> bindings_;
   std::vector<LevelPlan> levels_;
+  std::vector<std::size_t> cost_columns_;  ///< EstimateCost scratch
   std::vector<std::size_t> pre_filters_;  ///< ground before any join level
   /// Variable head positions (dst, var); constant positions are prebaked.
   std::vector<std::pair<std::size_t, std::uint32_t>> head_vars_;
@@ -567,7 +598,7 @@ class RuleJoin {
   const std::function<void(const Tuple&)>* emit_ = nullptr;
   bool stop_after_first_ = false;
   const bool* stop_flag_ = nullptr;  ///< RunUntil's conditional stop
-  bool head_clash_ = false;  ///< ground head contradicts the rule head
+  bool head_clash_ = false;  ///< bound head contradicts the rule head
 };
 
 }  // namespace
@@ -670,37 +701,66 @@ std::vector<Tuple> EvaluateAggregateRule(const Program& program,
   return out;
 }
 
-bool IsDerivable(const Program& program, const RelationStore& store,
-                 const Rule& rule, const Tuple& head_tuple, EvalStats& stats) {
+struct DerivationProbe::Impl {
+  Impl(const Program& program, const RelationStore& store, const Rule& rule,
+       EvalStats& stats)
+      : join(program, store, rule, DeltaRestriction{}, stats,
+             /*head_bound=*/true) {}
+
+  RuleJoin<RelationStore> join;
+  Body body;  ///< reused per derivation
+  const std::function<bool(const Body&)>* on_derivation = nullptr;
+  bool stopped = false;
+  /// Built once: the per-query callbacks capture nothing but `this`.
+  const std::function<void(const Tuple&)> ignore = [](const Tuple&) {};
+  const std::function<void(const Tuple&)> ground = [this](const Tuple&) {
+    if (stopped) {
+      return;
+    }
+    join.GroundPositiveBody(body);
+    stopped = (*on_derivation)(body);
+  };
+};
+
+DerivationProbe::DerivationProbe(const Program& program,
+                                 const RelationStore& store, const Rule& rule,
+                                 EvalStats& stats) {
   DSCHED_CHECK_MSG(!rule.IsAggregate(),
                    "aggregation rules go through EvaluateAggregateRule");
-  const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats,
-                               &head_tuple);
-  return join.Run([](const Tuple&) {}, /*stop_after_first=*/true);
+  impl_ = std::make_unique<Impl>(program, store, rule, stats);
+}
+
+DerivationProbe::~DerivationProbe() = default;
+
+bool DerivationProbe::IsDerivable(RowView head_tuple) {
+  return impl_->join.BindHead(head_tuple) &&
+         impl_->join.Run(impl_->ignore, /*stop_after_first=*/true);
+}
+
+bool DerivationProbe::ForEachDerivation(
+    RowView head_tuple,
+    const std::function<bool(const Body&)>& on_derivation) {
+  Impl& impl = *impl_;
+  if (!impl.join.BindHead(head_tuple)) {
+    return false;
+  }
+  impl.on_derivation = &on_derivation;
+  impl.stopped = false;
+  impl.join.RunUntil(impl.ground, &impl.stopped);
+  return impl.stopped;
+}
+
+bool IsDerivable(const Program& program, const RelationStore& store,
+                 const Rule& rule, const Tuple& head_tuple, EvalStats& stats) {
+  return DerivationProbe(program, store, rule, stats).IsDerivable(head_tuple);
 }
 
 bool ForEachDerivation(
     const Program& program, const RelationStore& store, const Rule& rule,
     const Tuple& head_tuple, EvalStats& stats,
-    const std::function<bool(
-        const std::vector<std::pair<std::uint32_t, Tuple>>&)>& on_derivation) {
-  DSCHED_CHECK_MSG(!rule.IsAggregate(),
-                   "aggregation rules go through EvaluateAggregateRule");
-  const DeltaRestriction none;
-  RuleJoin<RelationStore> join(program, store, rule, none, stats,
-                               &head_tuple);
-  bool stopped = false;
-  std::vector<std::pair<std::uint32_t, Tuple>> body;
-  const std::function<void(const Tuple&)> emit = [&](const Tuple&) {
-    if (stopped) {
-      return;
-    }
-    join.GroundPositiveBody(body);
-    stopped = on_derivation(body);
-  };
-  join.RunUntil(emit, &stopped);
-  return stopped;
+    const std::function<bool(const DerivationProbe::Body&)>& on_derivation) {
+  return DerivationProbe(program, store, rule, stats)
+      .ForEachDerivation(head_tuple, on_derivation);
 }
 
 EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
@@ -708,10 +768,9 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
                             const SeedSpans* seeds, DeltaMap* out_deltas) {
   EvalStats stats;
   const auto& rule_ids = strat.component_rules[component];
-  std::vector<bool> is_member(program.NumPredicates(), false);
-  for (const std::uint32_t p : strat.component_members[component]) {
-    is_member[p] = true;
-  }
+  const auto is_member = [&strat, component](std::uint32_t p) {
+    return strat.component_of[p] == component;
+  };
   // Only a component whose rules read a member can fire on its own output;
   // the others never need their fresh rows again.
   bool recursive = false;
@@ -719,7 +778,7 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
     for (const BodyElement& element : program.rules[r].body) {
       const auto* literal = std::get_if<Literal>(&element);
       recursive = recursive || (literal != nullptr && !literal->negated &&
-                                is_member[literal->atom.predicate]);
+                                is_member(literal->atom.predicate));
     }
   }
 
@@ -734,6 +793,9 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
     Relation& relation = store.Of(head_pred);
     relation.Reserve(relation.Size() + buffer.size());
     std::vector<Tuple>* dst = sink != nullptr ? &(*sink)[head_pred] : nullptr;
+    if (dst != nullptr) {
+      dst->reserve(dst->size() + buffer.size());
+    }
     for (Tuple& t : buffer) {
       if (relation.Insert(t)) {
         ++stats.tuples_inserted;
@@ -784,8 +846,14 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
     // rows derived here.  (Insertions into negated predicates never create
     // derivations; the maintenance phase handles their destructive effect
     // separately.)
-    DSCHED_CHECK_MSG(seeds->size() == program.NumPredicates(),
-                     "seed spans are indexed by predicate id");
+    const auto seed_of = [seeds](std::uint32_t p) {
+      for (const auto& [pred, rows] : *seeds) {
+        if (pred == p) {
+          return rows;
+        }
+      }
+      return std::span<const Tuple>();
+    };
     for (const std::size_t r : rule_ids) {
       const Rule& rule = program.rules[r];
       DSCHED_CHECK_MSG(!rule.IsAggregate(),
@@ -793,13 +861,17 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
                        "(RunComponentPhase), not semi-naive continuation");
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
         const auto* literal = std::get_if<Literal>(&rule.body[i]);
-        if (literal == nullptr || literal->negated ||
-            (*seeds)[literal->atom.predicate].empty()) {
+        if (literal == nullptr || literal->negated) {
+          continue;
+        }
+        const std::span<const Tuple> rows = seed_of(literal->atom.predicate);
+        if (rows.empty()) {
           continue;
         }
         DeltaRestriction restriction;
         restriction.body_index = i;
-        restriction.rows = (*seeds)[literal->atom.predicate];
+        restriction.rows = rows;
+        buffer.reserve(rows.size());
         ApplyRule(program, store, rule, restriction, stats, collect);
         flush_into(rule.head.predicate, seed_sink);
       }
@@ -824,7 +896,7 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
         const auto* literal = std::get_if<Literal>(&rule.body[i]);
         if (literal == nullptr || literal->negated ||
-            !is_member[literal->atom.predicate]) {
+            !is_member(literal->atom.predicate)) {
           continue;
         }
         const auto it = round.find(literal->atom.predicate);
@@ -834,6 +906,7 @@ EvalStats EvaluateComponent(const Program& program, const Stratification& strat,
         DeltaRestriction restriction;
         restriction.body_index = i;
         restriction.rows = it->second;
+        buffer.reserve(it->second.size());
         ApplyRule(program, store, rule, restriction, stats, collect);
         flush_into(rule.head.predicate, &next);
       }

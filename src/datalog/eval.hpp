@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,23 +62,49 @@ void ApplyRule(const Program& program, const RelationStore& store,
                const Rule& rule, const DeltaRestriction& restriction,
                EvalStats& stats, const std::function<void(const Tuple&)>& emit);
 
-/// True iff `head_tuple` is derivable by `rule` in `store` (the DRed
-/// rederivation query).  Not defined for aggregation rules.
+/// A derivation query for one rule, planned once and probed per ground head
+/// tuple: DRed's rederivation checks and B/F's backward probes.  The plan
+/// depends only on which variables the head binds, never on their values,
+/// so one probe serves a whole maintenance phase; index handles are
+/// re-obtained per query, so the store may change between queries (not
+/// during one).  A probe is not re-entrant: a query issued from inside a
+/// ForEachDerivation callback of the same rule needs another probe.  Not
+/// defined for aggregation rules.
+class DerivationProbe {
+ public:
+  /// Ground positive body literals of one derivation, in body order.
+  using Body = std::vector<std::pair<std::uint32_t, Tuple>>;
+
+  DerivationProbe(const Program& program, const RelationStore& store,
+                  const Rule& rule, EvalStats& stats);
+  ~DerivationProbe();
+
+  /// True iff `head_tuple` is derivable by the rule in the store now.
+  bool IsDerivable(RowView head_tuple);
+
+  /// Enumerates the derivations of `head_tuple`: for every complete body
+  /// match, calls `on_derivation` with the ground positive body literals.
+  /// The body is valid only during the call.  `on_derivation` returning
+  /// true stops the enumeration (the Backward/Forward "one live derivation
+  /// suffices" query); the return value says whether it stopped early.
+  bool ForEachDerivation(RowView head_tuple,
+                         const std::function<bool(const Body&)>& on_derivation);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// One-shot DerivationProbe::IsDerivable.
 [[nodiscard]] bool IsDerivable(const Program& program,
                                const RelationStore& store, const Rule& rule,
                                const Tuple& head_tuple, EvalStats& stats);
 
-/// Enumerates the derivations of `head_tuple` by `rule`: for every complete
-/// body match, calls `on_derivation` with the ground positive body literals
-/// as (predicate, tuple) pairs, in body order.  The span is valid only
-/// during the call.  `on_derivation` returning true stops the enumeration
-/// (the Backward/Forward "one live derivation suffices" query); the return
-/// value says whether it stopped early.  Not defined for aggregation rules.
+/// One-shot DerivationProbe::ForEachDerivation.
 bool ForEachDerivation(
     const Program& program, const RelationStore& store, const Rule& rule,
     const Tuple& head_tuple, EvalStats& stats,
-    const std::function<bool(
-        const std::vector<std::pair<std::uint32_t, Tuple>>&)>& on_derivation);
+    const std::function<bool(const DerivationProbe::Body&)>& on_derivation);
 
 /// Evaluates one aggregation rule against the current store: joins the
 /// body, deduplicates complete variable bindings, groups by the head's
@@ -91,10 +118,11 @@ bool ForEachDerivation(
 /// Per-predicate delta sets flowing between components.
 using DeltaMap = std::map<std::uint32_t, std::vector<Tuple>>;
 
-/// Borrowed seed deltas of an incremental continuation, indexed by
-/// predicate id (an empty span: no delta).  The rows must already be in the
-/// store and must not move during the call.
-using SeedSpans = std::vector<std::span<const Tuple>>;
+/// Borrowed seed deltas of an incremental continuation: (predicate, rows)
+/// pairs, one per seeded predicate (a predicate not listed, or listed with
+/// an empty span, has no delta).  The rows must already be in the store and
+/// must not move during the call.
+using SeedSpans = std::vector<std::pair<std::uint32_t, std::span<const Tuple>>>;
 
 /// Evaluates one component to fixpoint (semi-naive).
 ///

@@ -1,5 +1,6 @@
 #include "datalog/incremental.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <sstream>
 
@@ -12,63 +13,91 @@ namespace dsched::datalog {
 OldStateView::OldStateView(const RelationStore& live,
                            const std::vector<PredicateDelta>& net,
                            const std::vector<std::uint32_t>& relevant)
-    : live_(live),
-      inserted_(net.size()),
-      extras_(net.size()),
-      extras_set_(net.size()) {
+    : live_(live) {
+  overlays_.reserve(relevant.size());
   for (const std::uint32_t p : relevant) {
-    inserted_[p].insert(net[p].inserted.begin(), net[p].inserted.end());
+    if (Find(p) != nullptr) {
+      continue;
+    }
+    Overlay& overlay = overlays_.emplace_back();
+    overlay.predicate = p;
+    overlay.inserted = net[p].inserted;
+    for (std::size_t i = 0; i < overlay.inserted.size(); ++i) {
+      overlay.inserted_set.Insert(
+          static_cast<std::uint32_t>(i),
+          [&overlay](std::uint32_t id) { return RowView(overlay.inserted[id]); });
+    }
+    overlay.extras.reserve(net[p].deleted.size());
     for (const Tuple& t : net[p].deleted) {
-      if (extras_set_[p].insert(t).second) {
-        extras_[p].push_back(t);
-      }
+      overlay.AddExtra(t);
     }
   }
 }
 
+void OldStateView::Overlay::AddExtra(const Tuple& tuple) {
+  if (IsExtra(tuple)) {
+    return;
+  }
+  extras.push_back(tuple);
+  extras_set.Insert(static_cast<std::uint32_t>(extras.size() - 1),
+                    [this](std::uint32_t id) { return RowView(extras[id]); });
+}
+
+const OldStateView::Overlay* OldStateView::Find(std::uint32_t predicate) const {
+  for (const Overlay& overlay : overlays_) {
+    if (overlay.predicate == predicate) {
+      return &overlay;
+    }
+  }
+  return nullptr;
+}
+
 void OldStateView::AddDeletedExtra(std::uint32_t predicate,
                                    const Tuple& tuple) {
-  if (extras_set_[predicate].insert(tuple).second) {
-    extras_[predicate].push_back(tuple);
-  }
+  auto* overlay = const_cast<Overlay*>(Find(predicate));
+  DSCHED_CHECK_MSG(overlay != nullptr, "deleted extra of an unread predicate");
+  overlay->AddExtra(tuple);
 }
 
 bool OldStateView::ContainsTuple(std::uint32_t predicate,
                                  RowView tuple) const {
+  const Overlay* overlay = Find(predicate);
   if (live_.Of(predicate).Contains(tuple)) {
-    return inserted_[predicate].empty() ||
-           !inserted_[predicate].contains(tuple);
+    return overlay == nullptr || !overlay->IsInserted(tuple);
   }
-  return extras_set_[predicate].contains(tuple);
+  return overlay != nullptr && overlay->IsExtra(tuple);
 }
 
 RowView OldStateView::RowAt(std::uint32_t predicate,
                             std::uint32_t row) const {
   if ((row & Relation::kExtraBit) != 0) {
-    return extras_[predicate][row & ~Relation::kExtraBit];
+    return Find(predicate)->extras[row & ~Relation::kExtraBit];
   }
   return live_.Of(predicate).Row(row);
 }
 
 OldStateView::PreparedIndex OldStateView::Prepare(
     std::uint32_t predicate, const std::vector<std::size_t>& columns) const {
-  return {predicate, &columns, live_.Prepare(predicate, columns)};
+  return {Find(predicate), &columns, live_.Prepare(predicate, columns)};
 }
 
 std::vector<std::uint32_t> OldStateView::LookupPrepared(
     const PreparedIndex& prepared, const Tuple& key) const {
-  const std::uint32_t predicate = prepared.predicate;
   const std::vector<std::size_t>& columns = *prepared.columns;
-  std::vector<std::uint32_t> out;
-  const RowSet& inserted = inserted_[predicate];
   const auto live_ids = RelationStore::LookupPrepared(prepared.live, key);
+  const Overlay* overlay = prepared.overlay;
+  std::vector<std::uint32_t> out;
+  if (overlay == nullptr) {
+    out.assign(live_ids.begin(), live_ids.end());
+    return out;
+  }
   out.reserve(live_ids.size());
   for (const std::uint32_t id : live_ids) {
-    if (inserted.empty() || !inserted.contains(live_.RowAt(predicate, id))) {
+    if (!overlay->IsInserted(RelationStore::RowIn(prepared.live, id))) {
       out.push_back(id);
     }
   }
-  const auto& extras = extras_[predicate];
+  const auto& extras = overlay->extras;
   for (std::size_t i = 0; i < extras.size(); ++i) {
     bool match = true;
     for (std::size_t c = 0; c < columns.size(); ++c) {
@@ -91,7 +120,9 @@ std::vector<std::uint32_t> OldStateView::Lookup(
 }
 
 std::size_t OldStateView::RelationSize(std::uint32_t predicate) const {
-  return live_.Of(predicate).Size() + extras_[predicate].size();
+  const Overlay* overlay = Find(predicate);
+  return live_.Of(predicate).Size() +
+         (overlay == nullptr ? 0 : overlay->extras.size());
 }
 
 std::size_t OldStateView::IndexDistinct(
@@ -169,24 +200,29 @@ std::optional<OldStateView> DeletionInputView(
     deletion_input = deletion_input || !base.deletions[p].empty();
   }
   // The view reads exactly the members and the lower body predicates.
-  std::vector<std::uint32_t> relevant(members.begin(), members.end());
-  for (const std::size_t r : strat.component_rules[component]) {
-    for (const BodyElement& element : program.rules[r].body) {
-      const auto* literal = std::get_if<Literal>(&element);
-      if (literal == nullptr ||
-          strat.component_of[literal->atom.predicate] == component) {
-        continue;
+  const auto for_each_lower = [&](const auto& fn) {
+    for (const std::size_t r : strat.component_rules[component]) {
+      for (const BodyElement& element : program.rules[r].body) {
+        const auto* literal = std::get_if<Literal>(&element);
+        if (literal != nullptr &&
+            strat.component_of[literal->atom.predicate] != component) {
+          fn(*literal);
+        }
       }
-      const std::uint32_t p = literal->atom.predicate;
-      relevant.push_back(p);
-      deletion_input = deletion_input ||
-                       !(literal->negated ? net[p].inserted : net[p].deleted)
-                            .empty();
     }
-  }
+  };
+  for_each_lower([&](const Literal& literal) {
+    const PredicateDelta& lower = net[literal.atom.predicate];
+    deletion_input = deletion_input ||
+                     !(literal.negated ? lower.inserted : lower.deleted).empty();
+  });
   if (!deletion_input) {
     return std::nullopt;
   }
+  std::vector<std::uint32_t> relevant(members.begin(), members.end());
+  for_each_lower([&relevant](const Literal& literal) {
+    relevant.push_back(literal.atom.predicate);
+  });
   return std::optional<OldStateView>(std::in_place, store, net, relevant);
 }
 
@@ -215,6 +251,7 @@ void ForEachLostHead(
       DeltaRestriction restriction;
       restriction.body_index = i;
       restriction.rows = rows;
+      buffer.reserve(rows.size());
       ApplyRuleOldState(program, old_state, rule, restriction, stats, collect);
       for (const Tuple& t : buffer) {
         fn(rule.head.predicate, t);
@@ -249,6 +286,7 @@ void RunForwardPhase(const Program& program, const Stratification& strat,
       DeltaRestriction restriction;
       restriction.body_index = i;
       restriction.rows = net[literal->atom.predicate].deleted;
+      buffer.reserve(restriction.rows.size());
       ApplyRule(program, store, rule, restriction, stats.eval, collect);
       for (Tuple& t : buffer) {
         if (store.Of(rule.head.predicate).Insert(t)) {
@@ -270,6 +308,7 @@ void RunForwardPhase(const Program& program, const Stratification& strat,
       continue;
     }
     std::vector<Tuple>& fresh = net[p].inserted;
+    fresh.reserve(fresh.size() + base.insertions[p].size());
     if (scratch != nullptr) {
       ShardedWriteBuffer& writes = scratch->For(store, p);
       for (const Tuple& t : base.insertions[p]) {
@@ -292,15 +331,23 @@ void RunForwardPhase(const Program& program, const Stratification& strat,
   // Semi-naive continuation, seeded by every member row the phase added so
   // far and by the lower insertions, all borrowed in place.
   if (!rule_ids.empty()) {
-    SeedSpans seeds(program.NumPredicates());
+    SeedSpans seeds;
+    const auto add_seed = [&](std::uint32_t p) {
+      const bool listed =
+          std::any_of(seeds.begin(), seeds.end(),
+                      [p](const auto& seed) { return seed.first == p; });
+      if (!listed && !net[p].inserted.empty()) {
+        seeds.emplace_back(p, net[p].inserted);
+      }
+    };
     for (const std::uint32_t p : members) {
-      seeds[p] = net[p].inserted;
+      add_seed(p);
     }
     for (const std::size_t r : rule_ids) {
       for (const BodyElement& element : program.rules[r].body) {
         if (const auto* literal = std::get_if<Literal>(&element)) {
           if (!literal->negated) {
-            seeds[literal->atom.predicate] = net[literal->atom.predicate].inserted;
+            add_seed(literal->atom.predicate);
           }
         }
       }
@@ -320,12 +367,14 @@ void RunForwardPhase(const Program& program, const Stratification& strat,
   }
 
   // Finalize the member entries of `net` for downstream components.
-  for (const std::uint32_t p : members) {
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const std::uint32_t p = members[m];
     PredicateDelta& delta = net[p];
-    if (!phase_deleted.empty() && !phase_deleted[p].empty()) {
-      const TupleSet& erased = phase_deleted[p];
+    if (!phase_deleted.empty() && !phase_deleted[m].empty()) {
+      const TupleSet& erased = phase_deleted[m];
       std::erase_if(delta.inserted,
                     [&erased](const Tuple& t) { return erased.contains(t); });
+      delta.deleted.reserve(delta.deleted.size() + erased.size());
       for (const Tuple& t : erased) {
         if (!store.Of(p).Contains(t)) {
           delta.deleted.push_back(t);
@@ -392,12 +441,12 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
     return comp_stats;
   }
 
-  // The member rows this phase erases; sized only when something can lose
-  // support.
+  // The member rows this phase erases, by member position; sized only when
+  // something can lose support.
   std::vector<TupleSet> phase_deleted;
   if (std::optional<OldStateView> old_state =
           DeletionInputView(program, strat, component, store, base, net)) {
-    phase_deleted.resize(program.NumPredicates());
+    phase_deleted.resize(members.size());
     // -------------------------------------------------------------- 1.
     // OVERDELETE.  Seed D with (a) base deletions of member predicates and
     // (b) heads of rules fired with a deleted positive input or an inserted
@@ -405,10 +454,13 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
     // corrected by the finalized deltas of exactly the predicates this
     // phase may read, growing member extras as the phase erases tuples.  No
     // database snapshot is taken.
-    DeltaMap overdelete;  // per member predicate, this round's delta
+    // This round's overdeletions, by member position.
+    std::vector<std::vector<Tuple>> overdelete(members.size());
+    std::vector<std::vector<Tuple>> current(members.size());
     const auto queue_overdeleted = [&](std::uint32_t pred, const Tuple& t) {
-      if (phase_deleted[pred].insert(t).second) {
-        overdelete[pred].push_back(t);
+      const std::uint32_t m = strat.member_index[pred];
+      if (phase_deleted[m].insert(t).second) {
+        overdelete[m].push_back(t);
         old_state->AddDeletedExtra(pred, t);
         store.Of(pred).Erase(t);
         ++comp_stats.tuples_overdeleted;
@@ -428,15 +480,14 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
         [&buffer](const Tuple& t) { buffer.push_back(t); };
     // Internal overdeletion rounds (member tuples supporting member tuples).
     while (true) {
-      DeltaMap current = std::move(overdelete);
-      overdelete.clear();
-      bool any = false;
-      for (const auto& [pred, rows] : current) {
-        if (!rows.empty()) {
-          any = true;
-        }
+      current.swap(overdelete);
+      for (std::vector<Tuple>& rows : overdelete) {
+        rows.clear();
       }
-      if (!any) {
+      if (std::all_of(current.begin(), current.end(),
+                      [](const std::vector<Tuple>& rows) {
+                        return rows.empty();
+                      })) {
         break;
       }
       for (const std::size_t r : rule_ids) {
@@ -447,13 +498,15 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
               strat.component_of[literal->atom.predicate] != component) {
             continue;
           }
-          const auto it = current.find(literal->atom.predicate);
-          if (it == current.end() || it->second.empty()) {
+          const std::vector<Tuple>& rows =
+              current[strat.member_index[literal->atom.predicate]];
+          if (rows.empty()) {
             continue;
           }
           DeltaRestriction restriction;
           restriction.body_index = i;
-          restriction.rows = it->second;
+          restriction.rows = rows;
+          buffer.reserve(rows.size());
           ApplyRuleOldState(program, *old_state, rule, restriction,
                             comp_stats.eval, collect);
           for (const Tuple& t : buffer) {
@@ -466,13 +519,23 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
 
     // -------------------------------------------------------------- 2.
     // REDERIVE: an overdeleted tuple still derivable in the NEW state comes
-    // back, and seeds the forward phase's continuation.
-    for (const std::uint32_t p : members) {
-      for (const Tuple& t : phase_deleted[p]) {
-        for (const std::size_t r : rule_ids) {
-          const Rule& rule = program.rules[r];
-          if (rule.head.predicate == p &&
-              IsDerivable(program, store, rule, t, comp_stats.eval)) {
+    // back, and seeds the forward phase's continuation.  Each rule's probe
+    // is planned at its first use and serves every later tuple.
+    std::vector<std::optional<DerivationProbe>> probes(rule_ids.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const std::uint32_t p = members[m];
+      net[p].inserted.reserve(net[p].inserted.size() +
+                              phase_deleted[m].size());
+      for (const Tuple& t : phase_deleted[m]) {
+        for (std::size_t k = 0; k < rule_ids.size(); ++k) {
+          const Rule& rule = program.rules[rule_ids[k]];
+          if (rule.head.predicate != p) {
+            continue;
+          }
+          if (!probes[k]) {
+            probes[k].emplace(program, store, rule, comp_stats.eval);
+          }
+          if (probes[k]->IsDerivable(t)) {
             store.Of(p).Insert(t);
             net[p].inserted.push_back(t);
             ++comp_stats.tuples_rederived;
@@ -506,6 +569,7 @@ UpdateResult PropagateUpdate(const Program& program,
                              const std::vector<bool>* force_touched) {
   util::WallTimer total_timer;
   UpdateResult result;
+  result.components.reserve(strat.component_order.size());
   std::vector<PredicateDelta> net(program.NumPredicates());
 
   for (const std::uint32_t component : strat.component_order) {

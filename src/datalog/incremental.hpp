@@ -114,17 +114,19 @@ struct GroupedBaseChanges {
 /// RowAt / Lookup), which is what the join machinery is instantiated over.
 class OldStateView {
  public:
-  /// Indexes the deltas of exactly `relevant` predicates (the phase's
-  /// rule-body predicates and members).  Restricting the read set is what
-  /// keeps the parallel engine race-free: net entries of incomparable
-  /// components may be mid-write, but they are never relevant here.  The
-  /// `net[p].inserted` rows of relevant predicates must not change while
-  /// the view lives.
+  /// Overlays the deltas of exactly `relevant` predicates (the phase's
+  /// rule-body predicates and members; duplicates are ignored).
+  /// Restricting the read set is what keeps the parallel engine race-free:
+  /// net entries of incomparable components may be mid-write, but they are
+  /// never relevant here.  The `net[p].inserted` rows of relevant
+  /// predicates must not change while the view lives.  Any other predicate
+  /// reads as the live relation.
   OldStateView(const RelationStore& live,
                const std::vector<PredicateDelta>& net,
                const std::vector<std::uint32_t>& relevant);
 
-  /// Registers a tuple the current phase just erased from the live store.
+  /// Registers a tuple the current phase just erased from the live store
+  /// (`predicate` must be relevant).
   void AddDeletedExtra(std::uint32_t predicate, const Tuple& tuple);
 
   [[nodiscard]] bool ContainsTuple(std::uint32_t predicate,
@@ -135,14 +137,99 @@ class OldStateView {
       std::uint32_t predicate, const std::vector<std::size_t>& columns,
       const Tuple& key) const;
 
+ private:
+  /// Hash set over the ids of an id-addressable row list that lives
+  /// elsewhere: open addressing over (id + 1) words, so n rows cost one slot
+  /// array instead of n hash nodes.  `row_of(id)` must return the RowView of
+  /// an inserted id; rows are compared by value.
+  class RowIdSet {
+   public:
+    template <typename RowOf>
+    [[nodiscard]] bool Contains(RowView row, const RowOf& row_of) const {
+      if (size_ == 0) {
+        return false;
+      }
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = HashValues(row) & mask;; i = (i + 1) & mask) {
+        if (slots_[i] == 0) {
+          return false;
+        }
+        if (TupleEq{}(row_of(slots_[i] - 1), row)) {
+          return true;
+        }
+      }
+    }
+
+    /// Adds `id` unless a row equal to row_of(id) is already present;
+    /// returns whether it was added.
+    template <typename RowOf>
+    bool Insert(std::uint32_t id, const RowOf& row_of) {
+      if (Contains(row_of(id), row_of)) {
+        return false;
+      }
+      if (2 * (size_ + 1) > slots_.size()) {
+        std::vector<std::uint32_t> old(
+            std::max<std::size_t>(8, 2 * slots_.size()));
+        old.swap(slots_);
+        for (const std::uint32_t slot : old) {
+          if (slot != 0) {
+            Place(slot, row_of);
+          }
+        }
+      }
+      Place(id + 1, row_of);
+      ++size_;
+      return true;
+    }
+
+   private:
+    template <typename RowOf>
+    void Place(std::uint32_t slot, const RowOf& row_of) {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t i = HashValues(row_of(slot - 1)) & mask;
+      while (slots_[i] != 0) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = slot;
+    }
+
+    std::vector<std::uint32_t> slots_;  ///< id + 1; 0 = empty
+    std::size_t size_ = 0;
+  };
+
+  /// The old-state correction of one relevant predicate.
+  struct Overlay {
+    std::uint32_t predicate = 0;
+    /// Live-only tuples (not in the old state): the predicate's finalized
+    /// net insertions, borrowed, and a set over their positions.
+    std::span<const Tuple> inserted;
+    RowIdSet inserted_set;
+    std::vector<Tuple> extras;  ///< old-only tuples, id-addressable
+    RowIdSet extras_set;
+
+    [[nodiscard]] bool IsInserted(RowView row) const {
+      return inserted_set.Contains(row, [this](std::uint32_t id) {
+        return RowView(inserted[id]);
+      });
+    }
+    [[nodiscard]] bool IsExtra(RowView row) const {
+      return extras_set.Contains(row, [this](std::uint32_t id) {
+        return RowView(extras[id]);
+      });
+    }
+    /// Appends an old-only tuple unless already present.
+    void AddExtra(const Tuple& tuple);
+  };
+
+ public:
   /// Prepared-probe interface mirroring RelationStore's: a handle resolved
   /// once per rule application, probed per binding without re-resolving the
-  /// live store's cache entry.  Unlike the live store's span-returning
-  /// probe, results materialize a vector (live ids are filtered against the
-  /// update's insertions and extras are appended) — acceptable because
-  /// DRed's overdeletion runs over small deltas.
+  /// live store's cache entry or the overlay.  Unlike the live store's
+  /// span-returning probe, results materialize a vector (live ids are
+  /// filtered against the update's insertions and extras are appended) —
+  /// acceptable because DRed's overdeletion runs over small deltas.
   struct PreparedIndex {
-    std::uint32_t predicate = 0;
+    const Overlay* overlay = nullptr;  ///< nullptr: not relevant
     const std::vector<std::size_t>* columns = nullptr;
     RelationStore::PreparedIndex live;
   };
@@ -152,7 +239,10 @@ class OldStateView {
       const PreparedIndex& prepared, const Tuple& key) const;
   [[nodiscard]] RowView RowIn(const PreparedIndex& prepared,
                               std::uint32_t row) const {
-    return RowAt(prepared.predicate, row);
+    if ((row & Relation::kExtraBit) != 0) {
+      return prepared.overlay->extras[row & ~Relation::kExtraBit];
+    }
+    return RelationStore::RowIn(prepared.live, row);
   }
 
   // Join-planner statistics (uniform join-source interface).  Sizes count
@@ -163,11 +253,13 @@ class OldStateView {
       std::uint32_t predicate, const std::vector<std::size_t>& columns) const;
 
  private:
-  using RowSet = std::unordered_set<RowView, TupleHash, TupleEq>;
+  /// The overlay of `predicate`, or nullptr when it is not relevant.
+  [[nodiscard]] const Overlay* Find(std::uint32_t predicate) const;
+
   const RelationStore& live_;
-  std::vector<RowSet> inserted_;  ///< live-only tuples (not in old state)
-  std::vector<std::vector<Tuple>> extras_;  ///< old-only tuples, id-addressable
-  std::vector<TupleSet> extras_set_;
+  /// One per relevant predicate: a phase reads a handful, so a linear scan
+  /// beats a program-sized table.
+  std::vector<Overlay> overlays_;
 };
 
 /// ApplyRule against the old state (defined alongside the join machinery in
@@ -212,8 +304,8 @@ void ForEachLostHead(
 /// continuation as borrowed spans.  On entry, `net[p].inserted` may hold
 /// rows the deletion pipeline already re-added (DRed's rederivations);
 /// they seed the continuation too.  `phase_deleted` (empty when nothing was
-/// deleted, else indexed by predicate) holds the member rows the phase
-/// erased.  A row both erased and re-added is neither inserted nor
+/// deleted, else indexed by member position, Stratification::member_index)
+/// holds the member rows the phase erased.  A row both erased and re-added is neither inserted nor
 /// deleted; `net[p].deleted` is the erased rows absent from the store when
 /// the phase ends.
 void RunForwardPhase(const Program& program, const Stratification& strat,

@@ -1,5 +1,6 @@
 #include "datalog/maintenance.hpp"
 
+#include <deque>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -66,18 +67,29 @@ enum class Mark : std::uint8_t { kInStack, kAlive, kDead };
 /// reverted to unknown and the tuple is re-probed as its own root, where
 /// the repeat-free argument makes the verdict final.
 struct BackwardProber {
+  using MarkMap = std::unordered_map<Tuple, Mark, TupleHash, TupleEq>;
+
   const Program& program;
+  const Stratification& strat;
+  std::uint32_t component;
   const RelationStore& store;
-  const std::vector<bool>& is_member;
-  const std::unordered_map<std::uint32_t, std::vector<std::size_t>>&
-      rules_by_head;
-  std::vector<TupleSet>& suspects;
-  std::vector<std::unordered_map<Tuple, Mark, TupleHash, TupleEq>>& marks;
+  /// Per member position: positions in the component's rule list of the
+  /// rules deriving that member.
+  const std::vector<std::vector<std::size_t>>& rules_by_head;
+  std::vector<TupleSet>& suspects;  ///< per member position
+  std::vector<MarkMap>& marks;      ///< per member position
   std::vector<std::pair<std::uint32_t, Tuple>>& deaths;
   ComponentUpdateStats& stats;
+  /// Per rule of the component: its planned probes, the first live[k] of
+  /// them running on the CheckAlive stack.  A recursive check of a rule
+  /// whose probe is still enumerating takes the next instance (planned on
+  /// first need), so no running join is ever rebound.  The store does not
+  /// change while B.3 runs, so every instance plans the same join order.
+  std::vector<std::deque<DerivationProbe>>& probes;
+  std::vector<std::size_t>& live;
 
   bool CheckAlive(std::uint32_t pred, const Tuple& t, bool& clean) {
-    auto& pred_marks = marks[pred];
+    MarkMap& pred_marks = marks[strat.member_index[pred]];
     const auto it = pred_marks.find(t);
     if (it != pred_marks.end()) {
       if (it->second == Mark::kAlive) {
@@ -95,45 +107,47 @@ struct BackwardProber {
 
     bool alive = false;
     bool all_clean = true;
-    const auto rules_it = rules_by_head.find(pred);
-    if (rules_it != rules_by_head.end()) {
-      for (const std::size_t r : rules_it->second) {
-        const Rule& rule = program.rules[r];
-        const bool found = ForEachDerivation(
-            program, store, rule, t, stats.eval,
-            [this, &all_clean](
-                const std::vector<std::pair<std::uint32_t, Tuple>>& body)
-                -> bool {
-              for (const auto& [bp, bt] : body) {
-                if (!is_member[bp] || !suspects[bp].contains(bt)) {
-                  continue;  // lower or untouched: alive by construction
-                }
-                bool sub_clean = true;
-                if (!CheckAlive(bp, bt, sub_clean)) {
-                  if (!sub_clean) {
-                    all_clean = false;
-                  }
-                  return false;  // this derivation fails; keep enumerating
-                }
-              }
-              return true;  // every support alive: live derivation, stop
-            });
-        if (found) {
-          alive = true;
-          break;
+    const std::function<bool(const DerivationProbe::Body&)> live_derivation =
+        [this, &all_clean](const DerivationProbe::Body& body) -> bool {
+      for (const auto& [bp, bt] : body) {
+        if (strat.component_of[bp] != component ||
+            !suspects[strat.member_index[bp]].contains(bt)) {
+          continue;  // lower or untouched: alive by construction
         }
+        bool sub_clean = true;
+        if (!CheckAlive(bp, bt, sub_clean)) {
+          if (!sub_clean) {
+            all_clean = false;
+          }
+          return false;  // this derivation fails; keep enumerating
+        }
+      }
+      return true;  // every support alive: live derivation, stop
+    };
+    for (const std::size_t k : rules_by_head[strat.member_index[pred]]) {
+      if (live[k] == probes[k].size()) {
+        probes[k].emplace_back(
+            program, store,
+            program.rules[strat.component_rules[component][k]], stats.eval);
+      }
+      DerivationProbe& probe = probes[k][live[k]++];
+      const bool found = probe.ForEachDerivation(t, live_derivation);
+      --live[k];
+      if (found) {
+        alive = true;
+        break;
       }
     }
     if (alive) {
-      marks[pred][t] = Mark::kAlive;
+      pred_marks[t] = Mark::kAlive;
       return true;
     }
     if (all_clean) {
-      marks[pred][t] = Mark::kDead;
+      pred_marks[t] = Mark::kDead;
       deaths.emplace_back(pred, t);
       return false;
     }
-    marks[pred].erase(t);  // unprovable here, maybe provable as a root
+    pred_marks.erase(t);  // unprovable here, maybe provable as a root
     clean = false;
     return false;
   }
@@ -156,25 +170,24 @@ void RunBackwardPhase(const Program& program, const Stratification& strat,
                       ComponentUpdateStats& comp_stats) {
   const auto& members = strat.component_members[component];
   const auto& rule_ids = strat.component_rules[component];
-  std::vector<bool> is_member(program.NumPredicates(), false);
-  for (const std::uint32_t p : members) {
-    is_member[p] = true;
-  }
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>> rules_by_head;
-  for (const std::size_t r : rule_ids) {
-    rules_by_head[program.rules[r].head.predicate].push_back(r);
+  // Scaffolding is indexed by member position (Stratification::
+  // member_index), never by program predicate.
+  std::vector<std::vector<std::size_t>> rules_by_head(members.size());
+  for (std::size_t k = 0; k < rule_ids.size(); ++k) {
+    rules_by_head[strat.member_index[program.rules[rule_ids[k]].head.predicate]]
+        .push_back(k);
   }
 
   // --- B.1: seed the suspect set with every member tuple that lost an
   // old-state derivation (same seeds DRed overdeletes from) plus the base
   // deletions.
-  std::vector<TupleSet> suspects(program.NumPredicates());
+  std::vector<TupleSet> suspects(members.size());
   std::vector<std::pair<std::uint32_t, Tuple>> worklist;
   const auto add_suspect = [&](std::uint32_t pred, const Tuple& t) {
     if (!store.Of(pred).Contains(t)) {
       return;  // only present tuples can die
     }
-    if (suspects[pred].insert(t).second) {
+    if (suspects[strat.member_index[pred]].insert(t).second) {
       worklist.emplace_back(pred, t);
     }
   };
@@ -229,13 +242,15 @@ void RunBackwardPhase(const Program& program, const Stratification& strat,
   // --- B.3: probe every suspect.  Verdicts are final: an alive proof
   // grounds out in non-suspect (hence untouched) or lower supports, and a
   // dead verdict means every repeat-free path failed.
-  std::vector<std::unordered_map<Tuple, Mark, TupleHash, TupleEq>> marks(
-      program.NumPredicates());
+  std::vector<BackwardProber::MarkMap> marks(members.size());
   std::vector<std::pair<std::uint32_t, Tuple>> deaths;
-  BackwardProber prober{program,  store, is_member, rules_by_head,
-                        suspects, marks, deaths,    comp_stats};
+  std::vector<std::deque<DerivationProbe>> probes(rule_ids.size());
+  std::vector<std::size_t> live(rule_ids.size(), 0);
+  BackwardProber prober{program, strat, component, store, rules_by_head,
+                        suspects, marks, deaths, comp_stats, probes, live};
   for (const auto& [p, t] : worklist) {
-    if (marks[p].contains(t)) {
+    BackwardProber::MarkMap& p_marks = marks[strat.member_index[p]];
+    if (p_marks.contains(t)) {
       continue;  // settled while proving another suspect
     }
     bool clean = true;
@@ -243,7 +258,7 @@ void RunBackwardPhase(const Program& program, const Stratification& strat,
       // Unclean failure AT THE ROOT is final: live tuples have
       // repeat-free derivations, and the root's probe explored exactly
       // the repeat-free paths.
-      marks[p][t] = Mark::kDead;
+      p_marks[t] = Mark::kDead;
       deaths.emplace_back(p, t);
     }
   }
@@ -251,13 +266,13 @@ void RunBackwardPhase(const Program& program, const Stratification& strat,
   // --- B.4: erase the proven dead.  This is the ONLY store mutation of
   // the backward phase.
   for (const auto& [p, t] : deaths) {
-    if (phase_deleted[p].insert(t).second) {
+    if (phase_deleted[strat.member_index[p]].insert(t).second) {
       store.Of(p).Erase(t);
     }
   }
   std::size_t alive_suspects = 0;
-  for (const std::uint32_t p : members) {
-    for (const auto& [t, mark] : marks[p]) {
+  for (const BackwardProber::MarkMap& member_marks : marks) {
+    for (const auto& [t, mark] : member_marks) {
       if (mark == Mark::kAlive) {
         ++alive_suspects;
       }
@@ -296,7 +311,7 @@ ComponentUpdateStats RunMaintenancePhase(
   std::vector<TupleSet> phase_deleted;
   if (const std::optional<OldStateView> old_state =
           DeletionInputView(program, strat, component, store, base, net)) {
-    phase_deleted.resize(program.NumPredicates());
+    phase_deleted.resize(strat.component_members[component].size());
     RunBackwardPhase(program, strat, component, store, base, net, *old_state,
                      phase_deleted, comp_stats);
   }
@@ -314,6 +329,7 @@ UpdateResult PropagateUpdateWithStrategy(
     const std::vector<bool>* only_components) {
   util::WallTimer total_timer;
   UpdateResult result;
+  result.components.reserve(strat.component_order.size());
   std::vector<PredicateDelta> net(program.NumPredicates());
 
   for (const std::uint32_t component : strat.component_order) {

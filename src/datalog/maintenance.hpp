@@ -8,7 +8,7 @@
 //
 //  * kBackwardForward — B/F (Motik et al.).  The backward phase walks the
 //    suspect set and answers "is this tuple still derivable?" by probing
-//    derivations directly (ForEachDerivation), recursing only into suspect
+//    derivations directly (DerivationProbe), recursing only into suspect
 //    supports; nothing is erased until a tuple is PROVEN dead, so the
 //    overdeletion explosion never happens.  Works for recursive
 //    components; aggregates fall back to DRed's recompute-and-diff.

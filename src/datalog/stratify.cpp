@@ -121,13 +121,19 @@ void CollectDependencies(const Program& program, std::vector<DepEdge>& edges,
 
 /// The stratification tail shared by full and incremental builds: given
 /// `component_of`/`component_members`, validates stratifiability and fills
-/// the condensation order, recursion flags, strata, and per-component rule
-/// lists (all linear in |edges| + |components|).
+/// the member positions, condensation order, recursion flags, strata, and
+/// per-component rule lists (all linear in |edges| + |components|).
 void FinishStratification(const Program& program,
                           const std::vector<DepEdge>& edges,
                           Stratification& strat) {
   const std::uint32_t num_components =
       static_cast<std::uint32_t>(strat.NumComponents());
+  strat.member_index.assign(strat.component_of.size(), 0);
+  for (const auto& members : strat.component_members) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      strat.member_index[members[i]] = static_cast<std::uint32_t>(i);
+    }
+  }
 
   // Reject negation inside a component (negation through recursion).
   for (const DepEdge& edge : edges) {

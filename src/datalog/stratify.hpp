@@ -21,6 +21,10 @@ struct Stratification {
   std::vector<std::uint32_t> component_of;
   /// Predicates per component.
   std::vector<std::vector<std::uint32_t>> component_members;
+  /// Position of each predicate in its component's member list, so a
+  /// maintenance phase can index its scaffolding by member, not by
+  /// predicate id.
+  std::vector<std::uint32_t> member_index;
   /// Components in evaluation order (every dependency precedes its users).
   std::vector<std::uint32_t> component_order;
   /// Rule indices whose head lies in each component.

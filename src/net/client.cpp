@@ -111,47 +111,58 @@ std::uint64_t ServiceClient::Response::RequestId() const {
   }
 }
 
-bool ServiceClient::ReadResponse(Response* out, int timeout_ms) {
+namespace {
+
+/// Decodes one response frame into the member its opcode selects.
+bool DecodeResponse(const Frame& frame, ServiceClient::Response* out) {
+  switch (frame.opcode) {
+    case Opcode::kSessionOpened:
+      return DecodeSessionOpened(frame.payload, &out->session_opened);
+    case Opcode::kSubmitResult:
+      return DecodeSubmitResult(frame.payload, &out->submit_result);
+    case Opcode::kQueryResult:
+      return DecodeQueryResult(frame.payload, &out->query_result);
+    case Opcode::kSessionClosed:
+      return DecodeSessionClosed(frame.payload, &out->session_closed);
+    case Opcode::kPong:
+      return DecodePong(frame.payload, &out->pong);
+    case Opcode::kRulesChanged:
+      return DecodeRulesChanged(frame.payload, &out->rules_changed);
+    case Opcode::kError:
+      return DecodeError(frame.payload, &out->error);
+    default:
+      return false;
+  }
+}
+
+util::Error MalformedPayload(Opcode opcode) {
+  return util::Error(std::string("malformed ") + OpcodeName(opcode) +
+                     " response payload");
+}
+
+/// The sync calls' contract: an ERROR throws, and the answer must be the
+/// expected response to the request just sent.
+void CheckSyncResponse(const ServiceClient::Response& resp,
+                       std::uint64_t request_id, Opcode expect) {
+  if (resp.opcode == Opcode::kError) {
+    throw util::Error(std::string("server error (") +
+                      std::to_string(static_cast<int>(resp.error.code)) +
+                      "): " + resp.error.message);
+  }
+  DSCHED_CHECK_MSG(resp.opcode == expect && resp.RequestId() == request_id,
+                   "out-of-order response to a sync call — requests were "
+                   "still in flight");
+}
+
+}  // namespace
+
+bool ServiceClient::NextFrame(Frame* frame, int timeout_ms) {
   while (true) {
-    Frame frame;
-    const FrameStatus status = ExtractFrame(inbuf_, &frame);
+    const FrameStatus status = ExtractFrame(inbuf_, frame);
     if (status == FrameStatus::kError) {
       throw util::Error("malformed response frame from server");
     }
     if (status == FrameStatus::kFrame) {
-      bool ok = false;
-      switch (frame.opcode) {
-        case Opcode::kSessionOpened:
-          ok = DecodeSessionOpened(frame.payload, &out->session_opened);
-          break;
-        case Opcode::kSubmitResult:
-          ok = DecodeSubmitResult(frame.payload, &out->submit_result);
-          break;
-        case Opcode::kQueryResult:
-          ok = DecodeQueryResult(frame.payload, &out->query_result);
-          break;
-        case Opcode::kSessionClosed:
-          ok = DecodeSessionClosed(frame.payload, &out->session_closed);
-          break;
-        case Opcode::kPong:
-          ok = DecodePong(frame.payload, &out->pong);
-          break;
-        case Opcode::kRulesChanged:
-          ok = DecodeRulesChanged(frame.payload, &out->rules_changed);
-          break;
-        case Opcode::kError:
-          ok = DecodeError(frame.payload, &out->error);
-          break;
-        default:
-          ok = false;
-          break;
-      }
-      if (!ok) {
-        throw util::Error(std::string("malformed ") +
-                          OpcodeName(frame.opcode) + " response payload");
-      }
-      out->opcode = frame.opcode;
-      inbuf_.erase(0, frame.frame_size);
       return true;
     }
     // kNeedMore: wait for bytes.
@@ -184,20 +195,26 @@ bool ServiceClient::ReadResponse(Response* out, int timeout_ms) {
   }
 }
 
+bool ServiceClient::ReadResponse(Response* out, int timeout_ms) {
+  Frame frame;
+  if (!NextFrame(&frame, timeout_ms)) {
+    return false;
+  }
+  if (!DecodeResponse(frame, out)) {
+    throw MalformedPayload(frame.opcode);
+  }
+  out->opcode = frame.opcode;
+  inbuf_.erase(0, frame.frame_size);
+  return true;
+}
+
 ServiceClient::Response ServiceClient::AwaitResponse(std::uint64_t request_id,
                                                      Opcode expect) {
   Response resp;
   if (!ReadResponse(&resp)) {
     throw util::Error("connection closed while awaiting response");
   }
-  if (resp.opcode == Opcode::kError) {
-    throw util::Error(std::string("server error (") +
-                      std::to_string(static_cast<int>(resp.error.code)) +
-                      "): " + resp.error.message);
-  }
-  DSCHED_CHECK_MSG(resp.opcode == expect && resp.RequestId() == request_id,
-                   "out-of-order response to a sync call — requests were "
-                   "still in flight");
+  CheckSyncResponse(resp, request_id, expect);
   return resp;
 }
 
@@ -213,8 +230,31 @@ SubmitResultResponse ServiceClient::SubmitSync(const SubmitRequest& req) {
 }
 
 QueryResultResponse ServiceClient::QuerySync(const QueryRequest& req) {
+  QueryResultResponse out;
+  QuerySync(req, &out);
+  return out;
+}
+
+void ServiceClient::QuerySync(const QueryRequest& req,
+                              QueryResultResponse* out) {
   SendQuery(req);
-  return AwaitResponse(req.request_id, Opcode::kQueryResult).query_result;
+  Frame frame;
+  if (!NextFrame(&frame, -1)) {
+    throw util::Error("connection closed while awaiting response");
+  }
+  Response other;
+  other.opcode = frame.opcode;
+  if (frame.opcode == Opcode::kQueryResult) {
+    // The expected answer decodes straight into the caller's buffers.
+    if (!DecodeQueryResult(frame.payload, out)) {
+      throw MalformedPayload(frame.opcode);
+    }
+    other.query_result.request_id = out->request_id;
+  } else if (!DecodeResponse(frame, &other)) {
+    throw MalformedPayload(frame.opcode);
+  }
+  inbuf_.erase(0, frame.frame_size);
+  CheckSyncResponse(other, req.request_id, Opcode::kQueryResult);
 }
 
 void ServiceClient::CloseSessionSync(const CloseSessionRequest& req) {

@@ -83,6 +83,10 @@ class ServiceClient {
   SubmitResultResponse SubmitSync(const SubmitRequest& req);
   /// Query round trip; throws on ERROR.
   QueryResultResponse QuerySync(const QueryRequest& req);
+  /// Query round trip decoding into `*out`: its cell array and symbol pool
+  /// keep their capacity, so a caller that queries repeatedly reuses one
+  /// response's buffers.  Throws on ERROR.
+  void QuerySync(const QueryRequest& req, QueryResultResponse* out);
   /// CloseSession round trip; throws on ERROR.
   void CloseSessionSync(const CloseSessionRequest& req);
   /// Ping round trip (liveness probe); throws on ERROR or disconnect.
@@ -94,6 +98,10 @@ class ServiceClient {
 
  private:
   Response AwaitResponse(std::uint64_t request_id, Opcode expect);
+  /// Blocks up to `timeout_ms` for the next complete frame, left in the
+  /// buffer for the caller to decode and then consume.  False on timeout or
+  /// when the server closed the connection.
+  bool NextFrame(Frame* frame, int timeout_ms);
 
   int fd_ = -1;
   std::string inbuf_;

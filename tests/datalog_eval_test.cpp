@@ -324,6 +324,123 @@ TEST(HeadBoundPlanTest, HeadClashIsNoDerivation) {
       [](const std::vector<std::pair<std::uint32_t, Tuple>>&) { return true; }));
 }
 
+// --- Plan once, probe many: a DerivationProbe reused across head tuples
+// must answer exactly what a freshly planned one-shot query answers.
+
+std::vector<DerivationProbe::Body> AllDerivations(DerivationProbe& probe,
+                                                  const Tuple& head) {
+  std::vector<DerivationProbe::Body> out;
+  probe.ForEachDerivation(head, [&out](const DerivationProbe::Body& body) {
+    out.push_back(body);
+    return false;
+  });
+  return out;
+}
+
+TEST(PlanReuseTest, ReusedProbeAnswersLikeOneShotIsDerivable) {
+  const Program program = ParseProgram(R"(
+    p(X) :- q(X), !r(X).
+    s(X) :- q(X), X < 5.
+    c(X, 1) :- q(X).
+    d(X, X) :- q(X).
+    j(X, Z) :- e(X, Y), f(Y, Z).
+  )");
+  RelationStore store(program);
+  util::Rng rng(23);
+  for (int i = 1; i <= 10; ++i) {
+    store.Of(program.PredicateId("q")).Insert({Value::Int(i)});
+  }
+  store.Of(program.PredicateId("r")).Insert({Value::Int(3)});
+  for (int i = 0; i < 30; ++i) {
+    store.Of(program.PredicateId("e"))
+        .Insert({Value::Int(static_cast<std::int64_t>(rng.NextBelow(8))),
+                 Value::Int(static_cast<std::int64_t>(rng.NextBelow(8)))});
+    store.Of(program.PredicateId("f"))
+        .Insert({Value::Int(static_cast<std::int64_t>(rng.NextBelow(8))),
+                 Value::Int(static_cast<std::int64_t>(rng.NextBelow(8)))});
+  }
+  EvalStats stats;
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (const char* head : {"p", "s", "c", "d", "j"}) {
+    const Rule& rule = RuleFor(program, head);
+    DerivationProbe probe(program, store, rule, stats);
+    std::vector<Tuple> heads;
+    for (int x = 0; x <= 12; ++x) {
+      if (rule.head.args.size() == 1) {
+        heads.push_back({Value::Int(x)});
+        continue;
+      }
+      for (int y = 0; y <= 8; ++y) {
+        heads.push_back({Value::Int(x), Value::Int(y)});
+      }
+    }
+    for (const Tuple& h : heads) {
+      const bool expected = IsDerivable(program, store, rule, h, stats);
+      EXPECT_EQ(probe.IsDerivable(h), expected) << head << TupleToString(h, program.symbols);
+      (expected ? hits : misses) += 1;
+      std::vector<DerivationProbe::Body> one_shot;
+      ForEachDerivation(program, store, rule, h, stats,
+                        [&one_shot](const DerivationProbe::Body& body) {
+                          one_shot.push_back(body);
+                          return false;
+                        });
+      EXPECT_EQ(AllDerivations(probe, h), one_shot) << head;
+    }
+    if (std::string(head) == "c") {
+      // A head-constant clash between two hits: no derivation, and the
+      // next probe binds afresh.
+      EXPECT_TRUE(probe.IsDerivable(Tuple{Value::Int(2), Value::Int(1)}));
+      EXPECT_FALSE(probe.IsDerivable(Tuple{Value::Int(2), Value::Int(2)}));
+      EXPECT_TRUE(probe.IsDerivable(Tuple{Value::Int(4), Value::Int(1)}));
+    }
+    if (std::string(head) == "d") {
+      // The repeated head variable of d(X, X) is compared, not rebound.
+      EXPECT_TRUE(probe.IsDerivable(Tuple{Value::Int(1), Value::Int(1)}));
+      EXPECT_FALSE(probe.IsDerivable(Tuple{Value::Int(1), Value::Int(2)}));
+      EXPECT_FALSE(probe.IsDerivable(Tuple{Value::Int(2), Value::Int(1)}));
+      EXPECT_TRUE(probe.IsDerivable(Tuple{Value::Int(2), Value::Int(2)}));
+    }
+  }
+  EXPECT_GT(hits, 20u);
+  EXPECT_GT(misses, 20u);
+}
+
+TEST(PlanReuseTest, ProbesSeeRowsInsertedBetweenProbes) {
+  // The probe is planned against a nearly empty store, then the body
+  // relations grow by thousands of rows between probes: every index
+  // handle is extended, and the relations' first blocks regrow and move.
+  // A handle kept from an earlier probe would read stale rows.
+  const Program program = ParseProgram("j(X, Z) :- e(X, Y), f(Y, Z).");
+  RelationStore store(program);
+  const std::uint32_t e = program.PredicateId("e");
+  const std::uint32_t f = program.PredicateId("f");
+  store.Of(e).Insert({Value::Int(0), Value::Int(0)});
+  store.Of(f).Insert({Value::Int(0), Value::Int(0)});
+  const Rule& rule = RuleFor(program, "j");
+  EvalStats stats;
+  DerivationProbe probe(program, store, rule, stats);
+  EXPECT_TRUE(probe.IsDerivable(Tuple{Value::Int(0), Value::Int(0)}));
+  util::Rng rng(41);
+  constexpr int kKeys = 3000;
+  for (int round = 0; round < 6000; ++round) {
+    const auto x = static_cast<std::int64_t>(rng.NextBelow(kKeys));
+    const auto y = static_cast<std::int64_t>(rng.NextBelow(kKeys));
+    const auto z = static_cast<std::int64_t>(rng.NextBelow(kKeys));
+    const Tuple head{Value::Int(x), Value::Int(z)};
+    const bool before = IsDerivable(program, store, rule, head, stats);
+    ASSERT_EQ(probe.IsDerivable(head), before) << "round " << round;
+    store.Of(e).Insert({Value::Int(x), Value::Int(y)});
+    store.Of(f).Insert({Value::Int(y), Value::Int(z)});
+    ASSERT_TRUE(probe.IsDerivable(head)) << "round " << round;
+    const Tuple other{Value::Int(static_cast<std::int64_t>(rng.NextBelow(kKeys))),
+                      Value::Int(static_cast<std::int64_t>(rng.NextBelow(kKeys)))};
+    ASSERT_EQ(probe.IsDerivable(other),
+              IsDerivable(program, store, rule, other, stats))
+        << "round " << round;
+  }
+}
+
 TEST(DatabaseTest, InsertAfterMaterializeRejected) {
   Database db("p(X) :- q(X).");
   db.Insert("q", {Value::Int(1)});

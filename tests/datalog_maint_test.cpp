@@ -4,6 +4,7 @@
 // parallel cases run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -212,6 +213,132 @@ TEST(MaintBackwardForwardTest, CyclicDerivationsResolvedByProbes) {
     probes += c.maint_backward_probes;
   }
   EXPECT_GT(probes, 0u);
+}
+
+// B/F's prober re-enters a rule while that rule's probe is still
+// enumerating: the nonlinear closure recurses into tc from both body
+// literals, and the mutual pair alternates between two members.  Each
+// nested check needs its own planned instance of the rule; reusing the
+// running one would rebind a live join.  The per-seed probe totals are the
+// counts the one-join-per-query engine recorded on these streams: the
+// plan-once prober must ask exactly the same aliveness questions.
+struct ReentrantCase {
+  const char* name;
+  const char* program;
+  std::uint64_t seed;
+  std::size_t probes;
+};
+
+constexpr const char* kNonlinearTc = R"(
+  tc(X, Y) :- e(X, Y).
+  tc(X, Z) :- tc(X, Y), tc(Y, Z).
+)";
+constexpr const char* kMutualPair = R"(
+  p(X, Y) :- e(X, Y).
+  p(X, Z) :- q(X, Y), e(Y, Z).
+  q(X, Y) :- p(X, Y), !cut(Y).
+)";
+
+TEST(MaintBackwardForwardTest, ReentrantProbesMatchDRedAndFromScratch) {
+  constexpr std::size_t kNodes = 8;
+  constexpr int kBatches = 24;
+  const ReentrantCase cases[] = {
+      {"nonlinear_tc", kNonlinearTc, 1, 5123},
+      {"nonlinear_tc", kNonlinearTc, 2, 8184},
+      {"mutual_pair", kMutualPair, 1, 469},
+      {"mutual_pair", kMutualPair, 2, 354},
+  };
+  const auto node = [](std::size_t i) {
+    return Value::Int(static_cast<std::int64_t>(i));
+  };
+  for (const ReentrantCase& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(c.seed));
+    util::Rng rng(c.seed);
+    Database dred(c.program);
+    Database bf(c.program);
+    bf.SetDefaultStrategy(MaintenanceStrategy::kBackwardForward);
+    const auto& names = dred.GetProgram().predicate_names;
+    const bool has_cut =
+        std::find(names.begin(), names.end(), "cut") != names.end();
+    std::vector<std::vector<bool>> e_fact(kNodes,
+                                          std::vector<bool>(kNodes, false));
+    std::vector<bool> cut_fact(kNodes, false);
+    for (std::size_t a = 0; a < kNodes; ++a) {
+      for (std::size_t b = 0; b < kNodes; ++b) {
+        e_fact[a][b] = a != b && rng.NextBool(0.22);
+      }
+    }
+    const auto load_base = [&](Database& db) {
+      for (std::size_t a = 0; a < kNodes; ++a) {
+        for (std::size_t b = 0; b < kNodes; ++b) {
+          if (e_fact[a][b]) {
+            db.Insert("e", {node(a), node(b)});
+          }
+        }
+        if (has_cut && cut_fact[a]) {
+          db.Insert("cut", {node(a)});
+        }
+      }
+    };
+    load_base(dred);
+    load_base(bf);
+    dred.Materialize();
+    bf.Materialize();
+
+    std::size_t probes = 0;
+    for (int batch = 0; batch < kBatches; ++batch) {
+      // Mostly deletions of live edges, so cyclic clusters lose support.
+      // Each edge changes at most once per batch.
+      UpdateRequest request;
+      const std::uint32_t e = dred.GetProgram().PredicateId("e");
+      std::vector<std::pair<std::size_t, std::size_t>> touched;
+      for (int op = 0; op < 4; ++op) {
+        const std::size_t a = rng.NextBelow(kNodes);
+        const std::size_t b = rng.NextBelow(kNodes);
+        if (a == b || std::find(touched.begin(), touched.end(),
+                                std::make_pair(a, b)) != touched.end()) {
+          continue;
+        }
+        touched.emplace_back(a, b);
+        const Tuple row{node(a), node(b)};
+        if (e_fact[a][b]) {
+          request.deletions.emplace_back(e, row);
+          e_fact[a][b] = false;
+        } else if (rng.NextBool(0.3)) {
+          request.insertions.emplace_back(e, row);
+          e_fact[a][b] = true;
+        }
+      }
+      if (has_cut) {
+        const std::uint32_t cut = dred.GetProgram().PredicateId("cut");
+        const std::size_t t = rng.NextBelow(kNodes);
+        (cut_fact[t] ? request.deletions : request.insertions)
+            .emplace_back(cut, Tuple{node(t)});
+        cut_fact[t] = !cut_fact[t];
+      }
+      (void)dred.ApplyRequest(request);
+      for (const ComponentUpdateStats& stats :
+           bf.ApplyRequest(request).components) {
+        probes += stats.maint_backward_probes;
+      }
+
+      Database scratch(c.program);
+      load_base(scratch);
+      scratch.Materialize();
+      const Program& program = dred.GetProgram();
+      for (std::uint32_t p = 0; p < program.NumPredicates(); ++p) {
+        const std::string& name = program.predicate_names[p];
+        EXPECT_EQ(Sorted(bf.Query(name)), Sorted(dred.Query(name)))
+            << name << " after batch " << batch;
+        EXPECT_EQ(Sorted(bf.Query(name)), Sorted(scratch.Query(name)))
+            << name << " after batch " << batch;
+      }
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+    }
+    EXPECT_EQ(probes, c.probes);
+  }
 }
 
 // ---------------------------------------------------------------------------

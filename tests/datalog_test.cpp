@@ -2,7 +2,11 @@
 // stratification, and relation storage.
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <vector>
+
 #include "datalog/ast.hpp"
+#include "datalog/incremental.hpp"
 #include "datalog/lexer.hpp"
 #include "datalog/parser.hpp"
 #include "datalog/relation.hpp"
@@ -10,6 +14,7 @@
 #include "datalog/validate.hpp"
 #include "datalog/value.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsched::datalog {
 namespace {
@@ -46,6 +51,180 @@ TEST(ValueTest, CmpSemantics) {
   EXPECT_TRUE(EvalCmp(CmpOp::kEq, Value::Symbol(4), Value::Symbol(4)));
   EXPECT_THROW((void)EvalCmp(CmpOp::kLt, Value::Symbol(0), Value::Int(1)),
                util::InvalidArgument);
+}
+
+// --- Tuple: an inline small vector that must behave like the
+// std::vector<Value> it replaced.
+
+Tuple Iota(std::size_t arity, std::int64_t from = 0) {
+  Tuple t;
+  for (std::size_t i = 0; i < arity; ++i) {
+    t.push_back(Value::Int(from + static_cast<std::int64_t>(i)));
+  }
+  return t;
+}
+
+std::vector<Value> AsVector(const Tuple& t) {
+  return std::vector<Value>(t.begin(), t.end());
+}
+
+TEST(TupleTest, InlineUpToFourValuesSpillsBeyond) {
+  EXPECT_EQ(sizeof(Tuple), 48u);
+  for (const std::size_t arity : {0u, 1u, 4u, 5u, 17u}) {
+    const Tuple t = Iota(arity, 100);
+    ASSERT_EQ(t.size(), arity);
+    EXPECT_EQ(t.empty(), arity == 0);
+    EXPECT_EQ(t.IsInline(), arity <= Tuple::kInlineCapacity) << arity;
+    EXPECT_GE(t.capacity(), arity);
+    const RowView view = t;
+    ASSERT_EQ(view.size(), arity);
+    for (std::size_t i = 0; i < arity; ++i) {
+      EXPECT_EQ(view[i], Value::Int(100 + static_cast<std::int64_t>(i)));
+      EXPECT_EQ(t.at(i), t[i]);
+    }
+    if (arity > 0) {
+      EXPECT_EQ(t.front(), Value::Int(100));
+      EXPECT_EQ(t.back(), Value::Int(99 + static_cast<std::int64_t>(arity)));
+    }
+    EXPECT_THROW((void)t.at(arity), util::Error);
+    // The other constructors agree.
+    const std::vector<Value> values = AsVector(t);
+    EXPECT_EQ(Tuple(values.begin(), values.end()), t);
+    const std::vector<Value> sevens(arity, Value::Int(7));
+    EXPECT_EQ(Tuple(arity, Value::Int(7)), Tuple(sevens.begin(), sevens.end()));
+    EXPECT_EQ(Tuple(arity).size(), arity);
+  }
+  EXPECT_EQ((Tuple{Value::Int(1), Value::Int(2)}), Iota(2, 1));
+}
+
+TEST(TupleTest, CopyMoveAndSelfAssignment) {
+  for (const std::size_t arity : {0u, 2u, 4u, 5u, 17u}) {
+    const Tuple original = Iota(arity, 10);
+    Tuple copy = original;
+    EXPECT_EQ(copy, original);
+    copy.push_back(Value::Int(-1));  // the copy owns its values
+    EXPECT_EQ(original.size(), arity);
+
+    Tuple moved = std::move(copy);
+    EXPECT_EQ(moved.size(), arity + 1);
+    EXPECT_TRUE(copy.empty());  // moved-from tuples are empty
+    EXPECT_TRUE(copy.IsInline());
+    copy.push_back(Value::Int(5));  // moved-from is reusable
+    EXPECT_EQ(copy, Tuple{Value::Int(5)});
+
+    Tuple assigned = Iota(3, 50);
+    assigned = moved;
+    EXPECT_EQ(assigned, moved);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.size(), arity + 1);
+    EXPECT_TRUE(moved.empty());
+
+    Tuple expected = Iota(arity, 10);
+    expected.push_back(Value::Int(-1));
+    Tuple& alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(assigned, expected);
+    assigned = std::move(alias);
+    EXPECT_EQ(assigned, expected);
+  }
+}
+
+TEST(TupleTest, InsertEraseResizeAcrossTheInlineBoundary) {
+  util::Rng rng(17);
+  Tuple t;
+  std::vector<Value> ref;
+  for (int step = 0; step < 2000; ++step) {
+    const auto pos = static_cast<std::ptrdiff_t>(rng.NextBelow(ref.size() + 1));
+    const Value v = Value::Int(step);
+    switch (rng.NextBelow(6)) {
+      case 0:
+        t.insert(t.begin() + pos, v);
+        ref.insert(ref.begin() + pos, v);
+        break;
+      case 1: {
+        const std::vector<Value> run(rng.NextBelow(7), v);
+        t.insert(t.begin() + pos, run.begin(), run.end());
+        ref.insert(ref.begin() + pos, run.begin(), run.end());
+        break;
+      }
+      case 2:
+        if (!ref.empty()) {
+          const auto at = static_cast<std::ptrdiff_t>(rng.NextBelow(ref.size()));
+          t.erase(t.begin() + at);
+          ref.erase(ref.begin() + at);
+        }
+        break;
+      case 3: {
+        const auto end = pos + static_cast<std::ptrdiff_t>(rng.NextBelow(
+                                   ref.size() - static_cast<std::size_t>(pos) + 1));
+        t.erase(t.begin() + pos, t.begin() + end);
+        ref.erase(ref.begin() + pos, ref.begin() + end);
+        break;
+      }
+      case 4: {
+        const std::size_t n = rng.NextBelow(12);
+        t.resize(n, v);
+        ref.resize(n, v);
+        break;
+      }
+      default: {
+        // Self-aliasing insert: the source is this tuple's own values.
+        const std::vector<Value> before = ref;
+        t.insert(t.begin() + pos, t.begin(), t.end());
+        ref.insert(ref.begin() + pos, before.begin(), before.end());
+        if (ref.size() > 24) {
+          t.clear();
+          ref.clear();
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(AsVector(t), ref) << "step " << step;
+    ASSERT_EQ(t.IsInline(), t.capacity() == Tuple::kInlineCapacity);
+  }
+}
+
+TEST(TupleTest, OrderingAgreesWithVectorOrdering) {
+  util::Rng rng(5);
+  const auto random_tuple = [&rng] {
+    Tuple t;
+    const std::size_t arity = rng.NextBelow(7);
+    for (std::size_t i = 0; i < arity; ++i) {
+      t.push_back(rng.NextBool(0.3)
+                      ? Value::Symbol(static_cast<std::uint32_t>(rng.NextBelow(3)))
+                      : Value::Int(static_cast<std::int64_t>(rng.NextBelow(3))));
+    }
+    return t;
+  };
+  for (int i = 0; i < 5000; ++i) {
+    const Tuple a = random_tuple();
+    const Tuple b = random_tuple();
+    const std::vector<Value> va = AsVector(a);
+    const std::vector<Value> vb = AsVector(b);
+    EXPECT_EQ(a == b, va == vb);
+    EXPECT_EQ(a <=> b, va <=> vb);
+    EXPECT_EQ(a < b, va < vb);
+  }
+}
+
+TEST(TupleTest, RowViewsHashEqualAndProbeTupleSets) {
+  Relation relation(2);
+  TupleSet set;
+  for (int i = 0; i < 64; ++i) {
+    const Tuple t{Value::Int(i), Value::Int(i * 3)};
+    relation.Insert(t);
+    if (i % 2 == 0) {
+      set.insert(t);
+    }
+    EXPECT_EQ(TupleHash{}(t), TupleHash{}(RowView(t)));
+  }
+  std::size_t found = 0;
+  relation.ForEachRow([&](std::uint32_t, RowView row) {
+    EXPECT_EQ(TupleHash{}(row), TupleHash{}(Tuple(row.begin(), row.end())));
+    EXPECT_EQ(set.contains(row), row[0].AsInt() % 2 == 0);
+    found += set.contains(row) ? 1u : 0u;
+  });
+  EXPECT_EQ(found, 32u);
 }
 
 TEST(LexerTest, TokenKinds) {

@@ -817,6 +817,53 @@ TEST(ServiceServerTest, OpenSubmitQueryClose) {
   EXPECT_EQ(fx.host.FindSession(sid), nullptr);
 }
 
+TEST(ServiceServerTest, QuerySyncIntoReusesTheCallersDecodeBuffers) {
+  // A repeated read-back decodes into one response: after a smaller second
+  // query, the cell array keeps its capacity and the symbol pool its
+  // address, and the rows are exactly the latest result's.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = kChainProgram;
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  constexpr int kLabels = 64;
+  SubmitRequest labels;
+  labels.request_id = 2;
+  labels.session_id = sid;
+  for (int i = 0; i < kLabels; ++i) {
+    labels.ops.push_back(Insert(
+        "has", {WireValue::Int(i), WireValue::Sym("s" + std::to_string(i))}));
+  }
+  (void)client.SubmitSync(labels);
+
+  QueryResultResponse out;
+  client.QuerySync(QueryRequest{3, sid, "lbl"}, &out);
+  ASSERT_EQ(out.rows.size(), static_cast<std::size_t>(kLabels));
+  const std::size_t large_capacity = out.rows.capacity();
+  const char* const pool = out.rows[0].Symbol(1).data();
+
+  SubmitRequest trim;
+  trim.request_id = 4;
+  trim.session_id = sid;
+  for (int i = 1; i < kLabels; ++i) {
+    trim.ops.push_back(Delete(
+        "has", {WireValue::Int(i), WireValue::Sym("s" + std::to_string(i))}));
+  }
+  (void)client.SubmitSync(trim);
+  client.QuerySync(QueryRequest{5, sid, "lbl"}, &out);
+  EXPECT_EQ(out.request_id, 5u);
+  ASSERT_EQ(out.rows.size(), 1u);
+  EXPECT_EQ(out.rows[0], (WireTuple{WireValue::Int(0), WireValue::Sym("s0")}));
+  EXPECT_EQ(out.rows.capacity(), large_capacity);
+  EXPECT_EQ(out.rows[0].Symbol(1).data(), pool);
+
+  // An ERROR still throws, and the by-value overload agrees.
+  EXPECT_THROW(client.QuerySync(QueryRequest{6, sid, "nope"}, &out),
+               util::Error);
+  EXPECT_EQ(client.QuerySync(QueryRequest{7, sid, "lbl"}).rows, out.rows);
+}
+
 TEST(ServiceServerTest, NullaryPredicateQueriesOverTheWire) {
   // p() holds once any e fact does: its QUERY_RESULT is arity 0, n_rows 1
   // and no value bytes, which the client decodes as one empty row.
