@@ -11,9 +11,7 @@
 // The batched engine runs every cascade on one shared TaskRouter per
 // worker count, built before any timer starts — the way the service runs
 // them — so its rows time dispatch, not thread start-up.  Its steal / sleep
-// / wakeup columns are that router's pool-counter deltas over the cascade;
-// the window_adjusts / final_window columns show what the duty-cycle
-// dispatch-window controller decided.
+// / wakeup columns are that router's pool-counter deltas over the cascade.
 //
 // Usage: micro_executor [--out=BENCH_executor.json] [--scale=1.0]
 //                       [--trace=out.json]
@@ -276,9 +274,6 @@ struct Row {
   std::uint64_t steals = 0;
   std::uint64_t sleeps = 0;
   std::uint64_t wakeups = 0;
-  /// Duty-cycle controller activity (batched engine only).
-  std::uint64_t window_adjusts = 0;
-  std::uint64_t final_window = 0;
 };
 
 Row Measure(const trace::JobTrace& trace, const std::string& workload,
@@ -315,8 +310,6 @@ Row Measure(const trace::JobTrace& trace, const std::string& workload,
     row.steals = pool_after.steals - pool_before.steals;
     row.sleeps = pool_after.sleeps - pool_before.sleeps;
     row.wakeups = pool_after.wakeups - pool_before.wakeups;
-    row.window_adjusts = stats.window_adjusts;
-    row.final_window = stats.final_window;
   } else {
     const auto stats = legacy::Run(trace, *scheduler, workers, spin_iters);
     row.tasks = stats.executed;
@@ -348,8 +341,7 @@ void AppendRowJson(std::string& out, const Row& row, bool last) {
       "\"sched_share\": %.4f, \"dispatch_wall_seconds\": %.6f, "
       "\"overhead_share\": %.4f, \"dispatch_batches\": %llu, "
       "\"avg_batch\": %.2f, \"max_batch\": %llu, \"completion_drains\": %llu, "
-      "\"steals\": %llu, \"sleeps\": %llu, \"wakeups\": %llu, "
-      "\"window_adjusts\": %llu, \"final_window\": %llu}%s\n",
+      "\"steals\": %llu, \"sleeps\": %llu, \"wakeups\": %llu}%s\n",
       row.workload.c_str(), row.scheduler.c_str(), row.workers,
       row.engine.c_str(), row.body.c_str(), row.tasks, row.wall_seconds,
       row.tasks_per_sec,
@@ -360,9 +352,7 @@ void AppendRowJson(std::string& out, const Row& row, bool last) {
       static_cast<unsigned long long>(row.completion_drains),
       static_cast<unsigned long long>(row.steals),
       static_cast<unsigned long long>(row.sleeps),
-      static_cast<unsigned long long>(row.wakeups),
-      static_cast<unsigned long long>(row.window_adjusts),
-      static_cast<unsigned long long>(row.final_window), last ? "" : ",");
+      static_cast<unsigned long long>(row.wakeups), last ? "" : ",");
   out += buf;
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "datalog/database.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
 #include "trace/table_traces.hpp"
@@ -35,8 +36,9 @@ namespace {
 //
 // Exercises the full service stack — EngineHost, per-session apply threads,
 // the shared TaskRouter — under ASan/TSan in CI: N concurrent sessions each
-// submit a deterministic batch stream, then each is replayed into a fresh
-// "serial"-scheduler session and the stores must match tuple-for-tuple.
+// submit a deterministic batch stream, then each stream is replayed into a
+// plain Database (Materialize, then serial ApplyRequest per batch) and the
+// stores must match tuple-for-tuple.
 
 constexpr const char* kSmokeProgram = R"(
   tc(X, Y) :- e(X, Y).
@@ -48,27 +50,30 @@ constexpr const char* kSmokeProgram = R"(
 constexpr const char* kSmokePredicates[] = {"n",   "e",      "tc",
                                             "rev", "hasout", "deadend"};
 
-void SeedSmokeSession(dsched::service::Session& session, std::uint64_t seed,
-                      int nodes) {
+// Seeds a Session or the replay's Database (both expose Insert /
+// Materialize / MakeUpdate with the same meaning).
+template <typename Target>
+void SeedSmoke(Target& target, std::uint64_t seed, int nodes) {
   using dsched::datalog::Value;
   dsched::util::Rng rng(seed);
   for (int i = 0; i < nodes; ++i) {
-    session.Insert("n", {Value::Int(i)});
+    target.Insert("n", {Value::Int(i)});
   }
   for (int i = 0; i < nodes; ++i) {
     for (int j = 0; j < nodes; ++j) {
       if (i != j && rng.NextBool(0.15)) {
-        session.Insert("e", {Value::Int(i), Value::Int(j)});
+        target.Insert("e", {Value::Int(i), Value::Int(j)});
       }
     }
   }
-  (void)session.Materialize();
+  (void)target.Materialize();
 }
 
-dsched::datalog::UpdateRequest SmokeBatch(dsched::service::Session& session,
+template <typename Target>
+dsched::datalog::UpdateRequest SmokeBatch(Target& target,
                                           dsched::util::Rng& rng, int nodes) {
   using dsched::datalog::Value;
-  auto update = session.MakeUpdate();
+  auto update = target.MakeUpdate();
   for (int tries = 0; tries < 6; ++tries) {
     const int i =
         static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(nodes)));
@@ -100,7 +105,7 @@ int RunSessionsSmoke(int n_sessions) {
     options.name = "smoke" + std::to_string(s);
     options.scheduler_spec = specs[static_cast<std::size_t>(s) % 4];
     auto session = host.OpenSession(kSmokeProgram, options);
-    SeedSmokeSession(*session, 100 + static_cast<std::uint64_t>(s), kNodes);
+    SeedSmoke(*session, 100 + static_cast<std::uint64_t>(s), kNodes);
     live.push_back(std::move(session));
   }
 
@@ -124,19 +129,15 @@ int RunSessionsSmoke(int n_sessions) {
 
   bool pass = true;
   for (int s = 0; s < n_sessions; ++s) {
-    service::SessionOptions options;
-    options.name = "replay" + std::to_string(s);
-    options.scheduler_spec = "serial";
-    auto replay = host.OpenSession(kSmokeProgram, options);
-    SeedSmokeSession(*replay, 100 + static_cast<std::uint64_t>(s), kNodes);
+    datalog::Database replay(kSmokeProgram);
+    SeedSmoke(replay, 100 + static_cast<std::uint64_t>(s), kNodes);
     util::Rng rng(500 + static_cast<std::uint64_t>(s));
     for (int b = 0; b < kBatches; ++b) {
-      (void)replay->Submit(SmokeBatch(*replay, rng, kNodes));
+      (void)replay.ApplyRequest(SmokeBatch(replay, rng, kNodes));
     }
-    replay->Drain();
     for (const char* predicate : kSmokePredicates) {
       auto got = live[static_cast<std::size_t>(s)]->Query(predicate);
-      auto want = replay->Query(predicate);
+      auto want = replay.Query(predicate);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
       if (got != want) {
@@ -146,7 +147,6 @@ int RunSessionsSmoke(int n_sessions) {
                      s, predicate, got.size(), want.size());
       }
     }
-    replay->Close();
   }
   for (auto& session : live) {
     session->Close();

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "datalog/delta_buffer.hpp"
+#include "datalog/maintenance.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -563,45 +564,15 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
   return comp_stats;
 }
 
-UpdateResult PropagateUpdate(const Program& program,
-                             const Stratification& strat, RelationStore& store,
-                             const GroupedBaseChanges& base,
-                             const std::vector<bool>* force_touched) {
-  util::WallTimer total_timer;
-  UpdateResult result;
-  result.components.reserve(strat.component_order.size());
-  std::vector<PredicateDelta> net(program.NumPredicates());
-
-  for (const std::uint32_t component : strat.component_order) {
-    const bool forced =
-        force_touched != nullptr && (*force_touched)[component];
-    if (!forced &&
-        !ComponentInputTouched(program, strat, component, base, net)) {
-      ComponentUpdateStats untouched;
-      untouched.component = component;
-      result.components.push_back(untouched);
-      continue;
-    }
-    ComponentUpdateStats comp_stats =
-        RunComponentPhase(program, strat, component, store, base, net);
-    result.total_inserted += comp_stats.tuples_inserted;
-    result.total_deleted += comp_stats.tuples_deleted;
-    result.total_maint_ops += comp_stats.maint_ops;
-    result.components.push_back(std::move(comp_stats));
-  }
-
-  result.seconds = total_timer.ElapsedSeconds();
-  return result;
-}
-
 IncrementalEngine::IncrementalEngine(const Program& program,
                                      const Stratification& strat,
                                      RelationStore& store)
     : program_(program), strat_(strat), store_(store) {}
 
 UpdateResult IncrementalEngine::Apply(const UpdateRequest& request) {
-  return PropagateUpdate(program_, strat_, store_,
-                         GroupedBaseChanges(program_, request));
+  return PropagateUpdateWithStrategy(program_, strat_, store_,
+                                     GroupedBaseChanges(program_, request),
+                                     MaintenanceStrategy::kDRed);
 }
 
 }  // namespace dsched::datalog

@@ -338,16 +338,6 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
                                        std::vector<PredicateDelta>& net,
                                        StoreWriteBuffer* scratch = nullptr);
 
-/// The core propagation loop shared by base-fact updates and rule changes:
-/// runs the phase of every component that is touched (per
-/// ComponentInputTouched) or force-listed, in evaluation order.
-/// `force_touched`, when given, is indexed by component id — rule changes
-/// use it to run the owning component even without input deltas.
-UpdateResult PropagateUpdate(const Program& program,
-                             const Stratification& strat, RelationStore& store,
-                             const GroupedBaseChanges& base,
-                             const std::vector<bool>* force_touched = nullptr);
-
 /// Maintains one materialized store under updates.
 class IncrementalEngine {
  public:

@@ -58,8 +58,11 @@ ComponentUpdateStats RunMaintenancePhase(
     const GroupedBaseChanges& base, std::vector<PredicateDelta>& net,
     StoreWriteBuffer* scratch = nullptr);
 
-/// PropagateUpdate with a strategy: runs every touched (or force-listed)
-/// component's RunMaintenancePhase in evaluation order.
+/// The core propagation loop shared by base-fact updates and rule changes:
+/// runs the RunMaintenancePhase of every component that is touched (per
+/// ComponentInputTouched) or force-listed, in evaluation order.
+/// `force_touched`, when given, is indexed by component id — rule changes
+/// use it to run the owning component even without input deltas.
 /// `only_components` (when non-null) restricts the cascade to the listed
 /// components — the rest are recorded untouched without even probing their
 /// inputs.  Rule evolution passes the affected cone here: deltas cannot

@@ -81,20 +81,10 @@ Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
   util::Stopwatch sched_watch;
   util::Stopwatch dispatch_watch;
   util::Stopwatch idle_watch;
-  // Adaptive window controller: every kControlPeriod completion drains,
-  // compare the coordinator's dispatch vs idle duty cycle since the last
-  // decision.  Dispatch-bound means per-batch overhead dominates — double
-  // the window to amortize it; strongly idle-bound means the workers are
-  // the bottleneck and coarse pops only make the scheduler's choices
-  // staler — halve it.  An inline cascade never drains the buffer, so its
-  // window stays where it starts.
-  std::size_t window = std::max<std::size_t>(16, 2 * num_workers);
-  constexpr std::size_t kMinWindow = 4;
-  constexpr std::size_t kMaxWindow = 4096;
-  constexpr std::uint64_t kControlPeriod = 16;
-  std::uint64_t control_drains = 0;
-  double control_dispatch = 0.0;
-  double control_idle = 0.0;
+  // Most tasks one PopReadyBatch may hand out: enough to amortize a
+  // batched submit across the pool, few enough that the scheduler's
+  // choices stay fresh.
+  const std::size_t window = std::max<std::size_t>(16, 2 * num_workers);
   if (!options.run_inline) {
     completions.Reserve(2 * window);
   }
@@ -442,20 +432,6 @@ Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
         gate->frontier->Advance(gate->epoch, published_levels);
       }
     }
-    if (stats.completion_drains - control_drains >= kControlPeriod) {
-      control_drains = stats.completion_drains;
-      const double d = dispatch_watch.TotalSeconds() - control_dispatch;
-      const double i = idle_watch.TotalSeconds() - control_idle;
-      control_dispatch += d;
-      control_idle += i;
-      if (d > 3.0 * i && window < kMaxWindow) {
-        window *= 2;
-        ++stats.window_adjusts;
-      } else if (i > 8.0 * d && window > kMinWindow) {
-        window /= 2;
-        ++stats.window_adjusts;
-      }
-    }
   }
 
   if (gate != nullptr) {
@@ -466,7 +442,6 @@ Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
   // One worker-side push per pooled task, by construction.
   stats.completion_pushes = stats.ran_inline ? 0 : stats.executed;
   stats.activations = activated_count;
-  stats.final_window = window;
   stats.wall_seconds = wall.ElapsedSeconds();
   stats.sched_wall_seconds = sched_watch.TotalSeconds();
   stats.dispatch_wall_seconds = dispatch_watch.TotalSeconds();

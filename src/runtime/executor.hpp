@@ -216,13 +216,6 @@ class Executor {
     /// Over-budget solo dispatches (single task larger than the budget).
     std::uint64_t mem_forced = 0;
 
-    // --- adaptive dispatch window ---
-    /// Duty-cycle controller decisions that changed the window (it starts
-    /// at max(16, 2 * router.NumWorkers())).
-    std::uint64_t window_adjusts = 0;
-    /// The window in effect when the cascade finished.
-    std::uint64_t final_window = 0;
-
     /// Mean tasks per non-empty dispatch batch.
     [[nodiscard]] double AvgDispatchBatch() const {
       return dispatch_batches == 0

@@ -59,10 +59,9 @@ struct SessionOptions {
   /// Metrics prefix ("session.<name>.*"); auto-named "s<id>" when empty.
   std::string name;
   /// Scheduler factory spec ("hybrid", "levelbased", "lbl:<k>",
-  /// "logicblox", "signal"), or "serial" for the single-threaded
-  /// serial engine (no pool involvement).  Empty → host default.
-  /// Unknown specs are rejected at OpenSession with an error listing the
-  /// valid values.
+  /// "logicblox", "signal") that orders every cascade of this session.
+  /// Empty → host default.  Unknown specs are rejected at OpenSession
+  /// with an error listing the valid values.
   std::string scheduler_spec;
   /// Maintenance strategy spec ("dred", "bf"); empty → host default.
   /// Unknown names are rejected at OpenSession with an error listing the
@@ -73,9 +72,8 @@ struct SessionOptions {
   std::size_t queue_capacity = 0;
   /// Epoch-pipeline depth K: up to K cascades of this session overlap on
   /// the shared pool, fenced per dependency level by a StratumFrontier
-  /// (runtime/pipeline.hpp).  0 → host default.  Clamped to [1, 64];
-  /// forced to 1 for the "serial" engine.  Futures still resolve in dense
-  /// epoch order regardless of depth.
+  /// (runtime/pipeline.hpp).  0 → host default.  Clamped to [1, 64].
+  /// Futures still resolve in dense epoch order regardless of depth.
   std::size_t pipeline_depth = 0;
   /// Hard per-session memory ceiling, in accounted bytes: every cascade
   /// of this session (all K in-flight epochs together) meters its tasks'
@@ -84,7 +82,6 @@ struct SessionOptions {
   /// total over this bound.  Exhaustion therefore surfaces as slower
   /// cascades — and ultimately as Submit blocking on the bounded queue —
   /// never as a failed update.  0 = no ceiling (accounting only).
-  /// Ignored by the "serial" engine, which runs no accounted cascade.
   std::uint64_t memory_budget = 0;
 };
 

@@ -25,24 +25,22 @@ std::string ResolveSpec(const detail::HostCore& core,
   const std::string& spec =
       options.scheduler_spec.empty() ? core.options.default_scheduler
                                      : options.scheduler_spec;
-  if (spec != "serial") {
-    if (spec.find("oracle") != std::string::npos) {
-      throw util::InvalidArgument(
-          "sessions cannot use the clairvoyant oracle scheduler — it needs "
-          "each update's outcome in advance");
+  if (spec.find("oracle") != std::string::npos) {
+    throw util::InvalidArgument(
+        "sessions cannot use the clairvoyant oracle scheduler — it needs "
+        "each update's outcome in advance");
+  }
+  // Fail at open, not at first Submit: instantiate once to validate, and
+  // name every accepted spec in the rejection.
+  try {
+    (void)sched::CreateScheduler(spec);
+  } catch (const util::Error&) {
+    std::string message =
+        "unknown scheduler spec '" + spec + "'; valid values:";
+    for (const std::string& known : sched::KnownSchedulerSpecs()) {
+      message += " " + known;
     }
-    // Fail at open, not at first Submit: instantiate once to validate,
-    // and name every accepted spec in the rejection.
-    try {
-      (void)sched::CreateScheduler(spec);
-    } catch (const util::Error&) {
-      std::string message = "unknown scheduler spec '" + spec +
-                            "'; valid values: serial";
-      for (const std::string& known : sched::KnownSchedulerSpecs()) {
-        message += " " + known;
-      }
-      throw util::InvalidArgument(message);
-    }
+    throw util::InvalidArgument(message);
   }
   return spec;
 }
@@ -57,17 +55,11 @@ datalog::MaintenanceStrategy ResolveStrategy(const detail::HostCore& core,
 }
 
 std::size_t ResolveDepth(const detail::HostCore& core,
-                         const SessionOptions& options,
-                         const std::string& spec) {
-  std::size_t depth = options.pipeline_depth > 0
-                          ? options.pipeline_depth
-                          : core.options.default_pipeline_depth;
-  depth = std::clamp<std::size_t>(depth, 1, 64);
-  // The serial engine has no cascade to fence, so it cannot overlap epochs.
-  if (spec == "serial") {
-    depth = 1;
-  }
-  return depth;
+                         const SessionOptions& options) {
+  const std::size_t depth = options.pipeline_depth > 0
+                                ? options.pipeline_depth
+                                : core.options.default_pipeline_depth;
+  return std::clamp<std::size_t>(depth, 1, 64);
 }
 
 }  // namespace
@@ -79,7 +71,7 @@ Session::Session(std::shared_ptr<detail::HostCore> core,
       name_(ResolveName(id_, options)),
       spec_(ResolveSpec(*core_, options)),
       strategy_(ResolveStrategy(*core_, options)),
-      depth_(ResolveDepth(*core_, options, spec_)),
+      depth_(ResolveDepth(*core_, options)),
       memory_budget_(options.memory_budget),
       metrics_prefix_("session." + name_ + "."),
       db_(program_text),
@@ -96,72 +88,64 @@ Session::Session(std::shared_ptr<detail::HostCore> core,
 
 Session::~Session() { Close(); }
 
+bool Session::Enqueue(UpdateQueue::Job job, bool blocking,
+                      std::future<UpdateOutcome>* out) {
+  const bool evolve = job.kind != UpdateQueue::Kind::kUpdate;
+  DSCHED_CHECK_MSG(db_.Materialized(),
+                   evolve ? "Materialize() before changing rules"
+                          : "Materialize() before Submit()");
+  std::future<UpdateOutcome> future = job.promise.get_future();
+  if (queue_.Push(std::move(job), blocking) == 0) {
+    return false;
+  }
+  core_->metrics.Add(metrics_prefix_ + (evolve ? "evolve.submit" : "submit"),
+                     1);
+  if (out != nullptr) {
+    *out = std::move(future);
+  }
+  return true;
+}
+
 std::future<UpdateOutcome> Session::Submit(datalog::UpdateRequest request) {
-  DSCHED_CHECK_MSG(db_.Materialized(), "Materialize() before Submit()");
-  std::promise<UpdateOutcome> promise;
-  std::future<UpdateOutcome> future = promise.get_future();
-  queue_.Push(std::move(request), std::move(promise));
-  core_->metrics.Add(metrics_prefix_ + "submit", 1);
+  std::future<UpdateOutcome> future;
+  Enqueue({.request = std::move(request)}, /*blocking=*/true, &future);
   return future;
 }
 
 bool Session::TrySubmit(datalog::UpdateRequest request,
                         std::future<UpdateOutcome>* out) {
-  DSCHED_CHECK_MSG(db_.Materialized(), "Materialize() before Submit()");
-  std::promise<UpdateOutcome> promise;
-  std::future<UpdateOutcome> future = promise.get_future();
-  if (queue_.TryPush(std::move(request), std::move(promise)) == 0) {
-    return false;
-  }
-  core_->metrics.Add(metrics_prefix_ + "submit", 1);
-  if (out != nullptr) {
-    *out = std::move(future);
-  }
-  return true;
-}
-
-std::future<UpdateOutcome> Session::SubmitEvolve(UpdateQueue::Kind kind,
-                                                std::string_view text) {
-  DSCHED_CHECK_MSG(db_.Materialized(), "Materialize() before changing rules");
-  std::promise<UpdateOutcome> promise;
-  std::future<UpdateOutcome> future = promise.get_future();
-  queue_.PushEvolve(kind, std::string(text), std::move(promise));
-  core_->metrics.Add(metrics_prefix_ + "evolve.submit", 1);
-  return future;
-}
-
-bool Session::TrySubmitEvolve(UpdateQueue::Kind kind, std::string_view text,
-                              std::future<UpdateOutcome>* out) {
-  DSCHED_CHECK_MSG(db_.Materialized(), "Materialize() before changing rules");
-  std::promise<UpdateOutcome> promise;
-  std::future<UpdateOutcome> future = promise.get_future();
-  if (queue_.TryPushEvolve(kind, std::string(text), std::move(promise)) == 0) {
-    return false;
-  }
-  core_->metrics.Add(metrics_prefix_ + "evolve.submit", 1);
-  if (out != nullptr) {
-    *out = std::move(future);
-  }
-  return true;
+  return Enqueue({.request = std::move(request)}, /*blocking=*/false, out);
 }
 
 std::future<UpdateOutcome> Session::EvolveAddRules(std::string_view rules_text) {
-  return SubmitEvolve(UpdateQueue::Kind::kAddRules, rules_text);
+  std::future<UpdateOutcome> future;
+  Enqueue({.kind = UpdateQueue::Kind::kAddRules,
+           .rules_text = std::string(rules_text)},
+          /*blocking=*/true, &future);
+  return future;
 }
 
 std::future<UpdateOutcome> Session::EvolveRemoveRule(
     std::string_view clause_text) {
-  return SubmitEvolve(UpdateQueue::Kind::kRemoveRule, clause_text);
+  std::future<UpdateOutcome> future;
+  Enqueue({.kind = UpdateQueue::Kind::kRemoveRule,
+           .rules_text = std::string(clause_text)},
+          /*blocking=*/true, &future);
+  return future;
 }
 
 bool Session::TryEvolveAddRules(std::string_view rules_text,
                                 std::future<UpdateOutcome>* out) {
-  return TrySubmitEvolve(UpdateQueue::Kind::kAddRules, rules_text, out);
+  return Enqueue({.kind = UpdateQueue::Kind::kAddRules,
+                  .rules_text = std::string(rules_text)},
+                 /*blocking=*/false, out);
 }
 
 bool Session::TryEvolveRemoveRule(std::string_view clause_text,
                                   std::future<UpdateOutcome>* out) {
-  return TrySubmitEvolve(UpdateQueue::Kind::kRemoveRule, clause_text, out);
+  return Enqueue({.kind = UpdateQueue::Kind::kRemoveRule,
+                  .rules_text = std::string(clause_text)},
+                 /*blocking=*/false, out);
 }
 
 void Session::Drain() {
@@ -220,43 +204,71 @@ bool Session::Contains(std::string_view predicate,
 void Session::ApplyLoop() {
   UpdateQueue::Job job;
   // The queue is FIFO, so epochs pop in dense order even across K
-  // consumer threads; the admission gate below then makes cascades START
-  // in that order too, at most depth_ in flight.
+  // consumer threads; the admission gate in Apply then makes cascades
+  // START in that order too, at most depth_ in flight.
   while (queue_.Pop(job)) {
-    if (job.kind == UpdateQueue::Kind::kUpdate) {
-      ApplyOne(job);
-    } else {
-      ApplyEvolve(job);
-    }
+    Apply(job);
   }
 }
 
-void Session::ApplyOne(UpdateQueue::Job& job) {
-  // --- admission: dense start order, bounded overlap, reader priority.
+void Session::Totals::Fold(const UpdateOutcome& outcome) {
+  inserted += outcome.update.total_inserted;
+  deleted += outcome.update.total_deleted;
+  maint_ops += outcome.update.total_maint_ops;
+  for (const datalog::ComponentUpdateStats& c : outcome.update.components) {
+    maint_probes += c.maint_backward_probes;
+    maint_avoided += c.maint_avoided;
+  }
+  frontier_stalls += outcome.run.frontier_stalls;
+  frontier_stall_seconds += outcome.run.frontier_stall_seconds;
+  inline_cascades += outcome.run.ran_inline ? 1 : 0;
+  mem_acquired += outcome.run.mem_acquired_bytes;
+  mem_deferred += outcome.run.mem_deferred;
+  mem_budget_stalls += outcome.run.mem_budget_stalls;
+  mem_forced += outcome.run.mem_forced;
+  if (outcome.rules_changed) {
+    ++evolves;
+    evolve_cone_preds += outcome.evolve.cone_predicates;
+    evolve_reused_comps += outcome.evolve.reused_components;
+    program_version = outcome.program_version;
+  }
+}
+
+void Session::Apply(UpdateQueue::Job& job) {
+  // --- admission: dense start order, reader priority, and no successor
+  // of an evolve epoch until it resolves.  An update may start while
+  // fewer than depth_ epochs are in flight.  An evolve epoch is
+  // EXCLUSIVE: it starts only with the pipeline drained (every in-flight
+  // cascade resolved against the OLD program), and evolving_ holds its
+  // successors until the swap + cone cascade land.  This is the
+  // evolution fence that lets rule changes compose with K > 1.
+  const bool evolve = job.kind != UpdateQueue::Kind::kUpdate;
   {
     std::unique_lock<std::mutex> lock(pipe_mutex_);
-    pipe_cv_.wait(lock, [this, &job] {
+    pipe_cv_.wait(lock, [this, &job, evolve] {
+      const std::uint64_t inflight = admitted_epoch_ - applied_seq_;
       return admitted_epoch_ + 1 == job.epoch && !evolving_ &&
-             admitted_epoch_ - applied_seq_ < depth_ && queries_waiting_ == 0;
+             queries_waiting_ == 0 &&
+             (evolve ? inflight == 0 : inflight < depth_);
     });
     if (admitted_epoch_ == applied_seq_) {
       busy_since_ = std::chrono::steady_clock::now();
     }
     admitted_epoch_ = job.epoch;
-    inflight_high_water_ =
-        std::max(inflight_high_water_, admitted_epoch_ - applied_seq_);
+    evolving_ = evolve;
+    totals_.inflight_high_water = std::max(totals_.inflight_high_water,
+                                           admitted_epoch_ - applied_seq_);
   }
   pipe_cv_.notify_all();  // the thread holding epoch+1 waits on admitted.
 
-  // --- the cascade itself, outside every session lock.
+  // --- the cascade (or recompile + swap + cone cascade), outside every
+  // session lock.
   UpdateOutcome outcome;
   outcome.epoch = job.epoch;
   std::exception_ptr error;
   util::WallTimer cascade_timer;
   try {
-    if (spec_ == "serial") {
-      outcome.update = db_.ApplyRequest(job.request, strategy_);
-    } else {
+    if (!evolve) {
       datalog::ParallelUpdateResult result = db_.ApplyRequestParallel(
           job.request, core_->router,
           {.scheduler_spec = spec_,
@@ -267,129 +279,55 @@ void Session::ApplyOne(UpdateQueue::Job& job) {
            .account = &account_});
       outcome.update = std::move(result.update);
       outcome.run = result.run;
+    } else {
+      datalog::Database::EvolveResult result =
+          job.kind == UpdateQueue::Kind::kAddRules
+              ? db_.EvolveAddRules(job.rules_text)
+              : db_.EvolveRemoveRule(job.rules_text);
+      outcome.update = std::move(result.update);
+      outcome.rules_changed = true;
+      outcome.program_version = result.program_version;
+      outcome.evolve = result.stats;
     }
   } catch (...) {
+    // A failed batch (bad arity, a throwing task body) or a rejected rule
+    // change (thrown before the snapshot swap, program untouched) fails
+    // ITS future; the session stays live.
     error = std::current_exception();
   }
   if (depth_ > 1) {
-    // Safety net: on success RunCascade already finalized every level; on
-    // a thrown cascade this keeps successor epochs from wedging on a
-    // frontier entry that would never advance.
+    // Safety net: a successful update cascade already finalized every
+    // level, but a thrown cascade or a rule change (which runs without
+    // the executor) did not; this keeps successor epochs from wedging on
+    // a frontier entry that would never advance.
     frontier_.FinalizeAll(job.epoch);
   }
   const double seconds = cascade_timer.ElapsedSeconds();
 
-  // --- sequencer: resolve futures in dense epoch order.
+  // --- sequencer: resolve futures in dense epoch order.  The applied
+  // epoch is published BEFORE the future resolves, so a thread woken by
+  // epoch N's future reads AppliedEpoch() >= N.
   {
     std::unique_lock<std::mutex> lock(pipe_mutex_);
     pipe_cv_.wait(lock, [this, &job] { return applied_seq_ + 1 == job.epoch; });
     if (error == nullptr) {
-      inserted_total_ += outcome.update.total_inserted;
-      deleted_total_ += outcome.update.total_deleted;
-      maint_ops_total_ += outcome.update.total_maint_ops;
-      for (const datalog::ComponentUpdateStats& c :
-           outcome.update.components) {
-        maint_probes_total_ += c.maint_backward_probes;
-        maint_avoided_total_ += c.maint_avoided;
-      }
-      frontier_stalls_ += outcome.run.frontier_stalls;
-      frontier_stall_seconds_ += outcome.run.frontier_stall_seconds;
-      inline_cascades_ += outcome.run.ran_inline ? 1 : 0;
-      mem_acquired_total_ += outcome.run.mem_acquired_bytes;
-      mem_deferred_total_ += outcome.run.mem_deferred;
-      mem_budget_stalls_total_ += outcome.run.mem_budget_stalls;
-      mem_forced_total_ += outcome.run.mem_forced;
-      job.promise.set_value(std::move(outcome));
-    } else {
-      // A failed batch (bad arity, engine invariant trip) fails ITS
-      // future; the session stays live for subsequent batches.
-      job.promise.set_exception(error);
+      totals_.Fold(outcome);
     }
-    cascade_seconds_ += seconds;
-    applied_seq_ = job.epoch;
-    applied_epoch_.store(job.epoch, std::memory_order_release);
-    if (admitted_epoch_ == applied_seq_) {
-      busy_seconds_ += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - busy_since_)
-                           .count();
-    }
-  }
-  pipe_cv_.notify_all();
-  PublishMetrics();
-}
-
-void Session::ApplyEvolve(UpdateQueue::Job& job) {
-  // --- admission: exclusive.  An evolve epoch starts only with the
-  // pipeline fully drained (admitted == applied — every in-flight cascade
-  // has resolved against the OLD program), and evolving_ keeps successor
-  // epochs out until the swap + cone cascade land.  This is the evolution
-  // fence that lets rule changes compose with pipeline_depth K > 1.
-  {
-    std::unique_lock<std::mutex> lock(pipe_mutex_);
-    pipe_cv_.wait(lock, [this, &job] {
-      return admitted_epoch_ + 1 == job.epoch &&
-             admitted_epoch_ == applied_seq_ && queries_waiting_ == 0;
-    });
-    busy_since_ = std::chrono::steady_clock::now();
-    admitted_epoch_ = job.epoch;
-    evolving_ = true;
-    inflight_high_water_ = std::max<std::uint64_t>(inflight_high_water_, 1);
-  }
-  pipe_cv_.notify_all();
-
-  // --- recompile + swap + affected-cone cascade, outside session locks.
-  UpdateOutcome outcome;
-  outcome.epoch = job.epoch;
-  std::exception_ptr error;
-  util::WallTimer cascade_timer;
-  try {
-    const datalog::Database::EvolveResult result =
-        job.kind == UpdateQueue::Kind::kAddRules
-            ? db_.EvolveAddRules(job.rules_text)
-            : db_.EvolveRemoveRule(job.rules_text);
-    outcome.update = result.update;
-    outcome.rules_changed = true;
-    outcome.program_version = result.program_version;
-    outcome.evolve = result.stats;
-  } catch (...) {
-    // A rejected change throws before the snapshot swap, so the program
-    // (and store) are untouched; fail this future, stay live.
-    error = std::current_exception();
-  }
-  if (depth_ > 1) {
-    // Successor epochs' cascades gate on this epoch's frontier entry; the
-    // evolve cascade ran serially, so publish it finalized wholesale.
-    frontier_.FinalizeAll(job.epoch);
-  }
-  const double seconds = cascade_timer.ElapsedSeconds();
-
-  // --- sequencer: trivially dense (this is the only in-flight epoch).
-  {
-    std::unique_lock<std::mutex> lock(pipe_mutex_);
-    if (error == nullptr) {
-      inserted_total_ += outcome.update.total_inserted;
-      deleted_total_ += outcome.update.total_deleted;
-      maint_ops_total_ += outcome.update.total_maint_ops;
-      for (const datalog::ComponentUpdateStats& c :
-           outcome.update.components) {
-        maint_probes_total_ += c.maint_backward_probes;
-        maint_avoided_total_ += c.maint_avoided;
-      }
-      ++evolve_count_;
-      evolve_cone_preds_total_ += outcome.evolve.cone_predicates;
-      evolve_reused_comps_total_ += outcome.evolve.reused_components;
-      program_version_seen_ = outcome.program_version;
-      job.promise.set_value(std::move(outcome));
-    } else {
-      job.promise.set_exception(error);
-    }
-    cascade_seconds_ += seconds;
+    totals_.cascade_seconds += seconds;
     applied_seq_ = job.epoch;
     applied_epoch_.store(job.epoch, std::memory_order_release);
     evolving_ = false;
-    busy_seconds_ += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - busy_since_)
-                         .count();
+    if (admitted_epoch_ == applied_seq_) {
+      totals_.busy_seconds += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  busy_since_)
+                                  .count();
+    }
+    if (error == nullptr) {
+      job.promise.set_value(std::move(outcome));
+    } else {
+      job.promise.set_exception(error);
+    }
   }
   pipe_cv_.notify_all();
   PublishMetrics();
@@ -398,83 +336,52 @@ void Session::ApplyEvolve(UpdateQueue::Job& job) {
 void Session::PublishMetrics() {
   // Totals are written under pipe_mutex_ by K apply threads; snapshot
   // under the same lock, publish outside it.
+  Totals totals;
   std::uint64_t applied = 0;
-  std::uint64_t inserted = 0;
-  std::uint64_t deleted = 0;
-  std::uint64_t ops = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t avoided = 0;
-  std::uint64_t inflight_hw = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t inline_cascades = 0;
-  std::uint64_t mem_acquired = 0;
-  std::uint64_t mem_deferred = 0;
-  std::uint64_t mem_stalls = 0;
-  std::uint64_t mem_forced = 0;
-  std::uint64_t evolves = 0;
-  std::uint64_t evolve_cone = 0;
-  std::uint64_t evolve_reused = 0;
-  std::uint64_t program_version = 1;
-  double stall_seconds = 0.0;
-  double cascade_seconds = 0.0;
-  double busy_seconds = 0.0;
   {
     const std::lock_guard<std::mutex> lock(pipe_mutex_);
+    totals = totals_;
     applied = applied_seq_;
-    evolves = evolve_count_;
-    evolve_cone = evolve_cone_preds_total_;
-    evolve_reused = evolve_reused_comps_total_;
-    program_version = program_version_seen_;
-    inserted = inserted_total_;
-    deleted = deleted_total_;
-    ops = maint_ops_total_;
-    probes = maint_probes_total_;
-    avoided = maint_avoided_total_;
-    inflight_hw = inflight_high_water_;
-    stalls = frontier_stalls_;
-    inline_cascades = inline_cascades_;
-    mem_acquired = mem_acquired_total_;
-    mem_deferred = mem_deferred_total_;
-    mem_stalls = mem_budget_stalls_total_;
-    mem_forced = mem_forced_total_;
-    stall_seconds = frontier_stall_seconds_;
-    cascade_seconds = cascade_seconds_;
-    busy_seconds = busy_seconds_;
   }
   obs::MetricsRegistry& metrics = core_->metrics;
   metrics.Set(metrics_prefix_ + "applied", applied);
   metrics.Max(metrics_prefix_ + "queue_depth", queue_.HighWater());
   metrics.Set(metrics_prefix_ + "blocked_submits", queue_.BlockedPushes());
-  metrics.Set(metrics_prefix_ + "inserted", inserted);
-  metrics.Set(metrics_prefix_ + "deleted", deleted);
-  metrics.Set(metrics_prefix_ + "maint.ops", ops);
-  metrics.Set(metrics_prefix_ + "maint.backward_probes", probes);
-  metrics.Set(metrics_prefix_ + "maint.overdeletes_avoided", avoided);
+  metrics.Set(metrics_prefix_ + "inserted", totals.inserted);
+  metrics.Set(metrics_prefix_ + "deleted", totals.deleted);
+  metrics.Set(metrics_prefix_ + "maint.ops", totals.maint_ops);
+  metrics.Set(metrics_prefix_ + "maint.backward_probes", totals.maint_probes);
+  metrics.Set(metrics_prefix_ + "maint.overdeletes_avoided",
+              totals.maint_avoided);
   metrics.Set(metrics_prefix_ + "pipeline.depth", depth_);
-  metrics.Max(metrics_prefix_ + "pipeline.inflight_high_water", inflight_hw);
-  metrics.Set(metrics_prefix_ + "pipeline.stalls", stalls);
+  metrics.Max(metrics_prefix_ + "pipeline.inflight_high_water",
+              totals.inflight_high_water);
+  metrics.Set(metrics_prefix_ + "pipeline.stalls", totals.frontier_stalls);
   metrics.Set(metrics_prefix_ + "pipeline.stall_ns",
-              static_cast<std::uint64_t>(stall_seconds * 1e9));
+              static_cast<std::uint64_t>(totals.frontier_stall_seconds * 1e9));
   metrics.Set(metrics_prefix_ + "pipeline.cascade_ns",
-              static_cast<std::uint64_t>(cascade_seconds * 1e9));
+              static_cast<std::uint64_t>(totals.cascade_seconds * 1e9));
   metrics.Set(metrics_prefix_ + "pipeline.busy_ns",
-              static_cast<std::uint64_t>(busy_seconds * 1e9));
+              static_cast<std::uint64_t>(totals.busy_seconds * 1e9));
   metrics.Set(metrics_prefix_ + "pipeline.finalizations",
               frontier_.Finalizations());
-  metrics.Set(metrics_prefix_ + "pipeline.inline_cascades", inline_cascades);
+  metrics.Set(metrics_prefix_ + "pipeline.inline_cascades",
+              totals.inline_cascades);
   metrics.Set(metrics_prefix_ + "mem.budget_bytes", memory_budget_);
   metrics.Set(metrics_prefix_ + "mem.live_bytes",
               account_.live.load(std::memory_order_relaxed));
   metrics.Max(metrics_prefix_ + "mem.peak_bytes",
               account_.peak.load(std::memory_order_relaxed));
-  metrics.Set(metrics_prefix_ + "mem.acquired_bytes", mem_acquired);
-  metrics.Set(metrics_prefix_ + "mem.deferred", mem_deferred);
-  metrics.Set(metrics_prefix_ + "mem.budget_stalls", mem_stalls);
-  metrics.Set(metrics_prefix_ + "mem.forced", mem_forced);
-  metrics.Set(metrics_prefix_ + "evolve.count", evolves);
-  metrics.Set(metrics_prefix_ + "evolve.cone_predicates", evolve_cone);
-  metrics.Set(metrics_prefix_ + "evolve.reused_components", evolve_reused);
-  metrics.Set(metrics_prefix_ + "evolve.version", program_version);
+  metrics.Set(metrics_prefix_ + "mem.acquired_bytes", totals.mem_acquired);
+  metrics.Set(metrics_prefix_ + "mem.deferred", totals.mem_deferred);
+  metrics.Set(metrics_prefix_ + "mem.budget_stalls", totals.mem_budget_stalls);
+  metrics.Set(metrics_prefix_ + "mem.forced", totals.mem_forced);
+  metrics.Set(metrics_prefix_ + "evolve.count", totals.evolves);
+  metrics.Set(metrics_prefix_ + "evolve.cone_predicates",
+              totals.evolve_cone_preds);
+  metrics.Set(metrics_prefix_ + "evolve.reused_components",
+              totals.evolve_reused_comps);
+  metrics.Set(metrics_prefix_ + "evolve.version", totals.program_version);
 }
 
 }  // namespace dsched::service

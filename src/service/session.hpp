@@ -19,10 +19,17 @@
 // program's level structure instead of serializing whole batches.
 // A SEQUENCER then resolves futures strictly in dense epoch order — the
 // externally visible contract is unchanged from the K=1 loop: after the
-// future for epoch N resolves, Query() reflects every batch up to N.
+// future for epoch N resolves, AppliedEpoch() >= N and Query() reflects
+// every batch up to N.
 //
 // K=1 degenerates to the classic serialized-per-session apply loop (no
-// frontier, no overlap); the "serial" engine is clamped to K=1 at open.
+// frontier, no overlap).
+//
+// One job path: update batches and rule changes share one enqueue, one
+// admission gate, one sequencer and one apply routine.  An update's
+// cascade always enters Database::ApplyRequestParallel → Executor::Run
+// (small ones run inline on the apply thread); a rule change recompiles,
+// swaps and maintains its affected cone on the apply thread.
 //
 // Lifecycle: bootstrap (Insert base facts, Materialize) → live (Submit /
 // Query) → Close (stop accepting, drain the queue, join).  Close is
@@ -150,7 +157,7 @@ class Session {
   [[nodiscard]] datalog::MaintenanceStrategy Strategy() const {
     return strategy_;
   }
-  /// The resolved epoch-pipeline depth K (after eligibility clamping).
+  /// The resolved epoch-pipeline depth K (after the [1, 64] clamp).
   [[nodiscard]] std::size_t PipelineDepth() const { return depth_; }
   /// The session's accounted-memory ceiling (0 = none) and its live
   /// account, shared by every in-flight epoch cascade.
@@ -191,13 +198,44 @@ class Session {
     const Session& session_;
   };
 
+  /// Running totals of every resolved epoch, folded in by the sequencer
+  /// under pipe_mutex_ and published by PublishMetrics.
+  struct Totals {
+    std::uint64_t inserted = 0;
+    std::uint64_t deleted = 0;
+    std::uint64_t maint_ops = 0;
+    std::uint64_t maint_probes = 0;
+    std::uint64_t maint_avoided = 0;
+    std::uint64_t inflight_high_water = 0;
+    std::uint64_t frontier_stalls = 0;
+    double frontier_stall_seconds = 0.0;
+    /// Sum of per-epoch cascade times, failed epochs included.
+    double cascade_seconds = 0.0;
+    /// Wall time with >= 1 epoch in flight (for the overlap ratio vs the
+    /// sum of per-cascade times).
+    double busy_seconds = 0.0;
+    /// Applied cascades that ran on the apply thread, not the pool.
+    std::uint64_t inline_cascades = 0;
+    std::uint64_t mem_acquired = 0;
+    std::uint64_t mem_deferred = 0;
+    std::uint64_t mem_budget_stalls = 0;
+    std::uint64_t mem_forced = 0;
+    std::uint64_t evolves = 0;
+    std::uint64_t evolve_cone_preds = 0;
+    std::uint64_t evolve_reused_comps = 0;
+    std::uint64_t program_version = 1;
+
+    /// Adds one successfully applied epoch.
+    void Fold(const UpdateOutcome& outcome);
+  };
+
   void ApplyLoop();
-  void ApplyOne(UpdateQueue::Job& job);
-  void ApplyEvolve(UpdateQueue::Job& job);
-  std::future<UpdateOutcome> SubmitEvolve(UpdateQueue::Kind kind,
-                                          std::string_view text);
-  bool TrySubmitEvolve(UpdateQueue::Kind kind, std::string_view text,
-                       std::future<UpdateOutcome>* out);
+  /// Admission → cascade (or rule change) → sequencer for one popped job.
+  void Apply(UpdateQueue::Job& job);
+  /// The one enqueue behind Submit, TrySubmit and the Evolve calls: false
+  /// (and no enqueue) when `blocking` is off and the queue is full.
+  bool Enqueue(UpdateQueue::Job job, bool blocking,
+               std::future<UpdateOutcome>* out);
   /// Publishes session.<name>.* counters into the host registry.
   void PublishMetrics();
 
@@ -240,29 +278,8 @@ class Session {
   /// applied) and this flag keeps successors out until the swap + cone
   /// cascade have landed — the evolution fence.
   bool evolving_ = false;
-  std::uint64_t inflight_high_water_ = 0;
-  /// Wall time with >= 1 epoch in flight (for the overlap ratio vs the sum
-  /// of per-cascade times).
-  double busy_seconds_ = 0.0;
   std::chrono::steady_clock::time_point busy_since_{};
-  double cascade_seconds_ = 0.0;
-  std::uint64_t frontier_stalls_ = 0;
-  double frontier_stall_seconds_ = 0.0;
-  /// Applied cascades that ran on the apply thread, not the pool.
-  std::uint64_t inline_cascades_ = 0;
-  std::uint64_t mem_acquired_total_ = 0;
-  std::uint64_t mem_deferred_total_ = 0;
-  std::uint64_t mem_budget_stalls_total_ = 0;
-  std::uint64_t mem_forced_total_ = 0;
-  std::uint64_t inserted_total_ = 0;
-  std::uint64_t deleted_total_ = 0;
-  std::uint64_t maint_ops_total_ = 0;
-  std::uint64_t maint_probes_total_ = 0;
-  std::uint64_t maint_avoided_total_ = 0;
-  std::uint64_t evolve_count_ = 0;
-  std::uint64_t evolve_cone_preds_total_ = 0;
-  std::uint64_t evolve_reused_comps_total_ = 0;
-  std::uint64_t program_version_seen_ = 1;
+  Totals totals_;
 
   /// Lock-free mirror of applied_seq_ for AppliedEpoch().
   std::atomic<std::uint64_t> applied_epoch_{0};

@@ -10,7 +10,7 @@ UpdateQueue::UpdateQueue(std::size_t capacity) : capacity_(capacity) {
   DSCHED_CHECK_MSG(capacity_ >= 1, "update queue needs capacity >= 1");
 }
 
-std::uint64_t UpdateQueue::PushJob(Job job, bool blocking) {
+std::uint64_t UpdateQueue::Push(Job job, bool blocking) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (blocking) {
     if (!closed_ && jobs_.size() >= capacity_) {
@@ -37,44 +37,6 @@ std::uint64_t UpdateQueue::PushJob(Job job, bool blocking) {
   lock.unlock();
   not_empty_.notify_one();
   return epoch;
-}
-
-std::uint64_t UpdateQueue::Push(datalog::UpdateRequest request,
-                                std::promise<UpdateOutcome> promise) {
-  Job job;
-  job.kind = Kind::kUpdate;
-  job.request = std::move(request);
-  job.promise = std::move(promise);
-  return PushJob(std::move(job), /*blocking=*/true);
-}
-
-std::uint64_t UpdateQueue::TryPush(datalog::UpdateRequest request,
-                                   std::promise<UpdateOutcome> promise) {
-  Job job;
-  job.kind = Kind::kUpdate;
-  job.request = std::move(request);
-  job.promise = std::move(promise);
-  return PushJob(std::move(job), /*blocking=*/false);
-}
-
-std::uint64_t UpdateQueue::PushEvolve(Kind kind, std::string rules_text,
-                                      std::promise<UpdateOutcome> promise) {
-  DSCHED_CHECK_MSG(kind != Kind::kUpdate, "PushEvolve needs an evolve kind");
-  Job job;
-  job.kind = kind;
-  job.rules_text = std::move(rules_text);
-  job.promise = std::move(promise);
-  return PushJob(std::move(job), /*blocking=*/true);
-}
-
-std::uint64_t UpdateQueue::TryPushEvolve(Kind kind, std::string rules_text,
-                                         std::promise<UpdateOutcome> promise) {
-  DSCHED_CHECK_MSG(kind != Kind::kUpdate, "PushEvolve needs an evolve kind");
-  Job job;
-  job.kind = kind;
-  job.rules_text = std::move(rules_text);
-  job.promise = std::move(promise);
-  return PushJob(std::move(job), /*blocking=*/false);
 }
 
 bool UpdateQueue::Pop(Job& out) {

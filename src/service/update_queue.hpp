@@ -4,11 +4,11 @@
 // Producers are client threads calling Session::Submit; consumers are the
 // session's K apply threads (K = pipeline_depth; K = 1 recovers the
 // classic single-consumer loop).  The bound is the backpressure mechanism:
-// a full queue makes Push block (or TryPush decline) instead of letting a
-// fast producer build an unbounded backlog of unapplied batches.  Epochs
-// are assigned under the queue lock, so they are dense, start at 1, and
-// order exactly like application order — epoch N's result reflects every
-// batch up to and including N.
+// a full queue makes a blocking Push wait (and a non-blocking one decline)
+// instead of letting a fast producer build an unbounded backlog of
+// unapplied batches.  Epochs are assigned under the queue lock, so they
+// are dense, start at 1, and order exactly like application order — epoch
+// N's result reflects every batch up to and including N.
 //
 // Multi-consumer contract: the queue is FIFO, so epochs POP in dense order
 // even when different threads do the popping; what the queue does NOT
@@ -33,13 +33,14 @@
 namespace dsched::service {
 
 /// What a fulfilled Submit future carries: which epoch the batch became,
-/// the engine-level result, and (for parallel sessions) the executor run.
+/// the engine-level result, and the executor run of its cascade.
 struct UpdateOutcome {
   /// 1-based position of this batch in the session's apply order.
   std::uint64_t epoch = 0;
   datalog::UpdateResult update;
-  /// Executor stats of the cascade; default-initialized for sessions on
-  /// the serial engine.
+  /// Executor stats of the cascade; default-initialized for rule-change
+  /// epochs, whose cone cascade runs on the apply thread without the
+  /// executor.
   runtime::Executor::RunStats run;
   /// Rule-evolution outcomes (EvolveAddRules / EvolveRemoveRule epochs
   /// only; plain Submit batches leave all three at their defaults).
@@ -71,26 +72,13 @@ class UpdateQueue {
 
   explicit UpdateQueue(std::size_t capacity);
 
-  /// Enqueues a batch, BLOCKING while the queue is at capacity (this is
-  /// the backpressure bound).  Returns the assigned epoch.  Throws
-  /// util::LogicError if the queue is closed (also when closed mid-wait).
-  std::uint64_t Push(datalog::UpdateRequest request,
-                     std::promise<UpdateOutcome> promise);
-
-  /// Non-blocking variant: returns 0 when the queue is full instead of
-  /// waiting (epochs are 1-based, so 0 is unambiguous).  Throws when
-  /// closed.
-  std::uint64_t TryPush(datalog::UpdateRequest request,
-                        std::promise<UpdateOutcome> promise);
-
-  /// Enqueues a rule-evolution job (kAddRules / kRemoveRule) with Push's
-  /// blocking backpressure contract.
-  std::uint64_t PushEvolve(Kind kind, std::string rules_text,
-                           std::promise<UpdateOutcome> promise);
-
-  /// Non-blocking evolve enqueue; 0 when full, throws when closed.
-  std::uint64_t TryPushEvolve(Kind kind, std::string rules_text,
-                              std::promise<UpdateOutcome> promise);
+  /// Enqueues a job (an update batch or a rule change) and returns the
+  /// epoch it was assigned; `job.epoch` is overwritten.  With `blocking`,
+  /// waits while the queue is at capacity (this is the backpressure
+  /// bound); without, returns 0 when the queue is full instead of waiting
+  /// (epochs are 1-based, so 0 is unambiguous).  Throws util::LogicError
+  /// if the queue is closed (also when closed mid-wait).
+  std::uint64_t Push(Job job, bool blocking);
 
   /// Consumer side: blocks until a job is available or the queue is closed
   /// AND drained; false only in the latter case (the consumer's exit
@@ -106,15 +94,13 @@ class UpdateQueue {
   [[nodiscard]] std::size_t Depth() const;
   /// Deepest the queue has ever been.
   [[nodiscard]] std::size_t HighWater() const;
-  /// Pushes that had to wait (or TryPushes declined) because the queue was
-  /// at capacity — the "backpressure engaged" counter.
+  /// Pushes that had to wait (or non-blocking pushes declined) because the
+  /// queue was at capacity — the "backpressure engaged" counter.
   [[nodiscard]] std::uint64_t BlockedPushes() const;
   /// Epochs assigned so far (== total accepted batches).
   [[nodiscard]] std::uint64_t LastEpoch() const;
 
  private:
-  std::uint64_t PushJob(Job job, bool blocking);
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;

@@ -1076,6 +1076,34 @@ TEST(ServiceServerTest, UnknownStrategyIsBadProgramAndConnectionStaysOpen) {
   EXPECT_EQ(ok.epoch, 1u);
 }
 
+TEST(ServiceServerTest, SerialSpecIsBadProgramAndConnectionStaysOpen) {
+  // Every session cascade runs through a scheduler; "serial" is an unknown
+  // spec like any other.  OPEN_SESSION gets a typed BAD_PROGRAM that lists
+  // the valid specs, and the connection stays usable.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = kChainProgram;
+  open.scheduler_spec = "serial";
+  client.SendOpenSession(open);
+  ServiceClient::Response resp;
+  ASSERT_TRUE(client.ReadResponse(&resp, 5000));
+  ASSERT_EQ(resp.opcode, Opcode::kError);
+  EXPECT_EQ(resp.error.request_id, 1u);
+  EXPECT_EQ(resp.error.code, ErrorCode::kBadProgram);
+  EXPECT_NE(resp.error.message.find("hybrid"), std::string::npos)
+      << resp.error.message;
+  EXPECT_EQ(fx.host.ActiveSessions(), 0u);
+
+  open.request_id = 2;
+  open.scheduler_spec = "hybrid";
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  EXPECT_GT(sid, 0u);
+  const SubmitResultResponse ok = client.SubmitSync(ChainBatch(3, sid, 0, 2));
+  EXPECT_EQ(ok.epoch, 1u);
+}
+
 TEST(ServiceServerTest, ThrowingCascadeIsUpdateFailedAndConnectionStaysOpen) {
   // A symbol reaching an ordered comparison throws inside a pool task body.
   // SUBMIT answers UPDATE_FAILED (code 7) with the message; the server, the

@@ -104,16 +104,11 @@ TEST(ServicePipelineTest, DepthResolutionAndClamping) {
   auto deep = host.OpenSession(kWideProgram,
                                {.name = "deep", .pipeline_depth = 4});
   EXPECT_EQ(deep->PipelineDepth(), 4u);
-  // Every strategy pipelines; only the engine can force K = 1.
+  // Every strategy pipelines.
   auto bf = host.OpenSession(kWideProgram, {.name = "bf",
                                             .maintenance_strategy = "bf",
                                             .pipeline_depth = 4});
   EXPECT_EQ(bf->PipelineDepth(), 4u);
-  // The serial engine has no cascade to pipeline.
-  auto serial = host.OpenSession(
-      kWideProgram,
-      {.name = "ser", .scheduler_spec = "serial", .pipeline_depth = 8});
-  EXPECT_EQ(serial->PipelineDepth(), 1u);
   // Absurd depths clamp instead of spawning 10k threads.
   auto clamped = host.OpenSession(kWideProgram,
                                   {.name = "cl", .pipeline_depth = 10000});
@@ -249,6 +244,27 @@ TEST(ServicePipelineTest, FuturesResolveInDenseEpochOrder) {
     EXPECT_EQ(future.get().epoch, expected_epoch++);
   }
   EXPECT_EQ(session->AppliedEpoch(), futures.size());
+  session->Close();
+}
+
+TEST(ServicePipelineTest, AppliedEpochIsPublishedBeforeTheFutureResolves) {
+  // A thread woken by epoch N's future must read AppliedEpoch() >= N: the
+  // sequencer publishes the applied epoch before it resolves the future.
+  EngineHost host({.workers = 4});
+  auto session = host.OpenSession(kWideProgram,
+                                  {.name = "pub", .pipeline_depth = 4});
+  util::Rng seed_rng(29);
+  SeedLikeFixture(*session, seed_rng, 10, 0.15);
+  util::Rng update_rng(30);
+  std::vector<std::future<UpdateOutcome>> futures;
+  for (int i = 0; i < 64; ++i) {
+    futures.push_back(session->Submit(
+        RandomUpdate(session->Db().GetProgram(), update_rng, 10)));
+  }
+  for (auto& future : futures) {
+    const UpdateOutcome outcome = future.get();
+    EXPECT_GE(session->AppliedEpoch(), outcome.epoch);
+  }
   session->Close();
 }
 

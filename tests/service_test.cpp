@@ -57,8 +57,8 @@ TEST(UpdateQueueTest, EpochsAreDenseAndOrdered) {
   UpdateQueue queue(8);
   std::promise<UpdateOutcome> p1;
   std::promise<UpdateOutcome> p2;
-  EXPECT_EQ(queue.Push({}, std::move(p1)), 1u);
-  EXPECT_EQ(queue.Push({}, std::move(p2)), 2u);
+  EXPECT_EQ(queue.Push({.promise = std::move(p1)}, /*blocking=*/true), 1u);
+  EXPECT_EQ(queue.Push({.promise = std::move(p2)}, /*blocking=*/false), 2u);
   EXPECT_EQ(queue.Depth(), 2u);
   EXPECT_EQ(queue.LastEpoch(), 2u);
   UpdateQueue::Job job;
@@ -72,10 +72,10 @@ TEST(UpdateQueueTest, EpochsAreDenseAndOrdered) {
 TEST(UpdateQueueTest, CloseDrainsThenStopsTheConsumer) {
   UpdateQueue queue(4);
   std::promise<UpdateOutcome> promise;
-  (void)queue.Push({}, std::move(promise));
+  (void)queue.Push({.promise = std::move(promise)}, /*blocking=*/true);
   queue.Close();
-  EXPECT_THROW((void)queue.Push({}, std::promise<UpdateOutcome>{}),
-               util::LogicError);
+  EXPECT_THROW((void)queue.Push({}, /*blocking=*/true), util::LogicError);
+  EXPECT_THROW((void)queue.Push({}, /*blocking=*/false), util::LogicError);
   UpdateQueue::Job job;
   EXPECT_TRUE(queue.Pop(job));  // queued-before-close still delivered
   EXPECT_FALSE(queue.Pop(job));  // then the exit signal
@@ -83,10 +83,12 @@ TEST(UpdateQueueTest, CloseDrainsThenStopsTheConsumer) {
 
 TEST(UpdateQueueTest, PushBlocksAtTheBoundUntilAPop) {
   UpdateQueue queue(1);
-  (void)queue.Push({}, std::promise<UpdateOutcome>{});
+  (void)queue.Push({}, /*blocking=*/true);
+  // A non-blocking push at the bound declines with epoch 0.
+  EXPECT_EQ(queue.Push({}, /*blocking=*/false), 0u);
   std::atomic<bool> second_accepted{false};
   std::thread producer([&] {
-    (void)queue.Push({}, std::promise<UpdateOutcome>{});
+    (void)queue.Push({}, /*blocking=*/true);
     second_accepted.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -95,7 +97,7 @@ TEST(UpdateQueueTest, PushBlocksAtTheBoundUntilAPop) {
   ASSERT_TRUE(queue.Pop(job));
   producer.join();
   EXPECT_TRUE(second_accepted.load());
-  EXPECT_EQ(queue.BlockedPushes(), 1u);
+  EXPECT_EQ(queue.BlockedPushes(), 2u);
 }
 
 TEST(ServiceTest, SingleSessionMatchesSerialReplay) {
@@ -279,30 +281,6 @@ TEST(ServiceTest, DrainWaitsForAcceptedBatches) {
   EXPECT_EQ(session->QueueDepth(), 0u);
 }
 
-TEST(ServiceTest, SerialSchedulerSessionBypassesThePool) {
-  EngineHost host({.workers = 2});
-  auto session = host.OpenSession(
-      kWideProgram, {.name = "ser", .scheduler_spec = "serial"});
-  util::Rng seed_rng(21);
-  SeedLikeFixture(*session, seed_rng, 8, 0.2);
-
-  util::Rng replay_rng(21);
-  WideFixture replay;
-  replay.Base(replay_rng, 8, 0.2);
-  datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                    replay.store);
-  util::Rng update_rng(22);
-  for (int i = 0; i < 4; ++i) {
-    const datalog::UpdateRequest request =
-        RandomUpdate(replay.program, update_rng, 8);
-    (void)engine.Apply(request);
-    const UpdateOutcome outcome = session->Submit(request).get();
-    EXPECT_EQ(outcome.run.executed, 0u);  // no executor involved
-  }
-  session->Close();
-  ExpectStoresEqual(replay.program, replay.store, session->Store(), "serial");
-}
-
 TEST(ServiceTest, BadProgramsAndSpecsFailAtOpen) {
   EngineHost host({.workers = 1});
   EXPECT_THROW((void)host.OpenSession("p(X) :- q(X."), util::Error);
@@ -317,8 +295,19 @@ TEST(ServiceTest, BadProgramsAndSpecsFailAtOpen) {
   } catch (const util::Error& err) {
     const std::string message = err.what();
     EXPECT_NE(message.find("nonsense"), std::string::npos) << message;
-    EXPECT_NE(message.find("serial"), std::string::npos) << message;
     EXPECT_NE(message.find("hybrid"), std::string::npos) << message;
+  }
+  // "serial" names no engine any more: every session cascade runs through
+  // a scheduler, so it is rejected like any other unknown spec.
+  try {
+    (void)host.OpenSession(kWideProgram, {.scheduler_spec = "serial"});
+    FAIL() << "the retired serial spec was accepted";
+  } catch (const util::InvalidArgument& err) {
+    const std::string message = err.what();
+    const std::size_t listed = message.find("valid values:");
+    ASSERT_NE(listed, std::string::npos) << message;
+    EXPECT_NE(message.find("hybrid", listed), std::string::npos) << message;
+    EXPECT_EQ(message.find("serial", listed), std::string::npos) << message;
   }
   try {
     (void)host.OpenSession(kWideProgram,

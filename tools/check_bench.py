@@ -74,11 +74,8 @@ ID_FIELDS = ("bench", "workload", "scheduler", "engine", "body", "strategy",
              "workers", "mode", "name", "k", "batch", "connections", "rate",
              "zeta", "budget", "kind", "cone")
 
-# `window` covers the executor's adaptive dispatch-window controller
-# columns (window_adjusts/final_window) — the controller is fed by wall
-# timers, so its decisions are machine-dependent.
 DEFAULT_IGNORE = (r"(seconds|_ns\b|_ns$|mops|per_sec|_share|sleeps|wakeups"
-                  r"|steals|drains|batch|window)")
+                  r"|steals|drains|batch)")
 DEFAULT_EXACT = r"(rows|checksum|tasks|emitted|count|\bscale\b|bench)"
 
 
