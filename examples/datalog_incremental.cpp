@@ -1,11 +1,13 @@
 // End-to-end pipeline on a retail-flavoured Datalog program — the workload
 // class the paper's LogicBlox traces come from:
 //
-//   program text ──parse/stratify──► materialized database
-//        update ──DRed/semi-naive──► per-component activation + timings
-//                 ──schedule bridge──► JobTrace (the paper's DAG model)
-//                 ──schedulers──────► makespans + scheduling overhead
-//                 ──real executor───► re-runs component closures on threads
+//   program text ──parse/stratify/compile──► activation graph (the
+//                                            paper's DAG model, built once)
+//   materialized database
+//        update ──executor over the graph──► DRed/semi-naive component
+//                                            phases on the worker pool
+//               ──recorded run──────────────► JobTrace: activation + timings
+//               ──schedulers (simulated)────► makespans + scheduling overhead
 //
 // The program maintains a product hierarchy with rolled-up stock levels,
 // promotion eligibility, and restock alerts; the update ships one delivery
@@ -22,8 +24,7 @@
 
 #include "datalog/database.hpp"
 #include "datalog/maintenance.hpp"
-#include "datalog/schedule_bridge.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/task_router.hpp"
 #include "sched/factory.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
@@ -119,18 +120,15 @@ int main(int argc, char** argv) {
   update.Delete("stock", {db.Sym("zenbook"), Value::Int(3)});
   update.Insert("stock", {db.Sym("zenbook"), Value::Int(25)});
   update.Delete("blocked", {db.Sym("thinkpad")});
-  datalog::UpdateRequest request;  // mirror for the bridge
+  const datalog::UpdateRequest& request = update.Request();
   const auto& program = db.GetProgram();
-  request.deletions.emplace_back(
-      program.PredicateId("stock"),
-      datalog::Tuple{db.Sym("zenbook"), Value::Int(3)});
-  request.insertions.emplace_back(
-      program.PredicateId("stock"),
-      datalog::Tuple{db.Sym("zenbook"), Value::Int(25)});
-  request.deletions.emplace_back(program.PredicateId("blocked"),
-                                 datalog::Tuple{db.Sym("thinkpad")});
 
-  const datalog::UpdateResult result = db.Apply(update);
+  // The cascade runs through the executor over the program's activation
+  // graph, which records the run as a scheduling trace.
+  runtime::TaskRouter router({.workers = 2});
+  const datalog::ParallelUpdateResult applied =
+      db.ApplyRequestParallel(request, router, {});
+  const datalog::UpdateResult& result = applied.update;
   std::printf(
       "\nincremental update (%s + recompute-diff aggregates):\n%s",
       datalog::MaintenanceStrategyName(strategy),
@@ -166,16 +164,14 @@ int main(int argc, char** argv) {
   }
 
 
-  // --- Extract the scheduling trace of that update.
-  const datalog::UpdateTrace bridge = datalog::BuildUpdateTrace(
-      program, db.GetStratification(), request, result, "retail-update");
-  const trace::Cascade cascade = trace::ComputeCascade(bridge.trace);
+  // --- The scheduling trace that update recorded.
+  const trace::JobTrace& recorded = applied.trace;
+  const trace::Cascade cascade = trace::ComputeCascade(recorded);
   std::printf(
       "\nscheduling DAG: %zu nodes (%zu rule components + %zu predicate "
       "collectors), %zu dirtied, %zu activated\n",
-      bridge.trace.NumNodes(),
-      bridge.trace.NumNodes() - program.NumPredicates(),
-      program.NumPredicates(), bridge.trace.InitialDirty().size(),
+      recorded.NumNodes(), recorded.NumNodes() - program.NumPredicates(),
+      program.NumPredicates(), recorded.InitialDirty().size(),
       cascade.NumActive());
 
   // --- Compare schedulers on the extracted trace.
@@ -185,8 +181,8 @@ int main(int argc, char** argv) {
     config.processors = 4;
     config.record_schedule = true;
     const sim::SimResult sim_result =
-        sim::Simulate(bridge.trace, *scheduler, config);
-    const bool valid = sim::AuditSchedule(bridge.trace, sim_result).valid;
+        sim::Simulate(recorded, *scheduler, config);
+    const bool valid = sim::AuditSchedule(recorded, sim_result).valid;
     std::printf(
         "  %-28s makespan %s, overhead %s, ops %6llu, audit %s\n",
         sim_result.scheduler_name.c_str(),

@@ -13,6 +13,8 @@ std::shared_ptr<CompiledProgram> CompileProgram(Program program) {
   compiled->program = std::move(program);
   compiled->strat = Stratify(compiled->program);
   compiled->plan = BuildPipelinePlan(compiled->program, compiled->strat);
+  compiled->graph =
+      BuildActivationGraph(compiled->program, compiled->strat, compiled->plan);
   return compiled;
 }
 
@@ -33,6 +35,8 @@ std::shared_ptr<CompiledProgram> RecompileProgram(
   compiled->program = std::move(program);
   compiled->strat = std::move(strat);
   compiled->plan = BuildPipelinePlan(compiled->program, compiled->strat);
+  compiled->graph =
+      BuildActivationGraph(compiled->program, compiled->strat, compiled->plan);
   if (stats != nullptr) {
     stats->cone_predicates = restrat.cone_predicates;
     stats->cone_components = restrat.cone_components;

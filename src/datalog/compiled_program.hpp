@@ -1,7 +1,8 @@
 // The versioned, immutable compile of one program: everything derived from
-// the rule text alone — stratification, component condensation, and the
-// pipeline plan's levels/fences — bundled into one snapshot that readers pin
-// with a single shared_ptr acquire (DESIGN.md §15).
+// the rule text alone — stratification, component condensation, the
+// pipeline plan's levels/fences, and the activation graph every cascade
+// runs over — bundled into one snapshot that readers pin with a single
+// shared_ptr acquire (DESIGN.md §15).
 //
 // Splitting these artifacts out of Database is what makes live rule-set
 // evolution safe: an EvolveRules swap publishes a complete new version
@@ -45,22 +46,25 @@ struct CompiledProgram {
   Program program;
   Stratification strat;
   PipelinePlan plan;
+  ActivationGraph graph;
 };
 
 /// Full compile of a freshly parsed program (version 1).  Validates,
-/// stratifies from scratch, and builds the pipeline plan.  Throws
-/// util::InvalidArgument on unsafe or unstratifiable programs.
+/// stratifies from scratch, and builds the pipeline plan and the
+/// activation graph.  Throws util::InvalidArgument on unsafe or
+/// unstratifiable programs.
 [[nodiscard]] std::shared_ptr<CompiledProgram> CompileProgram(Program program);
 
 /// Incremental recompile after a rule edit.  `program` is the edited rule
 /// set (predicates only ever appended relative to `old`), `changed_heads`
 /// the head predicates of every added/removed rule.  Stratification runs
 /// Tarjan only on the affected cone (stratify.hpp RestratifyAffected) and
-/// reuses every untouched component of `old`; the pipeline plan is rebuilt
-/// globally (linear).  Pure: throws (util::InvalidArgument) without
-/// touching `old`, so a failed evolution leaves the database on its current
-/// version.  On success `*affected_out` (when non-null) holds the cone
-/// bitmap over the NEW predicate space.
+/// reuses every untouched component of `old`; the pipeline plan and the
+/// activation graph are rebuilt globally (linear).  Pure: throws
+/// (util::InvalidArgument) without touching `old`, so a failed evolution
+/// leaves the database on its current version.  On success
+/// `*affected_out` (when non-null) holds the cone bitmap over the NEW
+/// predicate space.
 [[nodiscard]] std::shared_ptr<CompiledProgram> RecompileProgram(
     const CompiledProgram& old, Program program,
     const std::vector<std::uint32_t>& changed_heads,

@@ -211,7 +211,7 @@ Database::EvolveResult Database::EvolveRemoveRule(
 
 UpdateResult Database::ApplyParallel(const Update& update,
                                      runtime::TaskRouter& router,
-                                     const ParallelOptions& options) {
+                                     const ParallelUpdateOptions& options) {
   return ApplyRequestParallel(update.request_, router, options).update;
 }
 
@@ -231,22 +231,17 @@ UpdateResult Database::ApplyRequest(const UpdateRequest& request,
 
 ParallelUpdateResult Database::ApplyRequestParallel(
     const UpdateRequest& request, runtime::TaskRouter& router,
-    const ParallelOptions& options) {
+    const ParallelUpdateOptions& options) {
   DSCHED_CHECK_MSG(materialized_, "Materialize() before applying updates");
-  // One snapshot acquire per dispatch: program, stratification, and plan
-  // all come off this pin, so the cascade can never observe a torn program
-  // version even while an EvolveRules swap is pending elsewhere.
+  // One snapshot acquire per dispatch: program, stratification, and the
+  // activation graph all come off this pin, so the cascade can never
+  // observe a torn program version even while an EvolveRules swap is
+  // pending elsewhere.
   const std::shared_ptr<const CompiledProgram> snap = Snapshot();
-  ParallelUpdateOptions parallel_options;
-  parallel_options.scheduler_spec = options.scheduler_spec;
-  parallel_options.strategy = options.strategy.value_or(default_strategy_);
-  parallel_options.frontier = options.frontier;
-  parallel_options.epoch = options.epoch;
-  parallel_options.plan = &snap->plan;
-  parallel_options.memory_budget = options.memory_budget;
-  parallel_options.account = options.account;
-  return ::dsched::datalog::ApplyParallel(snap->program, snap->strat, store_,
-                                          request, router, parallel_options);
+  ParallelUpdateOptions resolved = options;
+  resolved.strategy = options.strategy.value_or(default_strategy_);
+  return ::dsched::datalog::ApplyParallel(*snap, store_, request, router,
+                                          resolved);
 }
 
 }  // namespace dsched::datalog

@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,7 +36,6 @@
 
 namespace dsched::runtime {
 class TaskRouter;
-class StratumFrontier;
 }
 
 namespace dsched::datalog {
@@ -105,43 +103,24 @@ class Database {
 
   /// Applies a batch incrementally with the per-component phases executed
   /// in parallel on `router`'s shared pool, ordered by a scheduler (see
-  /// datalog/parallel_update.hpp).  Final state identical to Apply().
-  struct ParallelOptions {
-    std::string scheduler_spec = "hybrid";
-    /// Maintenance strategy for this update; empty inherits the database
-    /// default (SetDefaultStrategy).
-    std::optional<MaintenanceStrategy> strategy;
-    /// Epoch pipelining (runtime/pipeline.hpp): when `frontier` is set the
-    /// cascade gates on epoch-1's finalized levels and publishes its own,
-    /// using this database's cached PipelinePlan.  The caller owns the
-    /// frontier (one per session) and guarantees the strategy is
-    /// pipeline-eligible when epochs overlap.
-    runtime::StratumFrontier* frontier = nullptr;
-    std::uint64_t epoch = 0;
-    /// Live-resource ceiling over the cascade's accounted task utilities
-    /// (0 = account only) and the optionally shared account it meters
-    /// (see parallel_update.hpp / runtime/executor.hpp).
-    std::uint64_t memory_budget = 0;
-    runtime::ResourceAccount* account = nullptr;
-  };
+  /// datalog/parallel_update.hpp).  Final state identical to Apply().  An
+  /// empty `options.strategy` inherits the database default
+  /// (SetDefaultStrategy).
   UpdateResult ApplyParallel(const Update& update, runtime::TaskRouter& router,
-                             const ParallelOptions& options);
-  UpdateResult ApplyParallel(const Update& update,
-                             runtime::TaskRouter& router) {
-    return ApplyParallel(update, router, ParallelOptions{});
-  }
+                             const ParallelUpdateOptions& options = {});
 
   /// Raw-request variants of Apply/ApplyParallel for callers (the service
   /// session loop) that already hold predicate-id batches.  The parallel
-  /// variant also surfaces executor-level RunStats.  Each dispatch pins the
-  /// compiled-program snapshot exactly once and reads program/strat/plan
-  /// off that pin.
+  /// variant also surfaces executor-level RunStats and the recorded trace
+  /// over the version's activation graph.  Each dispatch pins the
+  /// compiled-program snapshot exactly once and reads everything
+  /// program-derived off that pin.
   UpdateResult ApplyRequest(const UpdateRequest& request);
   UpdateResult ApplyRequest(const UpdateRequest& request,
                             MaintenanceStrategy strategy);
-  ParallelUpdateResult ApplyRequestParallel(const UpdateRequest& request,
-                                            runtime::TaskRouter& router,
-                                            const ParallelOptions& options);
+  ParallelUpdateResult ApplyRequestParallel(
+      const UpdateRequest& request, runtime::TaskRouter& router,
+      const ParallelUpdateOptions& options);
 
   /// Default maintenance strategy for Apply/ApplyRequest and for
   /// ApplyParallel calls that don't pick their own (maintenance.hpp).
@@ -206,9 +185,6 @@ class Database {
   [[nodiscard]] const Stratification& GetStratification() const {
     return compiled_->strat;
   }
-  /// The cached pipelining plan (levels + fences), rebuilt whenever the
-  /// rule set re-stratifies (EvolveAddRules/EvolveRemoveRule).
-  [[nodiscard]] const PipelinePlan& Plan() const { return compiled_->plan; }
   [[nodiscard]] const RelationStore& Store() const { return store_; }
   [[nodiscard]] bool Materialized() const { return materialized_; }
 

@@ -48,7 +48,6 @@ void ShardedWriteBuffer::PublishShard(std::size_t shard) {
     staging_[shard] = std::move(chunk);
     return;
   }
-  chunk->epoch = epoch_;
   relation_->Publish(shard, chunk.get());
   published_.push_back({std::move(chunk), shard});
 }
@@ -88,17 +87,7 @@ ShardedWriteBuffer& StoreWriteBuffer::For(RelationStore& store,
     slot = std::make_unique<ShardedWriteBuffer>();
   }
   slot->Bind(store.Of(predicate));
-  slot->SetEpoch(epoch_);
   return *slot;
-}
-
-void StoreWriteBuffer::SetEpoch(std::uint64_t epoch) {
-  epoch_ = epoch;
-  for (const std::unique_ptr<ShardedWriteBuffer>& buffer : buffers_) {
-    if (buffer != nullptr) {
-      buffer->SetEpoch(epoch);
-    }
-  }
 }
 
 }  // namespace dsched::datalog

@@ -47,13 +47,6 @@ class ShardedWriteBuffer {
     return relation_ == &relation;
   }
 
-  /// Update-epoch tag stamped on every chunk this buffer publishes from
-  /// now on (DeltaChunk::epoch; 0 = untagged).  The parallel engine sets
-  /// it per cascade so absorbed shards carry a "which update generation
-  /// wrote me last" watermark (Relation::ShardAppliedEpoch).
-  void SetEpoch(std::uint64_t epoch) { epoch_ = epoch; }
-  [[nodiscard]] std::uint64_t Epoch() const { return epoch_; }
-
   void StageInsert(RowView tuple) { Stage(tuple, Relation::kOpInsert); }
   void StageInsert(const Tuple& tuple) { StageInsert(RowView(tuple)); }
   void StageErase(RowView tuple) { Stage(tuple, Relation::kOpErase); }
@@ -80,7 +73,6 @@ class ShardedWriteBuffer {
   void PublishShard(std::size_t shard);
 
   Relation* relation_ = nullptr;
-  std::uint64_t epoch_ = 0;
   std::vector<std::unique_ptr<Relation::DeltaChunk>> staging_;  // per shard
   struct Published {
     std::unique_ptr<Relation::DeltaChunk> chunk;
@@ -98,12 +90,7 @@ class StoreWriteBuffer {
   /// The buffer for `predicate`, bound to its relation in `store`.
   ShardedWriteBuffer& For(RelationStore& store, std::uint32_t predicate);
 
-  /// Propagates the update-epoch tag to every per-predicate buffer,
-  /// current and future (see ShardedWriteBuffer::SetEpoch).
-  void SetEpoch(std::uint64_t epoch);
-
  private:
-  std::uint64_t epoch_ = 0;
   std::vector<std::unique_ptr<ShardedWriteBuffer>> buffers_;
 };
 

@@ -7,8 +7,9 @@
 // This is the computation whose task graph the paper schedules: an update
 // touches base predicates, the change cascades component by component down
 // the dependency DAG, and a component whose inputs changed may or may not
-// change its own output.  ComponentUpdateStats records exactly that —
-// schedule_bridge.hpp turns a recorded update into a JobTrace.
+// change its own output.  ComponentUpdateStats records exactly that; the
+// parallel engine (parallel_update.hpp) runs the same phases over the
+// program's activation graph and records each run as a JobTrace.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,15 @@
 #include "datalog/parallel_update.hpp"
 
+#include <algorithm>
+
 #include "datalog/delta_buffer.hpp"
-#include "graph/digraph_builder.hpp"
 #include "sched/factory.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace dsched::datalog {
 
-ParallelUpdateResult ApplyParallel(const Program& program,
-                                   const Stratification& strat,
+ParallelUpdateResult ApplyParallel(const CompiledProgram& compiled,
                                    RelationStore& store,
                                    const UpdateRequest& request,
                                    runtime::TaskRouter& router,
@@ -18,50 +18,18 @@ ParallelUpdateResult ApplyParallel(const Program& program,
                    "the clairvoyant oracle cannot drive a live update — it "
                    "needs the outcome in advance");
   util::WallTimer total_timer;
+  const Program& program = compiled.program;
+  const Stratification& strat = compiled.strat;
+  const ActivationGraph& graph = compiled.graph;
+  const std::vector<util::TaskId>& component_node = graph.component_node;
   const std::size_t num_preds = program.NumPredicates();
   const std::size_t num_comps = strat.NumComponents();
+  const MaintenanceStrategy strategy =
+      options.strategy.value_or(MaintenanceStrategy::kDRed);
 
-  // --- Node layout: predicate collectors first, then one task node per
-  // component that owns rules.  Rule-less components are singleton base
-  // predicates; their collector doubles as the phase-running task.
-  std::vector<util::TaskId> component_node(num_comps, util::kInvalidTask);
-  std::size_t next_node = num_preds;
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    if (!strat.component_rules[c].empty()) {
-      component_node[c] = static_cast<util::TaskId>(next_node++);
-    }
-  }
-  const std::size_t num_nodes = next_node;
-
-  graph::DigraphBuilder builder(num_nodes);
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    const util::TaskId task = component_node[c];
-    if (task == util::kInvalidTask) {
-      continue;
-    }
-    for (const std::uint32_t p : strat.component_members[c]) {
-      builder.AddEdge(task, static_cast<util::TaskId>(p));
-    }
-    for (const std::size_t r : strat.component_rules[c]) {
-      for (const BodyElement& element : program.rules[r].body) {
-        if (const auto* literal = std::get_if<Literal>(&element)) {
-          const std::uint32_t p = literal->atom.predicate;
-          if (strat.component_of[p] != c) {
-            builder.AddEdge(static_cast<util::TaskId>(p), task);
-          }
-        }
-      }
-    }
-  }
-
-  // --- Static node info.  Change bits are irrelevant: the executor asks
+  // --- Node info.  Change bits are irrelevant here: the executor asks
   // the task bodies at runtime — exactly the paper's dynamic model.
-  std::vector<trace::TaskInfo> infos(num_nodes);
-  for (std::size_t p = 0; p < num_preds; ++p) {
-    infos[p].kind = trace::NodeKind::kCollector;
-    infos[p].work = 0.0;
-    infos[p].span = 0.0;
-  }
+  std::vector<trace::TaskInfo> infos = graph.node_info;
 
   // --- Initially dirty: base-touched predicates (their component task when
   // rules are involved).
@@ -105,7 +73,7 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   }
 
   ParallelUpdateResult result;
-  result.trace = trace::JobTrace("parallel-update", std::move(builder).Build(),
+  result.trace = trace::JobTrace("parallel-update", graph.dag,
                                  std::move(infos), std::move(dirty));
 
   // --- Shared (but phase-disjoint) update state.
@@ -130,12 +98,9 @@ ParallelUpdateResult ApplyParallel(const Program& program,
   // one buffer per POOL worker, since worker indices span the router's pool
   // (inline, every task runs as worker 0).
   std::vector<StoreWriteBuffer> scratch(run_inline ? 1 : router.NumWorkers());
-  for (StoreWriteBuffer& buffer : scratch) {
-    buffer.SetEpoch(options.epoch);
-  }
 
   const auto run_phase = [&](std::uint32_t c, std::size_t worker) -> bool {
-    stats[c] = RunMaintenancePhase(options.strategy, program, strat, c, store,
+    stats[c] = RunMaintenancePhase(strategy, program, strat, c, store,
                                    base, net, &scratch[worker]);
     bool changed = false;
     for (const std::uint32_t p : strat.component_members[c]) {
@@ -147,68 +112,46 @@ ParallelUpdateResult ApplyParallel(const Program& program,
     return changed;
   };
 
-  std::vector<std::uint32_t> node_component(num_nodes, 0);
-  for (std::uint32_t c = 0; c < num_comps; ++c) {
-    if (component_node[c] != util::kInvalidTask) {
-      node_component[component_node[c]] = c;
-    }
-  }
-
-  // --- Epoch-pipeline gate: per-node levels and fences from the plan.
-  // Component tasks (and the collectors of rule-less components, which run
-  // the phase themselves) carry the component's fence; derived-predicate
-  // collectors only forward a flag computed by their own epoch's task, so
-  // they never wait.
-  runtime::PipelineGate gate;
-  std::vector<std::uint32_t> node_level;
-  std::vector<std::uint32_t> node_fence;
-  const bool gated = options.frontier != nullptr && options.plan != nullptr;
-  if (gated) {
-    const PipelinePlan& plan = *options.plan;
-    node_level.assign(num_nodes, 0);
-    node_fence.assign(num_nodes, 0);
-    for (std::size_t p = 0; p < num_preds; ++p) {
-      const std::uint32_t c = strat.component_of[p];
-      node_level[p] = plan.component_level[c];
-      node_fence[p] = component_node[c] == util::kInvalidTask
-                          ? plan.component_fence[c]
-                          : 0;
-    }
-    for (std::uint32_t c = 0; c < num_comps; ++c) {
-      if (component_node[c] != util::kInvalidTask) {
-        node_level[component_node[c]] = plan.component_level[c];
-        node_fence[component_node[c]] = plan.component_fence[c];
-      }
-    }
-    gate.frontier = options.frontier;
-    gate.epoch = options.epoch;
-    gate.node_level = &node_level;
-    gate.node_fence = &node_fence;
-    gate.num_levels = plan.num_levels;
-  }
+  // --- Epoch-pipeline gate over the graph's per-node levels and fences.
+  const runtime::PipelineGate gate{.frontier = options.frontier,
+                                   .epoch = options.epoch,
+                                   .node_level = &graph.node_level,
+                                   .node_fence = &graph.node_fence,
+                                   .num_levels = graph.num_levels};
 
   auto scheduler = sched::CreateScheduler(options.scheduler_spec);
   const runtime::Executor::TaskBody task_body(
       [&](util::TaskId t, std::size_t worker) -> bool {
-        if (t >= num_preds) {
-          return run_phase(node_component[t], worker);
-        }
-        const auto p = static_cast<std::uint32_t>(t);
-        const std::uint32_t c = strat.component_of[p];
-        if (component_node[c] == util::kInvalidTask) {
-          // Rule-less base predicate: the collector runs the phase
-          // itself.
+        const std::uint32_t c = graph.node_component[t];
+        if (t >= num_preds || component_node[c] == util::kInvalidTask) {
+          // A component task, or a rule-less base predicate whose
+          // collector runs the phase itself.
           return run_phase(c, worker);
         }
         // Derived predicate collector: forward the owner's verdict.
-        return pred_changed[p] != 0;
+        return pred_changed[t] != 0;
       });
   result.run = runtime::Executor::Run(
       router, result.trace, *scheduler, task_body,
-      {.gate = gated ? &gate : nullptr,
+      {.gate = options.frontier != nullptr ? &gate : nullptr,
        .memory_budget = options.memory_budget,
        .account = options.account,
        .run_inline = run_inline});
+
+  // --- Record the run into the trace: measured component work, and each
+  // node's change bit (collectors stay zero-work and take their
+  // predicate's forwarded bit).
+  for (std::size_t p = 0; p < num_preds; ++p) {
+    result.trace.RecordOutcome(static_cast<util::TaskId>(p), 0.0,
+                               pred_changed[p] != 0);
+  }
+  for (std::uint32_t c = 0; c < num_comps; ++c) {
+    if (component_node[c] != util::kInvalidTask) {
+      result.trace.RecordOutcome(component_node[c],
+                                 std::max(stats[c].seconds, 1e-6),
+                                 stats[c].output_changed);
+    }
+  }
 
   // --- Assemble the sequential-compatible result.
   for (const std::uint32_t c : strat.component_order) {

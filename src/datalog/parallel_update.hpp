@@ -5,7 +5,8 @@
 //
 // How it maps onto the model:
 //  * DAG nodes: one zero-work collector per predicate, one task per rule
-//    component (same shape as schedule_bridge.hpp);
+//    component — the program version's ActivationGraph (pipeline_plan.hpp),
+//    built once at compile time and shared by every update;
 //  * initially dirty: the base predicates the update touches (their
 //    component task, when they have rules);
 //  * a component task's body runs RunComponentPhase — the actual
@@ -16,14 +17,20 @@
 // member relations and net-delta slots, and every reader is a descendant
 // the scheduler will not start until the phase completes — the
 // "activated ancestors first" rule doing real synchronization work.
+//
+// Per update only the activation is computed: the dirty set, each task's
+// resource utility, and the task bodies.  The run's outcome is recorded
+// into the returned JobTrace: measured work per component task and the
+// change bit of every node.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
+#include "datalog/compiled_program.hpp"
 #include "datalog/incremental.hpp"
 #include "datalog/maintenance.hpp"
-#include "datalog/pipeline_plan.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/pipeline.hpp"
 #include "trace/job_trace.hpp"
@@ -43,22 +50,23 @@ struct ParallelUpdateOptions {
   /// need the outcome in advance).
   std::string scheduler_spec = "hybrid";
   /// How each component phase maintains deletions (maintenance.hpp).
-  /// B/F falls back to DRed per component where required.
-  MaintenanceStrategy strategy = MaintenanceStrategy::kDRed;
+  /// B/F falls back to DRed per component where required.  Empty = the
+  /// database default (Database::SetDefaultStrategy); DRed when called
+  /// without a Database.
+  std::optional<MaintenanceStrategy> strategy;
 
   // --- epoch pipelining (runtime/pipeline.hpp, DESIGN.md §12) ----------
   /// When set, this update joins its session's epoch pipeline: the
   /// coordinator holds back each component task until epoch-1 has
-  /// finalized every level the task's writes could race with (the fences
-  /// in `plan`), and publishes this cascade's own per-level finalization
-  /// as the levels drain.  Requires `plan` (which must outlive the call).
-  /// Null = unpipelined.
+  /// finalized every level the task's writes could race with (the
+  /// activation graph's fences), and publishes this cascade's own
+  /// per-level finalization as the levels drain.  The caller owns the
+  /// frontier (one per session) and guarantees the strategy is
+  /// pipeline-eligible when epochs overlap.  Null = unpipelined.
   runtime::StratumFrontier* frontier = nullptr;
-  /// The dense 1-based session epoch of this update; stamped on every
-  /// published DeltaChunk and used to gate on epoch-1's frontier entry.
+  /// The dense 1-based session epoch of this update, used to gate on
+  /// epoch-1's frontier entry.
   std::uint64_t epoch = 0;
-  /// Levels + fences for the program (Database::Plan() caches one).
-  const PipelinePlan* plan = nullptr;
 
   // --- resource accounting (runtime/executor.hpp) ----------------------
   /// Live-resource ceiling for this update's accounted task utilities;
@@ -78,19 +86,25 @@ struct ParallelUpdateResult {
   /// Executor-level stats: tasks run, activations, wall time, scheduler
   /// decision time.
   runtime::Executor::RunStats run;
-  /// The activation DAG the update executed over.
+  /// The recorded cascade over the version's shared activation graph
+  /// (node ids as ActivationGraph): the initially dirty nodes, each
+  /// component task's measured seconds as work and span (floored at 1 µs,
+  /// so an untouched task still costs something if a pessimistic scheduler
+  /// runs it), collectors at zero work, and every node's change bit —
+  /// ready for trace::ComputeCascade and the simulator.
   trace::JobTrace trace;
 };
 
-/// Applies `request` to the materialized `store`, running the cascade on
-/// `router`'s shared pool (one channel per update — this is how the service
-/// layer interleaves many sessions' cascades on one pool), or inline on the
-/// calling thread when the request has at most kInlineMaxBaseChanges base
-/// changes.  Either way the same scheduler orders it.  Equivalent to
-/// IncrementalEngine::Apply in final state (the tests verify store
-/// equality); faster when independent components dominate.
+/// Applies `request` to `store` (materialized under `compiled`), running
+/// the cascade on `router`'s shared pool (one channel per update — this is
+/// how the service layer interleaves many sessions' cascades on one pool),
+/// or inline on the calling thread when the request has at most
+/// kInlineMaxBaseChanges base changes.  Either way the same scheduler
+/// orders it.  Equivalent to IncrementalEngine::Apply in final state (the
+/// tests verify store equality); faster when independent components
+/// dominate.
 [[nodiscard]] ParallelUpdateResult ApplyParallel(
-    const Program& program, const Stratification& strat, RelationStore& store,
+    const CompiledProgram& compiled, RelationStore& store,
     const UpdateRequest& request, runtime::TaskRouter& router,
     const ParallelUpdateOptions& options = {});
 

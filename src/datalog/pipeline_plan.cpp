@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/digraph_builder.hpp"
+
 namespace dsched::datalog {
 
 PipelinePlan BuildPipelinePlan(const Program& program,
@@ -56,6 +58,68 @@ PipelinePlan BuildPipelinePlan(const Program& program,
     plan.component_fence[c] = deepest + 1;
   }
   return plan;
+}
+
+ActivationGraph BuildActivationGraph(const Program& program,
+                                     const Stratification& strat,
+                                     const PipelinePlan& plan) {
+  ActivationGraph out;
+  const std::size_t num_preds = program.NumPredicates();
+  const std::size_t num_comps = strat.NumComponents();
+
+  // Collectors first (node id = predicate id), then one task per component
+  // that owns rules.
+  out.component_node.assign(num_comps, util::kInvalidTask);
+  out.node_component.assign(strat.component_of.begin(),
+                            strat.component_of.end());
+  for (std::uint32_t c = 0; c < num_comps; ++c) {
+    if (!strat.component_rules[c].empty()) {
+      out.component_node[c] =
+          static_cast<util::TaskId>(out.node_component.size());
+      out.node_component.push_back(c);
+    }
+  }
+  const std::size_t num_nodes = out.NumNodes();
+
+  graph::DigraphBuilder builder(num_nodes);
+  for (std::uint32_t c = 0; c < num_comps; ++c) {
+    const util::TaskId task = out.component_node[c];
+    if (task == util::kInvalidTask) {
+      continue;
+    }
+    for (const std::uint32_t p : strat.component_members[c]) {
+      builder.AddEdge(task, static_cast<util::TaskId>(p));
+    }
+    for (const std::size_t r : strat.component_rules[c]) {
+      for (const BodyElement& element : program.rules[r].body) {
+        if (const auto* literal = std::get_if<Literal>(&element)) {
+          const std::uint32_t p = literal->atom.predicate;
+          if (strat.component_of[p] != c) {
+            builder.AddEdge(static_cast<util::TaskId>(p), task);
+          }
+        }
+      }
+    }
+  }
+  out.dag = std::make_shared<const graph::Dag>(std::move(builder).Build());
+
+  out.node_info.resize(num_nodes);
+  for (std::size_t p = 0; p < num_preds; ++p) {
+    out.node_info[p].kind = trace::NodeKind::kCollector;
+    out.node_info[p].work = 0.0;
+    out.node_info[p].span = 0.0;
+  }
+  out.node_level.resize(num_nodes);
+  out.node_fence.resize(num_nodes);
+  for (std::size_t node = 0; node < num_nodes; ++node) {
+    const std::uint32_t c = out.node_component[node];
+    const bool runs_phase = node >= num_preds ||
+                            out.component_node[c] == util::kInvalidTask;
+    out.node_level[node] = plan.component_level[c];
+    out.node_fence[node] = runs_phase ? plan.component_fence[c] : 0;
+  }
+  out.num_levels = plan.num_levels;
+  return out;
 }
 
 }  // namespace dsched::datalog

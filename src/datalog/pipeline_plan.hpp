@@ -23,13 +23,22 @@
 // expressed as "levels epoch e must have finalized" — level(c) itself for
 // the write/write exclusion against e's own instance of c, the reader term
 // for write/read.  A component nobody reads still fences on its own level.
+//
+// The same compile builds the activation graph: the cascade DAG every
+// update of the program version runs over (parallel_update.hpp), with the
+// plan's levels and fences spread onto its nodes.  The rule text fixes the
+// graph; only the activation depends on the update.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "datalog/ast.hpp"
 #include "datalog/stratify.hpp"
+#include "graph/dag.hpp"
+#include "trace/job_trace.hpp"
+#include "util/types.hpp"
 
 namespace dsched::datalog {
 
@@ -51,5 +60,40 @@ struct PipelinePlan {
 /// Kahn order over the condensation).
 [[nodiscard]] PipelinePlan BuildPipelinePlan(const Program& program,
                                              const Stratification& strat);
+
+/// The activation DAG of one program version, mirroring Figure 1's
+/// anatomy: one zero-work collector node per predicate (node id =
+/// predicate id), then one task node per component that owns rules.
+/// Edges run from a component's task to its member predicates and from
+/// every external body predicate to the task.  A rule-less component is a
+/// base predicate; its collector doubles as the node that runs its phase.
+struct ActivationGraph {
+  /// Shared with every JobTrace recorded over this version.
+  std::shared_ptr<const graph::Dag> dag;
+  /// component id -> task node (kInvalidTask for rule-less components).
+  std::vector<util::TaskId> component_node;
+  /// node -> the component whose phase it runs or whose member it collects.
+  std::vector<std::uint32_t> node_component;
+  /// Per-node trace info every update starts from: collectors zero-work,
+  /// tasks at the TaskInfo defaults.  An update copies it and fills in
+  /// resource utilities.
+  std::vector<trace::TaskInfo> node_info;
+  /// Per-node epoch-pipeline gate inputs (runtime::PipelineGate): the
+  /// component's level, and its fence on the phase-running node.  Derived
+  /// predicates' collectors only forward a flag their own epoch computed,
+  /// so their fence is 0 (never wait).
+  std::vector<std::uint32_t> node_level;
+  std::vector<std::uint32_t> node_fence;
+  /// PipelinePlan::num_levels.
+  std::uint32_t num_levels = 0;
+
+  [[nodiscard]] std::size_t NumNodes() const { return node_component.size(); }
+};
+
+/// Builds the graph for `strat` with `plan`'s levels and fences.  Linear in
+/// the program size.
+[[nodiscard]] ActivationGraph BuildActivationGraph(const Program& program,
+                                                   const Stratification& strat,
+                                                   const PipelinePlan& plan);
 
 }  // namespace dsched::datalog

@@ -132,8 +132,6 @@ void Relation::CopyFrom(const Relation& other) {
                       std::memory_order_relaxed);
     dst.erase_epoch.store(src.erase_epoch.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-    dst.applied_epoch.store(src.applied_epoch.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
   }
   publish_chunks_.store(other.publish_chunks_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -457,12 +455,6 @@ void Relation::Publish(std::size_t shard_index, DeltaChunk* chunk) {
 
 void Relation::ApplyChunk(Shard& shard, DeltaChunk& chunk) {
   const std::size_t n = chunk.Count();
-  // Single absorber per shard (the absorbing flag), so a plain max works;
-  // relaxed is enough — readers only want the watermark, ordering comes
-  // from the chunk's own applied flag.
-  if (chunk.epoch > shard.applied_epoch.load(std::memory_order_relaxed)) {
-    shard.applied_epoch.store(chunk.epoch, std::memory_order_relaxed);
-  }
   chunk.results.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const RowView row{chunk.values.data() + i * arity_, arity_};

@@ -79,10 +79,6 @@ class Relation {
     std::vector<std::uint64_t> hashes;  ///< per staged row, full tuple hash
     std::vector<std::uint8_t> ops;      ///< per row: kOpInsert/kOpErase
     std::vector<std::uint8_t> results;  ///< absorber-written outcome per row
-    /// Update epoch of the publishing cascade (0 = untagged).  Absorbed
-    /// into the shard's applied_epoch watermark — the epoch pipeline's
-    /// "which generation wrote this shard last" diagnostic.
-    std::uint64_t epoch = 0;
     DeltaChunk* next = nullptr;         ///< intrusive pending-list link
     std::atomic<bool> applied{false};
 
@@ -92,7 +88,6 @@ class Relation {
       hashes.clear();
       ops.clear();
       results.clear();
-      epoch = 0;
       next = nullptr;
       applied.store(false, std::memory_order_relaxed);
     }
@@ -146,23 +141,6 @@ class Relation {
   /// strictly append.
   [[nodiscard]] std::uint64_t ShardEraseEpoch(std::size_t shard) const {
     return shards_[shard].erase_epoch.load(std::memory_order_relaxed);
-  }
-
-  /// Highest UPDATE epoch (ShardedWriteBuffer::SetEpoch tag, not the erase
-  /// counter above) among the chunks absorbed into `shard`; 0 before any
-  /// tagged publication.  Diagnostic for the epoch pipeline: which update
-  /// generation last touched each shard.
-  [[nodiscard]] std::uint64_t ShardAppliedEpoch(std::size_t shard) const {
-    return shards_[shard].applied_epoch.load(std::memory_order_relaxed);
-  }
-
-  /// Max ShardAppliedEpoch over all shards.
-  [[nodiscard]] std::uint64_t LastAppliedEpoch() const {
-    std::uint64_t last = 0;
-    for (std::size_t s = 0; s < num_shards_; ++s) {
-      last = std::max(last, ShardAppliedEpoch(s));
-    }
-    return last;
   }
 
   /// The row at public id `row` as a view into its shard's arena.  Valid
@@ -317,8 +295,6 @@ class Relation {
     std::atomic<std::uint32_t> num_rows{0};
     std::atomic<std::uint64_t> version{0};
     std::atomic<std::uint64_t> erase_epoch{0};
-    /// Max DeltaChunk::epoch absorbed so far (update-epoch watermark).
-    std::atomic<std::uint64_t> applied_epoch{0};
     std::atomic<DeltaChunk*> pending{nullptr};  ///< push-only Treiber list
     std::atomic<bool> absorbing{false};         ///< drain exclusion flag
   };

@@ -558,10 +558,8 @@ void ServiceServer::HandleSubmit(Connection& conn, std::string_view payload) {
   std::future<service::UpdateOutcome> future;
   bool admitted = false;
   try {
-    // TrySubmit consumes its argument either way; keep the original so a
-    // declined submit can be parked and retried.
-    datalog::UpdateRequest attempt = update;
-    admitted = entry->session->TrySubmit(std::move(attempt), &future);
+    // A declined TrySubmit leaves `update` here, to park and retry.
+    admitted = entry->session->TrySubmit(std::move(update), &future);
   } catch (const util::Error&) {
     SendError(conn, req.request_id, ErrorCode::kNoSession,
               "session is closed");
@@ -668,8 +666,7 @@ void ServiceServer::RetryParked(Connection& conn) {
   bool admitted = false;
   try {
     if (is_update) {
-      datalog::UpdateRequest attempt = parked.request;
-      admitted = entry->session->TrySubmit(std::move(attempt), &future);
+      admitted = entry->session->TrySubmit(std::move(parked.request), &future);
     } else if (parked.kind == service::UpdateQueue::Kind::kAddRules) {
       admitted = entry->session->TryEvolveAddRules(parked.text, &future);
     } else {

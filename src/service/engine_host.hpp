@@ -7,12 +7,13 @@
 //                                 ├─ TaskRouter ── ThreadPool (N workers)
 //                                 ├─ MetricsRegistry (host.* / session.*)
 //                                 └─ defaults (scheduler, queue bound)
-//     Session "a" ─► program+strat / RelationStore / scheduler spec
-//                    UpdateQueue ─► apply thread ─► router channel
+//     Session "a" ─► compiled program / RelationStore / scheduler spec
+//                    UpdateQueue ─► K apply threads ─► router channels
 //     Session "b" ─► ... (same pool, own everything else)
 //
-// Every Session owns its parsed+stratified program, its sharded store, and
-// a serialized-per-session apply loop; the ONLY shared mutable state is the
+// Every Session owns its compiled program, its sharded store, and an
+// epoch-pipelined apply loop (up to K cascades in flight, results in epoch
+// order; DESIGN.md §12); the ONLY shared mutable state is the
 // worker pool (via TaskRouter channels) and the metrics registry — both
 // multi-tenant by construction.  Sessions hold the HostCore via
 // shared_ptr, so a Session outliving its EngineHost stays valid (the pool
@@ -38,8 +39,9 @@ class Session;
 struct HostOptions {
   /// Workers in the one shared pool all sessions' cascades run on.
   std::size_t workers = 4;
-  /// Router channel slots == max cascades in flight at once across all
-  /// sessions (each session uses at most one at a time).
+  /// Router channel slots == max pooled cascades in flight at once across
+  /// all sessions.  A session holds up to its pipeline depth K at once;
+  /// cascades that run inline on an apply thread hold none.
   std::size_t max_concurrent_updates = 256;
   /// Scheduler spec for sessions that don't pick their own.
   std::string default_scheduler = "hybrid";
@@ -50,7 +52,8 @@ struct HostOptions {
   std::size_t default_queue_capacity = 64;
   /// Epoch-pipeline depth K for sessions that don't pick their own: how
   /// many update cascades one session may have in flight at once
-  /// (DESIGN.md §12).  1 = the classic serialized-per-session apply loop.
+  /// (DESIGN.md §12).  1 = one cascade at a time, each epoch after the
+  /// last.
   std::size_t default_pipeline_depth = 1;
 };
 

@@ -88,7 +88,7 @@ Session::Session(std::shared_ptr<detail::HostCore> core,
 
 Session::~Session() { Close(); }
 
-bool Session::Enqueue(UpdateQueue::Job job, bool blocking,
+bool Session::Enqueue(UpdateQueue::Job&& job, bool blocking,
                       std::future<UpdateOutcome>* out) {
   const bool evolve = job.kind != UpdateQueue::Kind::kUpdate;
   DSCHED_CHECK_MSG(db_.Materialized(),
@@ -112,9 +112,14 @@ std::future<UpdateOutcome> Session::Submit(datalog::UpdateRequest request) {
   return future;
 }
 
-bool Session::TrySubmit(datalog::UpdateRequest request,
+bool Session::TrySubmit(datalog::UpdateRequest&& request,
                         std::future<UpdateOutcome>* out) {
-  return Enqueue({.request = std::move(request)}, /*blocking=*/false, out);
+  UpdateQueue::Job job{.request = std::move(request)};
+  if (Enqueue(std::move(job), /*blocking=*/false, out)) {
+    return true;
+  }
+  request = std::move(job.request);  // declined: hand the batch back
+  return false;
 }
 
 std::future<UpdateOutcome> Session::EvolveAddRules(std::string_view rules_text) {

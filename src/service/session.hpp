@@ -97,7 +97,9 @@ class Session {
   }
 
   /// Non-blocking Submit: false (and no enqueue) when the queue is full.
-  bool TrySubmit(datalog::UpdateRequest request,
+  /// `request` is moved from only when admitted; declined, it stays with
+  /// the caller to retry.
+  bool TrySubmit(datalog::UpdateRequest&& request,
                  std::future<UpdateOutcome>* out);
 
   // --- live rule evolution ---------------------------------------------
@@ -234,7 +236,8 @@ class Session {
   void Apply(UpdateQueue::Job& job);
   /// The one enqueue behind Submit, TrySubmit and the Evolve calls: false
   /// (and no enqueue) when `blocking` is off and the queue is full.
-  bool Enqueue(UpdateQueue::Job job, bool blocking,
+  /// `job` is moved from only when enqueued.
+  bool Enqueue(UpdateQueue::Job&& job, bool blocking,
                std::future<UpdateOutcome>* out);
   /// Publishes session.<name>.* counters into the host registry.
   void PublishMetrics();

@@ -10,7 +10,7 @@ UpdateQueue::UpdateQueue(std::size_t capacity) : capacity_(capacity) {
   DSCHED_CHECK_MSG(capacity_ >= 1, "update queue needs capacity >= 1");
 }
 
-std::uint64_t UpdateQueue::Push(Job job, bool blocking) {
+std::uint64_t UpdateQueue::Push(Job&& job, bool blocking) {
   std::unique_lock<std::mutex> lock(mutex_);
   if (blocking) {
     if (!closed_ && jobs_.size() >= capacity_) {

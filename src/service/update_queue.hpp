@@ -76,9 +76,11 @@ class UpdateQueue {
   /// epoch it was assigned; `job.epoch` is overwritten.  With `blocking`,
   /// waits while the queue is at capacity (this is the backpressure
   /// bound); without, returns 0 when the queue is full instead of waiting
-  /// (epochs are 1-based, so 0 is unambiguous).  Throws util::LogicError
-  /// if the queue is closed (also when closed mid-wait).
-  std::uint64_t Push(Job job, bool blocking);
+  /// (epochs are 1-based, so 0 is unambiguous).  `job` is moved from only
+  /// when it is enqueued: a declined or throwing push leaves it with the
+  /// caller.  Throws util::LogicError if the queue is closed (also when
+  /// closed mid-wait).
+  std::uint64_t Push(Job&& job, bool blocking);
 
   /// Consumer side: blocks until a job is available or the queue is closed
   /// AND drained; false only in the latter case (the consumer's exit

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,16 +46,20 @@ struct TaskInfo {
 };
 
 /// One workload: the DAG, per-node info, and the initially dirtied tasks.
+/// The DAG is held by shared pointer, so traces over one graph (every
+/// update of a Datalog program version) share it instead of copying it.
 class JobTrace {
  public:
-  JobTrace() = default;
+  JobTrace();
   JobTrace(std::string name, graph::Dag dag, std::vector<TaskInfo> tasks,
            std::vector<TaskId> initial_dirty);
+  JobTrace(std::string name, std::shared_ptr<const graph::Dag> dag,
+           std::vector<TaskInfo> tasks, std::vector<TaskId> initial_dirty);
 
   [[nodiscard]] const std::string& Name() const { return name_; }
-  [[nodiscard]] const graph::Dag& Graph() const { return dag_; }
-  [[nodiscard]] std::size_t NumNodes() const { return dag_.NumNodes(); }
-  [[nodiscard]] std::size_t NumEdges() const { return dag_.NumEdges(); }
+  [[nodiscard]] const graph::Dag& Graph() const { return *dag_; }
+  [[nodiscard]] std::size_t NumNodes() const { return dag_->NumNodes(); }
+  [[nodiscard]] std::size_t NumEdges() const { return dag_->NumEdges(); }
   [[nodiscard]] const TaskInfo& Info(TaskId id) const;
   [[nodiscard]] const std::vector<TaskInfo>& Tasks() const { return tasks_; }
 
@@ -69,9 +74,13 @@ class JobTrace {
   /// Sum of work over a set of nodes.
   [[nodiscard]] Work TotalWork(const std::vector<TaskId>& nodes) const;
 
+  /// Records what a live run measured for node `id`: its work (= span,
+  /// the node runs sequentially) and whether its output changed.
+  void RecordOutcome(TaskId id, Work work, bool output_changes);
+
  private:
   std::string name_;
-  graph::Dag dag_;
+  std::shared_ptr<const graph::Dag> dag_;
   std::vector<TaskInfo> tasks_;
   std::vector<TaskId> initial_dirty_;
   std::size_t num_task_nodes_ = 0;

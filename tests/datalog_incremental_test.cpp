@@ -1,7 +1,7 @@
 // Incremental maintenance tests: every update must leave the store exactly
 // equal to a from-scratch evaluation of the updated base — insertions,
 // deletions (DRed with rederivation), negation in both directions — plus
-// the schedule-bridge extraction.
+// the scheduling trace each parallel apply records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "datalog/incremental.hpp"
 #include "datalog/maintenance.hpp"
 #include "datalog/parser.hpp"
-#include "datalog/schedule_bridge.hpp"
 #include "datalog/stratify.hpp"
 #include "datalog/validate.hpp"
 #include "graph/levels.hpp"
@@ -264,7 +263,16 @@ TEST(IncrementalTest, RandomizedEquivalenceWithFromScratch) {
   }
 }
 
-TEST(ScheduleBridgeTest, TraceMirrorsUpdateCascade) {
+// --- The recorded trace: every ApplyRequestParallel run records its
+// cascade over the program version's activation graph.
+
+/// One 4-worker router shared by every parallel apply in this file.
+runtime::TaskRouter& SharedRouter() {
+  static runtime::TaskRouter router({.workers = 4});
+  return router;
+}
+
+TEST(RecordedTraceTest, TraceMirrorsUpdateCascade) {
   Database db(R"(
     tc(X, Y) :- e(X, Y).
     tc(X, Z) :- tc(X, Y), e(Y, Z).
@@ -277,34 +285,40 @@ TEST(ScheduleBridgeTest, TraceMirrorsUpdateCascade) {
 
   auto update = db.MakeUpdate();
   update.Insert("e", {Value::Int(1), Value::Int(2)});
-  UpdateRequest request;
-  request.insertions.emplace_back(db.GetProgram().PredicateId("e"),
-                                  Tuple{Value::Int(1), Value::Int(2)});
-  // Apply through the engine path the bridge expects.
-  const UpdateResult result = db.Apply(update);
-
-  const UpdateTrace bridge = BuildUpdateTrace(
-      db.GetProgram(), db.GetStratification(), request, result, "t");
-  const trace::JobTrace& trace = bridge.trace;
-  // Nodes: one per predicate + one per rule component.
+  const ParallelUpdateResult result =
+      db.ApplyRequestParallel(update.Request(), SharedRouter(), {});
+  const trace::JobTrace& trace = result.trace;
+  const Program& program = db.GetProgram();
+  const ActivationGraph& graph = db.Snapshot()->graph;
+  // Nodes: one collector per predicate (node id = predicate id) + one per
+  // rule component.
   EXPECT_EQ(trace.NumNodes(),
-            db.GetProgram().NumPredicates() +
-                3u /* tc, pairs, quiet components */);
+            program.NumPredicates() + 3u /* tc, pairs, quiet components */);
   // Dirty: the 'e' collector (base predicate, no rules).
   ASSERT_EQ(trace.InitialDirty().size(), 1u);
-  EXPECT_EQ(trace.InitialDirty()[0],
-            bridge.predicate_node[db.GetProgram().PredicateId("e")]);
+  EXPECT_EQ(trace.InitialDirty()[0], program.PredicateId("e"));
 
   // Cascade: e → tc-task → tc → pairs-task → pairs all activate; the
   // 'quiet' chain must stay inactive.
   const trace::Cascade cascade = trace::ComputeCascade(trace);
-  const auto tc_pred = db.GetProgram().PredicateId("tc");
-  const auto quiet_pred = db.GetProgram().PredicateId("quiet");
-  EXPECT_TRUE(cascade.active[bridge.predicate_node[tc_pred]]);
-  EXPECT_FALSE(cascade.active[bridge.predicate_node[quiet_pred]]);
-  const auto quiet_comp =
-      db.GetStratification().component_of[quiet_pred];
-  EXPECT_FALSE(cascade.active[bridge.component_node[quiet_comp]]);
+  const auto tc_pred = program.PredicateId("tc");
+  const auto pairs_pred = program.PredicateId("pairs");
+  const auto quiet_pred = program.PredicateId("quiet");
+  EXPECT_TRUE(cascade.active[tc_pred]);
+  EXPECT_TRUE(cascade.active[pairs_pred]);
+  EXPECT_FALSE(cascade.active[quiet_pred]);
+  const Stratification& strat = db.GetStratification();
+  EXPECT_FALSE(
+      cascade.active[graph.component_node[strat.component_of[quiet_pred]]]);
+  // The trace replays the live run: the executor ran exactly the nodes the
+  // recorded change bits activate.
+  EXPECT_EQ(result.run.executed, cascade.NumActive());
+  // Measured work on the ran component task, none on collectors.
+  const util::TaskId tc_task =
+      graph.component_node[strat.component_of[tc_pred]];
+  EXPECT_GE(trace.Info(tc_task).work, 1e-6);
+  EXPECT_EQ(trace.Info(tc_task).span, trace.Info(tc_task).work);
+  EXPECT_EQ(trace.Info(tc_pred).work, 0.0);
 
   // And the trace is schedulable end to end.
   auto scheduler = sched::CreateScheduler("hybrid");
@@ -316,11 +330,8 @@ TEST(ScheduleBridgeTest, TraceMirrorsUpdateCascade) {
   EXPECT_EQ(sim_result.tasks_executed, cascade.NumActive());
 }
 
-TEST(ScheduleBridgeTest, UnchangedComponentDoesNotPropagate) {
-  // An update that touches e but yields no tc change (inserting an edge
-  // that adds no new closure pair is impossible for tc, so use deletion of
-  // an absent tuple... instead: update other, and verify only the quiet
-  // chain activates).
+TEST(RecordedTraceTest, UnchangedComponentDoesNotPropagate) {
+  // Touch only `other`: the quiet chain activates, tc stays inactive.
   Database db(R"(
     tc(X, Y) :- e(X, Y).
     quiet(X) :- other(X).
@@ -331,17 +342,90 @@ TEST(ScheduleBridgeTest, UnchangedComponentDoesNotPropagate) {
 
   auto update = db.MakeUpdate();
   update.Insert("other", {Value::Int(2)});
-  UpdateRequest request;
-  request.insertions.emplace_back(db.GetProgram().PredicateId("other"),
-                                  Tuple{Value::Int(2)});
-  const UpdateResult result = db.Apply(update);
-  const UpdateTrace bridge = BuildUpdateTrace(
-      db.GetProgram(), db.GetStratification(), request, result, "t");
-  const trace::Cascade cascade = trace::ComputeCascade(bridge.trace);
-  const auto tc_pred = db.GetProgram().PredicateId("tc");
-  EXPECT_FALSE(cascade.active[bridge.predicate_node[tc_pred]]);
-  const auto quiet_pred = db.GetProgram().PredicateId("quiet");
-  EXPECT_TRUE(cascade.active[bridge.predicate_node[quiet_pred]]);
+  const ParallelUpdateResult result =
+      db.ApplyRequestParallel(update.Request(), SharedRouter(), {});
+  const trace::Cascade cascade = trace::ComputeCascade(result.trace);
+  EXPECT_FALSE(cascade.active[db.GetProgram().PredicateId("tc")]);
+  EXPECT_TRUE(cascade.active[db.GetProgram().PredicateId("quiet")]);
+}
+
+TEST(RecordedTraceTest, TaskChangeBitsMatchSerialApply) {
+  for (const MaintenanceStrategy strategy :
+       {MaintenanceStrategy::kDRed, MaintenanceStrategy::kBackwardForward}) {
+    SCOPED_TRACE(MaintenanceStrategyName(strategy));
+    Database serial(testing::kWideProgram);
+    Database parallel(testing::kWideProgram);
+    for (Database* db : {&serial, &parallel}) {
+      util::Rng rng(2024);
+      for (int i = 0; i < 9; ++i) {
+        db->Insert("n", {Value::Int(i)});
+        for (int j = 0; j < 9; ++j) {
+          if (i != j && rng.NextBool(0.2)) {
+            db->Insert("e", {Value::Int(i), Value::Int(j)});
+          }
+        }
+      }
+      db->Materialize();
+    }
+    const ActivationGraph& graph = parallel.Snapshot()->graph;
+    const Stratification& strat = parallel.GetStratification();
+    util::Rng update_rng(99);
+    std::size_t changed_tasks = 0;
+    for (int batch = 0; batch < 12; ++batch) {
+      const UpdateRequest request =
+          testing::RandomUpdate(serial.GetProgram(), update_rng, 9);
+      const UpdateResult expected = serial.ApplyRequest(request, strategy);
+      const ParallelUpdateResult got = parallel.ApplyRequestParallel(
+          request, SharedRouter(), {.strategy = strategy});
+      ASSERT_EQ(expected.components.size(), strat.NumComponents());
+      for (const ComponentUpdateStats& cs : expected.components) {
+        const util::TaskId task = graph.component_node[cs.component];
+        if (task != util::kInvalidTask) {
+          EXPECT_EQ(got.trace.Info(task).output_changes, cs.output_changed)
+              << "batch " << batch << " component " << cs.component;
+          changed_tasks += cs.output_changed ? 1 : 0;
+        }
+        // A predicate's collector forwards a change only if its component
+        // changed.
+        for (const std::uint32_t p : strat.component_members[cs.component]) {
+          if (got.trace.Info(p).output_changes) {
+            EXPECT_TRUE(cs.output_changed)
+                << "batch " << batch << " predicate " << p;
+          }
+        }
+      }
+    }
+    EXPECT_GT(changed_tasks, 0u);
+  }
+}
+
+TEST(RecordedTraceTest, UpdatesShareTheVersionGraphUntilRulesEvolve) {
+  Database db(R"(
+    tc(X, Y) :- e(X, Y).
+    tc(X, Z) :- tc(X, Y), e(Y, Z).
+  )");
+  db.Insert("e", {Value::Int(0), Value::Int(1)});
+  db.Materialize();
+  const auto apply_edge = [&](int from, int to) {
+    auto update = db.MakeUpdate();
+    update.Insert("e", {Value::Int(from), Value::Int(to)});
+    return db.ApplyRequestParallel(update.Request(), SharedRouter(), {});
+  };
+
+  const ParallelUpdateResult first = apply_edge(1, 2);
+  const ParallelUpdateResult second = apply_edge(2, 3);
+  EXPECT_EQ(&first.trace.Graph(), &second.trace.Graph());
+  EXPECT_EQ(&first.trace.Graph(), db.Snapshot()->graph.dag.get());
+  const std::size_t nodes_before = first.trace.NumNodes();
+
+  // A new predicate and a new rule component: two more nodes.
+  (void)db.EvolveAddRules("src(X) :- tc(X, _).");
+  const ParallelUpdateResult third = apply_edge(3, 4);
+  EXPECT_NE(&third.trace.Graph(), &first.trace.Graph());
+  EXPECT_EQ(third.trace.NumNodes(), nodes_before + 2);
+  EXPECT_EQ(&third.trace.Graph(), db.Snapshot()->graph.dag.get());
+  // The older traces still hold their own version's graph.
+  EXPECT_EQ(first.trace.NumNodes(), nodes_before);
 }
 
 // --- Same-batch contract and the copy-free insertion pipeline.
@@ -356,9 +440,9 @@ UpdateResult ApplyWith(Database& db, const UpdateRequest& request,
   if (workers == 0) {
     return db.ApplyRequest(request, strategy);
   }
-  static runtime::TaskRouter router({.workers = 4});
-  EXPECT_EQ(workers, router.NumWorkers());
-  return db.ApplyRequestParallel(request, router, {.strategy = strategy})
+  EXPECT_EQ(workers, SharedRouter().NumWorkers());
+  return db.ApplyRequestParallel(request, SharedRouter(),
+                                 {.strategy = strategy})
       .update;
 }
 

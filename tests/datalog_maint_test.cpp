@@ -113,11 +113,10 @@ TEST(MaintEquivalenceTest, ParallelAcrossShardCountsAndSchedulers) {
         fixture.Base(rng, 12, 0.15);
       }
       for (const UpdateRequest& request : batches) {
-        ParallelUpdateOptions options;
-        options.scheduler_spec = scheduler;
-        options.strategy = MaintenanceStrategy::kBackwardForward;
-        (void)ApplyParallel(fixture.program, fixture.strat, fixture.store,
-                            request, router, options);
+        (void)ApplyParallel(
+            *fixture.compiled, fixture.store, request, router,
+            {.scheduler_spec = scheduler,
+             .strategy = MaintenanceStrategy::kBackwardForward});
       }
       ExpectStoresEqual(reference.program, reference.store, fixture.store,
                         (std::string("bf/") + scheduler + "/" +

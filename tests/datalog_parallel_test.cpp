@@ -47,11 +47,9 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
       const UpdateRequest request =
           RandomUpdate(sequential.program, update_rng, 10);
       const UpdateResult seq_result = engine.Apply(request);
-      ParallelUpdateOptions options;
-      options.scheduler_spec = spec;
       const ParallelUpdateResult par_result =
-          ApplyParallel(parallel.program, parallel.strat, parallel.store,
-                        request, router, options);
+          ApplyParallel(*parallel.compiled, parallel.store, request, router,
+                        {.scheduler_spec = spec});
       ExpectStoresEqual(sequential.program, sequential.store, parallel.store,
                         spec);
       EXPECT_EQ(par_result.update.total_inserted, seq_result.total_inserted)
@@ -85,8 +83,8 @@ TEST(ParallelUpdateTest, MatchesFromScratchAcrossWorkerCounts) {
     for (int batch = 0; batch < 3; ++batch) {
       const UpdateRequest request =
           RandomUpdate(parallel.program, update_rng, 9);
-      (void)ApplyParallel(parallel.program, parallel.strat, parallel.store,
-                          request, router);
+      (void)ApplyParallel(*parallel.compiled, parallel.store, request,
+                          router);
       // Track the reference base.
       for (const auto& [pred, tuple] : request.insertions) {
         if (pred == e) {
@@ -131,8 +129,8 @@ TEST(ParallelUpdateTest, ExecutesOnlyTouchedComponents) {
   request.insertions.emplace_back(fixture.program.PredicateId("mark"),
                                   Tuple{Value::Int(7)});
   runtime::TaskRouter router({.workers = 4});
-  const ParallelUpdateResult result = ApplyParallel(
-      fixture.program, fixture.strat, fixture.store, request, router);
+  const ParallelUpdateResult result =
+      ApplyParallel(*fixture.compiled, fixture.store, request, router);
   const auto tc_comp =
       fixture.strat.component_of[fixture.program.PredicateId("tc")];
   for (const ComponentUpdateStats& c : result.update.components) {
@@ -153,8 +151,8 @@ TEST(ParallelUpdateTest, ReportsExecutorStats) {
   request.insertions.emplace_back(fixture.program.PredicateId("e"),
                                   Tuple{Value::Int(0), Value::Int(7)});
   runtime::TaskRouter router({.workers = 4});
-  const ParallelUpdateResult result = ApplyParallel(
-      fixture.program, fixture.strat, fixture.store, request, router);
+  const ParallelUpdateResult result =
+      ApplyParallel(*fixture.compiled, fixture.store, request, router);
   EXPECT_GT(result.run.executed, 0u);
   EXPECT_GT(result.run.wall_seconds, 0.0);
   EXPECT_EQ(result.update.components.size(), fixture.strat.NumComponents());
@@ -167,11 +165,9 @@ TEST(ParallelUpdateTest, OracleSpecRejected) {
   UpdateRequest request;
   request.insertions.emplace_back(fixture.program.PredicateId("mark"),
                                   Tuple{Value::Int(1)});
-  ParallelUpdateOptions options;
-  options.scheduler_spec = "oracle";
   runtime::TaskRouter router({.workers = 2});
-  EXPECT_THROW((void)ApplyParallel(fixture.program, fixture.strat,
-                                   fixture.store, request, router, options),
+  EXPECT_THROW((void)ApplyParallel(*fixture.compiled, fixture.store, request,
+                                   router, {.scheduler_spec = "oracle"}),
                util::LogicError);
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "datalog/eval.hpp"
@@ -157,9 +158,10 @@ void ExpectHandBuiltStreamMatchesSerial(TaskRouter& router, const char* spec) {
   datalog::ValidateProgram(seq_program);
   const datalog::Stratification seq_strat = datalog::Stratify(seq_program);
   datalog::RelationStore seq_store(seq_program);
-  datalog::Program par_program = datalog::ParseProgram(kWideProgram);
-  datalog::ValidateProgram(par_program);
-  const datalog::Stratification par_strat = datalog::Stratify(par_program);
+  const std::shared_ptr<const datalog::CompiledProgram> par =
+      datalog::CompileProgram(datalog::ParseProgram(kWideProgram));
+  const datalog::Program& par_program = par->program;
+  const datalog::Stratification& par_strat = par->strat;
   datalog::RelationStore par_store(par_program);
 
   util::Rng rng(1234);
@@ -209,10 +211,8 @@ void ExpectHandBuiltStreamMatchesSerial(TaskRouter& router, const char* spec) {
     }
 
     (void)engine.Apply(request);
-    datalog::ParallelUpdateOptions options;
-    options.scheduler_spec = spec;
-    (void)datalog::ApplyParallel(par_program, par_strat, par_store, request,
-                                 router, options);
+    (void)datalog::ApplyParallel(*par, par_store, request, router,
+                                 {.scheduler_spec = spec});
     for (std::uint32_t pred = 0; pred < seq_program.NumPredicates(); ++pred) {
       EXPECT_EQ(Sorted(seq_store.Of(pred).Tuples()),
                 Sorted(par_store.Of(pred).Tuples()))
@@ -239,10 +239,9 @@ void ExpectFixtureStreamMatchesSerial(TaskRouter& router, const char* spec) {
     const datalog::UpdateRequest request =
         dsched::testing::RandomUpdate(serial.program, update_rng, 9);
     (void)engine.Apply(request);
-    datalog::ParallelUpdateOptions options;
-    options.scheduler_spec = spec;
     const auto result = datalog::ApplyParallel(
-        routed.program, routed.strat, routed.store, request, router, options);
+        *routed.compiled, routed.store, request, router,
+        {.scheduler_spec = spec});
     EXPECT_GT(result.run.executed, 0u)
         << spec << " workers=" << router.NumWorkers() << " batch=" << batch;
     dsched::testing::ExpectStoresEqual(serial.program, serial.store,
@@ -276,10 +275,9 @@ void ExpectPooledStreamMatchesSerial(TaskRouter& router, const char* spec) {
                                more.deletions.end());
     }
     (void)engine.Apply(request);
-    datalog::ParallelUpdateOptions options;
-    options.scheduler_spec = spec;
     const auto result = datalog::ApplyParallel(
-        routed.program, routed.strat, routed.store, request, router, options);
+        *routed.compiled, routed.store, request, router,
+        {.scheduler_spec = spec});
     EXPECT_FALSE(result.run.ran_inline)
         << spec << " workers=" << router.NumWorkers() << " batch=" << batch;
     dsched::testing::ExpectStoresEqual(serial.program, serial.store,

@@ -100,6 +100,68 @@ TEST(UpdateQueueTest, PushBlocksAtTheBoundUntilAPop) {
   EXPECT_EQ(queue.BlockedPushes(), 2u);
 }
 
+TEST(UpdateQueueTest, DeclinedPushLeavesTheJobWithTheCaller) {
+  UpdateQueue queue(1);
+  (void)queue.Push({}, /*blocking=*/true);
+  const datalog::Tuple row{datalog::Value::Int(7)};
+  UpdateQueue::Job job;
+  job.request.insertions.emplace_back(3, row);
+  // At the bound: declined, and the batch is still the caller's.
+  EXPECT_EQ(queue.Push(std::move(job), /*blocking=*/false), 0u);
+  ASSERT_EQ(job.request.insertions.size(), 1u);
+  EXPECT_EQ(job.request.insertions[0].second, row);
+  // A slot frees; the same job goes through on retry.
+  UpdateQueue::Job popped;
+  ASSERT_TRUE(queue.Pop(popped));
+  EXPECT_EQ(queue.Push(std::move(job), /*blocking=*/false), 2u);
+  ASSERT_TRUE(queue.Pop(popped));
+  EXPECT_EQ(popped.epoch, 2u);
+  ASSERT_EQ(popped.request.insertions.size(), 1u);
+  EXPECT_EQ(popped.request.insertions[0].first, 3u);
+  EXPECT_EQ(popped.request.insertions[0].second, row);
+}
+
+TEST(ServiceTest, DeclinedTrySubmitLeavesTheBatchToRetry) {
+  // A one-slot queue declines most of a TrySubmit burst.  Each declined
+  // batch must come back intact and apply exactly once on retry: the
+  // store ends equal to a serial replay of every batch in order.
+  EngineHost host({.workers = 2});
+  auto session =
+      host.OpenSession(kWideProgram, {.name = "retry", .queue_capacity = 1});
+  util::Rng seed_rng(31);
+  SeedLikeFixture(*session, seed_rng, 8, 0.2);
+  util::Rng replay_rng(31);
+  WideFixture replay;
+  replay.Base(replay_rng, 8, 0.2);
+  datalog::IncrementalEngine engine(replay.program, replay.strat,
+                                    replay.store);
+
+  util::Rng update_rng(32);
+  std::size_t declined = 0;
+  std::vector<std::future<UpdateOutcome>> futures;
+  for (int batch = 0; batch < 400 && declined < 5; ++batch) {
+    datalog::UpdateRequest request =
+        RandomUpdate(replay.program, update_rng, 8);
+    const datalog::UpdateRequest original = request;
+    (void)engine.Apply(original);
+    std::future<UpdateOutcome> future;
+    while (!session->TrySubmit(std::move(request), &future)) {
+      ++declined;
+      ASSERT_EQ(request.insertions, original.insertions);
+      ASSERT_EQ(request.deletions, original.deletions);
+      std::this_thread::yield();
+    }
+    futures.push_back(std::move(future));
+  }
+  EXPECT_GT(declined, 0u);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().epoch, i + 1);
+  }
+  session->Close();
+  ExpectStoresEqual(replay.program, replay.store, session->Store(),
+                    "declined-and-retried");
+}
+
 TEST(ServiceTest, SingleSessionMatchesSerialReplay) {
   EngineHost host({.workers = 4});
   auto session = host.OpenSession(kWideProgram, {.name = "solo"});

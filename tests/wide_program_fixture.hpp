@@ -8,14 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "datalog/compiled_program.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/incremental.hpp"
 #include "datalog/parser.hpp"
 #include "datalog/relation.hpp"
 #include "datalog/stratify.hpp"
-#include "datalog/validate.hpp"
 #include "util/rng.hpp"
 
 namespace dsched::testing {
@@ -51,17 +52,13 @@ inline void ExpectStoresEqual(const datalog::Program& program,
   }
 }
 
-/// A parsed+stratified kWideProgram with its own store, ready for Base().
+/// A compiled kWideProgram with its own store, ready for Base().
 struct WideFixture {
-  datalog::Program program = datalog::ParseProgram(kWideProgram);
-  datalog::Stratification strat;
-  datalog::RelationStore store;
-
-  WideFixture() {
-    datalog::ValidateProgram(program);
-    strat = datalog::Stratify(program);
-    store = datalog::RelationStore(program);
-  }
+  std::shared_ptr<const datalog::CompiledProgram> compiled =
+      datalog::CompileProgram(datalog::ParseProgram(kWideProgram));
+  const datalog::Program& program = compiled->program;
+  const datalog::Stratification& strat = compiled->strat;
+  datalog::RelationStore store{program};
 
   /// Seeds n/mark/e with a random instance and evaluates to fixpoint.
   void Base(util::Rng& rng, int nodes, double edge_prob) {
