@@ -194,10 +194,10 @@ int main(int argc, char** argv) {
 
   // --- The OTHER update kind the paper names: rule definitions change.
   // Add a rush-order rule incrementally, then retire it again.
-  db.AddRules("rush(Prod) :- low(Prod), promoted(Prod).");
+  db.EvolveAddRules("rush(Prod) :- low(Prod), promoted(Prod).");
   std::printf("\nadded rule 'rush': %zu rush orders derived incrementally\n",
               db.Query("rush").size());
-  db.RemoveRule("rush(Prod) :- low(Prod), promoted(Prod).");
+  db.EvolveRemoveRule("rush(Prod) :- low(Prod), promoted(Prod).");
   std::printf("removed rule 'rush': %zu rush orders remain\n",
               db.Query("rush").size());
 

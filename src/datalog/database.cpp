@@ -209,12 +209,6 @@ Database::EvolveResult Database::EvolveRemoveRule(
   return result;
 }
 
-UpdateResult Database::ApplyParallel(const Update& update,
-                                     runtime::TaskRouter& router,
-                                     const ParallelUpdateOptions& options) {
-  return ApplyRequestParallel(update.request_, router, options).update;
-}
-
 UpdateResult Database::ApplyRequest(const UpdateRequest& request) {
   return ApplyRequest(request, default_strategy_);
 }

@@ -55,12 +55,26 @@ class Database {
     return Value::Symbol(compiled_->program.symbols.Intern(name));
   }
 
-  /// Renders a symbol id under the same lock Sym interns under.  The table
-  /// queried is the CURRENT one — at least as new as any id obtained from
-  /// this database, so every id renders.
-  [[nodiscard]] std::string SymName(const Value& value) const {
-    const std::lock_guard<std::mutex> lock(sym_mutex_);
-    return compiled_->program.symbols.NameOf(value.AsSymbol());
+  /// Renders symbol ids under the lock Sym interns under, held for this
+  /// view's lifetime: a caller rendering many values (a whole query
+  /// result) locks once, not once per value.  The table read is the CURRENT one —
+  /// at least as new as any id obtained from this database, so every id
+  /// renders.  Do not call Sym (or evolve rules) while holding one.
+  class SymbolNames {
+   public:
+    [[nodiscard]] const std::string& Of(const Value& value) const {
+      return symbols_.NameOf(value.AsSymbol());
+    }
+
+   private:
+    friend class Database;
+    explicit SymbolNames(const Database& db)
+        : lock_(db.sym_mutex_), symbols_(db.compiled_->program.symbols) {}
+    std::lock_guard<std::mutex> lock_;
+    const SymbolTable& symbols_;
+  };
+  [[nodiscard]] SymbolNames LockSymbolNames() const {
+    return SymbolNames(*this);
   }
 
   /// Adds a base fact before materialization (or as part of ordinary
@@ -101,20 +115,18 @@ class Database {
   /// Applies a batch incrementally.  Requires Materialize() first.
   UpdateResult Apply(const Update& update);
 
-  /// Applies a batch incrementally with the per-component phases executed
-  /// in parallel on `router`'s shared pool, ordered by a scheduler (see
-  /// datalog/parallel_update.hpp).  Final state identical to Apply().  An
-  /// empty `options.strategy` inherits the database default
-  /// (SetDefaultStrategy).
-  UpdateResult ApplyParallel(const Update& update, runtime::TaskRouter& router,
-                             const ParallelUpdateOptions& options = {});
-
-  /// Raw-request variants of Apply/ApplyParallel for callers (the service
-  /// session loop) that already hold predicate-id batches.  The parallel
-  /// variant also surfaces executor-level RunStats and the recorded trace
-  /// over the version's activation graph.  Each dispatch pins the
-  /// compiled-program snapshot exactly once and reads everything
-  /// program-derived off that pin.
+  /// Raw-request variants of Apply for callers (the service session loop)
+  /// that already hold predicate-id batches; a built Update hands its
+  /// batch over through Request().  Each dispatch pins the compiled-program
+  /// snapshot exactly once and reads everything program-derived off that
+  /// pin.
+  ///
+  /// ApplyRequestParallel executes the per-component phases in parallel on
+  /// `router`'s shared pool, ordered by a scheduler (see
+  /// datalog/parallel_update.hpp); final state identical to ApplyRequest.
+  /// It also surfaces executor-level RunStats and the recorded trace over
+  /// the version's activation graph.  An empty `options.strategy` inherits
+  /// the database default (SetDefaultStrategy).
   UpdateResult ApplyRequest(const UpdateRequest& request);
   UpdateResult ApplyRequest(const UpdateRequest& request,
                             MaintenanceStrategy strategy);
@@ -123,7 +135,8 @@ class Database {
       const ParallelUpdateOptions& options);
 
   /// Default maintenance strategy for Apply/ApplyRequest and for
-  /// ApplyParallel calls that don't pick their own (maintenance.hpp).
+  /// ApplyRequestParallel calls that don't pick their own
+  /// (maintenance.hpp).
   void SetDefaultStrategy(MaintenanceStrategy strategy) {
     default_strategy_ = strategy;
   }
@@ -154,14 +167,6 @@ class Database {
   /// snapshot is built before anything is published).
   EvolveResult EvolveAddRules(std::string_view rules_text);
   EvolveResult EvolveRemoveRule(std::string_view clause_text);
-
-  /// Back-compat shims returning just the cascade result.
-  UpdateResult AddRules(std::string_view rules_text) {
-    return EvolveAddRules(rules_text).update;
-  }
-  UpdateResult RemoveRule(std::string_view clause_text) {
-    return EvolveRemoveRule(clause_text).update;
-  }
 
   /// Pins the current compiled snapshot.  The one acquire a concurrent
   /// reader needs: everything program-derived hangs off the returned
@@ -200,8 +205,8 @@ class Database {
   std::shared_ptr<CompiledProgram> compiled_;
   /// Guards the compiled_ pointer itself (Snapshot vs swap).
   mutable std::mutex snapshot_mutex_;
-  /// Guards the symbol table: Sym/SymName interning and rendering vs the
-  /// evolution's program deep-copy (which reads the whole table).
+  /// Guards the symbol table: Sym interning and SymbolNames rendering vs
+  /// the evolution's program deep-copy (which reads the whole table).
   mutable std::mutex sym_mutex_;
   RelationStore store_;
   MaintenanceStrategy default_strategy_ = MaintenanceStrategy::kDRed;

@@ -42,7 +42,7 @@ constexpr std::size_t kMaxReadPerRound = 256 * 1024;
 /// allocating when the result cannot fit a frame, util::Error for an
 /// unknown predicate.
 std::string EncodeStoreQuery(const service::Session& session,
-                             std::mutex& sym_mutex, std::uint64_t request_id,
+                             std::uint64_t request_id,
                              std::string_view predicate) {
   OBS_SCOPE(Category::kNetQueryEncode);
   // Pin the program once for the whole encode: names and arities are read
@@ -52,16 +52,15 @@ std::string EncodeStoreQuery(const service::Session& session,
   const datalog::Program& program = snap->program;
   const std::uint32_t pred = program.PredicateId(predicate);
   const datalog::Relation& rel = session.Store().Of(pred);
-  // Symbol names are read under the session's net-side symbol lock: a
-  // concurrent SUBMIT on the poll thread may intern, which can reallocate
-  // the table's storage.
-  const std::lock_guard<std::mutex> lock(sym_mutex);
+  // Symbol names are read under the database's symbol lock, taken once
+  // for the whole frame: a concurrent SUBMIT translation (or any other
+  // Session::Sym caller) may intern, which can reallocate the table.
+  const datalog::Database::SymbolNames names = session.Db().LockSymbolNames();
   std::size_t value_bytes = 0;
   rel.ForEachRow([&](std::uint32_t, datalog::RowView row) {
     for (const datalog::Value v : row) {
       value_bytes += v.IsSymbol() ? QueryResultWriter::SymbolValueBytes(
-                                        program.symbols.NameOf(v.AsSymbol())
-                                            .size())
+                                        names.Of(v).size())
                                   : QueryResultWriter::kIntValueBytes;
     }
   });
@@ -72,7 +71,7 @@ std::string EncodeStoreQuery(const service::Session& session,
   rel.ForEachRow([&](std::uint32_t, datalog::RowView row) {
     for (const datalog::Value v : row) {
       if (v.IsSymbol()) {
-        writer.Symbol(program.symbols.NameOf(v.AsSymbol()));
+        writer.Symbol(names.Of(v));
       } else {
         writer.Int(v.AsInt());
       }
@@ -240,7 +239,7 @@ void ServiceServer::PollLoop() {
       ids.push_back(id);
     }
     // Parked requests have no fd event to wait on — poll with a short
-    // timeout and retry them until the session queue admits them.  Idle
+    // timeout and retry them until the session queue accepts them.  Idle
     // reaping (when enabled) bounds the timeout too, so a silent fd set
     // still wakes the sweep by the earliest deadline.
     int timeout_ms = -1;
@@ -426,11 +425,11 @@ void ServiceServer::DispatchFrame(Connection& conn, const Frame& frame) {
       return;
     case Opcode::kAddRules:
       HandleEvolve(conn, frame.payload,
-                   service::UpdateQueue::Kind::kAddRules);
+                   service::Session::JobKind::kAddRules);
       return;
     case Opcode::kRemoveRule:
       HandleEvolve(conn, frame.payload,
-                   service::UpdateQueue::Kind::kRemoveRule);
+                   service::Session::JobKind::kRemoveRule);
       return;
     default:
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -523,7 +522,6 @@ datalog::UpdateRequest ServiceServer::TranslateOps(
     tuple.reserve(op.tuple.size());
     for (const WireValue& v : op.tuple) {
       if (v.is_symbol) {
-        const std::lock_guard<std::mutex> lock(entry.sym_mutex);
         tuple.push_back(entry.session->Sym(v.symbol));
       } else {
         tuple.push_back(datalog::Value::Int(v.int_value));
@@ -556,21 +554,21 @@ void ServiceServer::HandleSubmit(Connection& conn, std::string_view payload) {
     return;
   }
   std::future<service::UpdateOutcome> future;
-  bool admitted = false;
+  bool accepted = false;
   try {
     // A declined TrySubmit leaves `update` here, to park and retry.
-    admitted = entry->session->TrySubmit(std::move(update), &future);
+    accepted = entry->session->TrySubmit(std::move(update), &future);
   } catch (const util::Error&) {
     SendError(conn, req.request_id, ErrorCode::kNoSession,
               "session is closed");
     return;
   }
-  if (!admitted) {
-    // UpdateQueue is at its bound: park the translated batch on this
+  if (!accepted) {
+    // The session queue is at its bound: park the translated batch on this
     // connection and stop reading it — kernel TCP backpressure reaches the
     // client, composing the wire bound with the session bound.
     ParkedRequest parked;
-    parked.kind = service::UpdateQueue::Kind::kUpdate;
+    parked.kind = service::Session::JobKind::kUpdate;
     parked.request_id = req.request_id;
     parked.session_id = req.session_id;
     parked.request = std::move(update);
@@ -588,8 +586,8 @@ void ServiceServer::HandleSubmit(Connection& conn, std::string_view payload) {
 }
 
 void ServiceServer::HandleEvolve(Connection& conn, std::string_view payload,
-                                 service::UpdateQueue::Kind kind) {
-  const bool add = kind == service::UpdateQueue::Kind::kAddRules;
+                                 service::Session::JobKind kind) {
+  const bool add = kind == service::Session::JobKind::kAddRules;
   std::uint64_t request_id = 0;
   std::uint64_t session_id = 0;
   std::string text;
@@ -622,17 +620,17 @@ void ServiceServer::HandleEvolve(Connection& conn, std::string_view payload,
     return;
   }
   std::future<service::UpdateOutcome> future;
-  bool admitted = false;
+  bool accepted = false;
   try {
-    admitted = add ? entry->session->TryEvolveAddRules(text, &future)
+    accepted = add ? entry->session->TryEvolveAddRules(text, &future)
                    : entry->session->TryEvolveRemoveRule(text, &future);
   } catch (const util::Error&) {
     SendError(conn, request_id, ErrorCode::kNoSession, "session is closed");
     return;
   }
-  if (!admitted) {
+  if (!accepted) {
     // Same backpressure as SUBMIT: park the evolve and stop reading until
-    // the session queue admits it.
+    // the session queue accepts it.
     ParkedRequest parked;
     parked.kind = kind;
     parked.request_id = request_id;
@@ -653,7 +651,7 @@ void ServiceServer::HandleEvolve(Connection& conn, std::string_view payload,
 
 void ServiceServer::RetryParked(Connection& conn) {
   ParkedRequest& parked = *conn.parked;
-  const bool is_update = parked.kind == service::UpdateQueue::Kind::kUpdate;
+  const bool is_update = parked.kind == service::Session::JobKind::kUpdate;
   SessionEntry* entry = RouteSession(parked.session_id);
   if (entry == nullptr) {
     SendError(conn, parked.request_id, ErrorCode::kNoSession,
@@ -663,14 +661,14 @@ void ServiceServer::RetryParked(Connection& conn) {
     return;
   }
   std::future<service::UpdateOutcome> future;
-  bool admitted = false;
+  bool accepted = false;
   try {
     if (is_update) {
-      admitted = entry->session->TrySubmit(std::move(parked.request), &future);
-    } else if (parked.kind == service::UpdateQueue::Kind::kAddRules) {
-      admitted = entry->session->TryEvolveAddRules(parked.text, &future);
+      accepted = entry->session->TrySubmit(std::move(parked.request), &future);
+    } else if (parked.kind == service::Session::JobKind::kAddRules) {
+      accepted = entry->session->TryEvolveAddRules(parked.text, &future);
     } else {
-      admitted = entry->session->TryEvolveRemoveRule(parked.text, &future);
+      accepted = entry->session->TryEvolveRemoveRule(parked.text, &future);
     }
   } catch (const util::Error&) {
     SendError(conn, parked.request_id, ErrorCode::kNoSession,
@@ -679,7 +677,7 @@ void ServiceServer::RetryParked(Connection& conn) {
     ProcessInbuf(conn);
     return;
   }
-  if (!admitted) {
+  if (!accepted) {
     return;  // still full; next poll round retries
   }
   PumpJob job;
@@ -785,8 +783,8 @@ void ServiceServer::PumpLoop(SessionEntry& entry) {
       case PumpJob::Kind::kQuery: {
         try {
           DeliverFromPump(job.conn_id, entry.session->Read([&] {
-            return EncodeStoreQuery(*entry.session, entry.sym_mutex,
-                                    job.request_id, job.predicate);
+            return EncodeStoreQuery(*entry.session, job.request_id,
+                                    job.predicate);
           }));
         } catch (const FrameTooLarge& e) {
           DeliverFromPump(job.conn_id,

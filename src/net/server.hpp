@@ -18,9 +18,10 @@
 // order (the pump is FIFO over futures that resolve densely).
 //
 // Backpressure composes end to end:
-//   * UpdateQueue full → the submit is PARKED on its connection and the
-//     connection stops reading (kernel TCP backpressure reaches the
-//     client); retried every poll round until TrySubmit admits it.
+//   * session queue full (its bound counts jobs waiting for admission) →
+//     the submit is PARKED on its connection and the connection stops
+//     reading (kernel TCP backpressure reaches the client); retried every
+//     poll round until TrySubmit accepts it.
 //   * unsent outbuf bytes over write_buffer_limit → the connection also
 //     stops reading until the client drains responses (net.write_stalls).
 #pragma once
@@ -45,7 +46,6 @@
 #include "obs/metrics.hpp"
 #include "service/engine_host.hpp"
 #include "service/session.hpp"
-#include "service/update_queue.hpp"
 
 namespace dsched::net {
 
@@ -100,11 +100,11 @@ class ServiceServer {
   [[nodiscard]] service::EngineHost& Host() { return host_; }
 
  private:
-  /// A request admitted by the wire but not yet by the session's queue —
+  /// A request accepted by the wire but not yet by the session's queue —
   /// a SUBMIT batch or an ADD_RULES / REMOVE_RULE evolve, distinguished by
   /// `kind` (kUpdate carries `request`; the evolve kinds carry `text`).
   struct ParkedRequest {
-    service::UpdateQueue::Kind kind = service::UpdateQueue::Kind::kUpdate;
+    service::Session::JobKind kind = service::Session::JobKind::kUpdate;
     std::uint64_t request_id = 0;
     std::uint64_t session_id = 0;
     datalog::UpdateRequest request;
@@ -148,15 +148,12 @@ class ServiceServer {
     std::string predicate;                       // kQuery
   };
 
-  /// Per-session server state: the pump thread and the symbol-table lock.
-  /// The session's SymbolTable is not thread-safe; every net-side
-  /// Intern (poll thread translating a SUBMIT) and NameOf (pump thread
-  /// encoding a QUERY_RESULT) happens under sym_mutex.  The maintenance
-  /// cascade itself never interns after Materialize, so this lock is
-  /// net-internal.
+  /// Per-session server state: the pump thread and its job queue.  Symbol
+  /// interning (poll thread translating a SUBMIT) and rendering (pump
+  /// thread encoding a QUERY_RESULT) both go through the session's
+  /// Database, whose one symbol lock also covers in-process Sym callers.
   struct SessionEntry {
     std::shared_ptr<service::Session> session;
-    std::mutex sym_mutex;
     std::mutex jobs_mutex;
     std::condition_variable jobs_cv;
     std::deque<PumpJob> jobs;
@@ -179,7 +176,7 @@ class ServiceServer {
   /// Shared ADD_RULES / REMOVE_RULE path (they differ only in decode and
   /// queue kind).
   void HandleEvolve(Connection& conn, std::string_view payload,
-                    service::UpdateQueue::Kind kind);
+                    service::Session::JobKind kind);
   void RetryParked(Connection& conn);
   /// Closes every connection idle past options_.idle_timeout_ms (no byte
   /// traffic, nothing parked, no response in flight) with an IDLE_TIMEOUT

@@ -70,7 +70,7 @@ enum class Category : std::uint8_t {
   kNetWrite,         ///< scope: flush pending outbufs to writable sockets
   kNetFrameIn,       ///< counter: well-formed frames decoded off the wire
   kNetFrameOut,      ///< counter: response frames queued for send
-  kNetBackpressure,  ///< counter: submits parked on a full UpdateQueue
+  kNetBackpressure,  ///< counter: submits parked on a full session queue
   kNetIdleReap,      ///< counter: connections reaped past the idle deadline
   kNetQueryEncode,   ///< scope: pump thread encoding a QUERY_RESULT from
                      ///< the store (after the quiescence wait)

@@ -5,14 +5,15 @@
 //
 //     EngineHost ──────────────► HostCore (shared)
 //                                 ├─ TaskRouter ── ThreadPool (N workers)
-//                                 ├─ MetricsRegistry (host.* / session.*)
-//                                 └─ defaults (scheduler, queue bound)
+//                                 └─ MetricsRegistry (host.* / session.*)
 //     Session "a" ─► compiled program / RelationStore / scheduler spec
-//                    UpdateQueue ─► K apply threads ─► router channels
+//                    job queue + admission ─► K apply threads ─► router
+//                    channels
 //     Session "b" ─► ... (same pool, own everything else)
 //
-// Every Session owns its compiled program, its sharded store, and an
-// epoch-pipelined apply loop (up to K cascades in flight, results in epoch
+// Every Session owns its compiled program, its sharded store, and its
+// epoch sequence: one bounded job queue whose head its K apply threads
+// take as admission allows (up to K cascades in flight, results in epoch
 // order; DESIGN.md §12); the ONLY shared mutable state is the
 // worker pool (via TaskRouter channels) and the metrics registry — both
 // multi-tenant by construction.  Sessions hold the HostCore via
@@ -35,47 +36,49 @@ namespace dsched::service {
 
 class Session;
 
+/// Scheduler spec for sessions that don't pick their own.
+inline constexpr std::string_view kDefaultScheduler = "hybrid";
+/// Maintenance strategy for sessions that don't pick their own
+/// (datalog/maintenance.hpp).
+inline constexpr std::string_view kDefaultStrategy = "dred";
+/// Queue bound for sessions that don't pick their own.
+inline constexpr std::size_t kDefaultQueueCapacity = 64;
+/// Epoch-pipeline depth K for sessions that don't pick their own: how many
+/// update cascades one session may have in flight at once (DESIGN.md §12).
+/// 1 = one cascade at a time, each epoch after the last.
+inline constexpr std::size_t kDefaultPipelineDepth = 1;
+/// Router channel slots == max pooled cascades in flight at once across
+/// all sessions.  A session holds up to its pipeline depth K at once;
+/// cascades that run inline on an apply thread hold none.
+inline constexpr std::size_t kMaxConcurrentUpdates = 256;
+
 /// Host-level configuration, fixed for the host's lifetime.
 struct HostOptions {
   /// Workers in the one shared pool all sessions' cascades run on.
   std::size_t workers = 4;
-  /// Router channel slots == max pooled cascades in flight at once across
-  /// all sessions.  A session holds up to its pipeline depth K at once;
-  /// cascades that run inline on an apply thread hold none.
-  std::size_t max_concurrent_updates = 256;
-  /// Scheduler spec for sessions that don't pick their own.
-  std::string default_scheduler = "hybrid";
-  /// Maintenance strategy ("dred", "bf") for sessions that don't pick
-  /// their own (datalog/maintenance.hpp).
-  std::string default_strategy = "dred";
-  /// Queue bound for sessions that don't pick their own.
-  std::size_t default_queue_capacity = 64;
-  /// Epoch-pipeline depth K for sessions that don't pick their own: how
-  /// many update cascades one session may have in flight at once
-  /// (DESIGN.md §12).  1 = one cascade at a time, each epoch after the
-  /// last.
-  std::size_t default_pipeline_depth = 1;
 };
 
-/// Per-session configuration; zero/empty fields inherit host defaults.
+/// Per-session configuration; zero/empty fields take the defaults above.
 struct SessionOptions {
   /// Metrics prefix ("session.<name>.*"); auto-named "s<id>" when empty.
   std::string name;
   /// Scheduler factory spec ("hybrid", "levelbased", "lbl:<k>",
   /// "logicblox", "signal") that orders every cascade of this session.
-  /// Empty → host default.  Unknown specs are rejected at OpenSession
+  /// Empty → kDefaultScheduler.  Unknown specs are rejected at OpenSession
   /// with an error listing the valid values.
   std::string scheduler_spec;
-  /// Maintenance strategy spec ("dred", "bf"); empty → host default.
+  /// Maintenance strategy spec ("dred", "bf"); empty → kDefaultStrategy.
   /// Unknown names are rejected at OpenSession with an error listing the
   /// valid values.
   std::string maintenance_strategy;
-  /// Max queued-but-unapplied batches before Submit blocks.  0 → host
-  /// default.
+  /// Max jobs waiting for admission before Submit blocks (admitted
+  /// epochs, at most the pipeline depth, are not counted).  0 →
+  /// kDefaultQueueCapacity.
   std::size_t queue_capacity = 0;
   /// Epoch-pipeline depth K: up to K cascades of this session overlap on
   /// the shared pool, fenced per dependency level by a StratumFrontier
-  /// (runtime/pipeline.hpp).  0 → host default.  Clamped to [1, 64].
+  /// (runtime/pipeline.hpp).  0 → kDefaultPipelineDepth.  Clamped to
+  /// [1, 64].
   /// Futures still resolve in dense epoch order regardless of depth.
   std::size_t pipeline_depth = 0;
   /// Hard per-session memory ceiling, in accounted bytes: every cascade
@@ -95,7 +98,7 @@ struct HostCore {
   explicit HostCore(const HostOptions& opts)
       : options(opts),
         router({.workers = opts.workers,
-                .max_channels = opts.max_concurrent_updates}) {}
+                .max_channels = kMaxConcurrentUpdates}) {}
 
   const HostOptions options;
   runtime::TaskRouter router;

@@ -232,7 +232,7 @@ TEST(AggregateIncrementalTest, ParallelMatchesSequential) {
     up_seq.Insert("stock", ins);
     up_par.Insert("stock", ins);
     sequential->Apply(up_seq);
-    parallel->ApplyParallel(up_par, router);
+    (void)parallel->ApplyRequestParallel(up_par.Request(), router, {});
     for (const char* pred : {"total", "n", "overstocked"}) {
       auto a = sequential->Query(pred);
       auto b = parallel->Query(pred);

@@ -184,7 +184,8 @@ TEST(ParallelUpdateTest, DatabaseFacade) {
   update.Insert("e", {Value::Int(7), Value::Int(0)});  // close the cycle? no —
   // e(7,0) creates tc pairs but the DAG of *components* stays acyclic.
   runtime::TaskRouter router({.workers = 4});
-  const UpdateResult result = db.ApplyParallel(update, router);
+  const UpdateResult result =
+      db.ApplyRequestParallel(update.Request(), router, {}).update;
   EXPECT_GT(result.total_inserted, 0u);
   EXPECT_TRUE(db.Contains("tc", {Value::Int(0), Value::Int(0)}));
 }

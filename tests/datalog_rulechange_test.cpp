@@ -32,10 +32,10 @@ TEST(RuleChangeTest, AddRuleDerivesIncrementally) {
   EXPECT_EQ(db.Query("tc").size(), 10u);
 
   // Add symmetric closure on top — a brand-new predicate.
-  const UpdateResult result = db.AddRules(R"(
+  const UpdateResult result = db.EvolveAddRules(R"(
     sym(X, Y) :- tc(X, Y).
     sym(Y, X) :- tc(X, Y).
-  )");
+  )").update;
   EXPECT_EQ(db.Query("sym").size(), 20u);
   EXPECT_EQ(result.total_inserted, 20u);
   EXPECT_TRUE(db.Contains("sym", {Value::Int(4), Value::Int(0)}));
@@ -50,7 +50,7 @@ TEST(RuleChangeTest, AddRecursiveRuleReachesFixpoint) {
   EXPECT_EQ(db.Query("hop").size(), 5u);
   // Make hop transitive — recursion through the NEW rule must run to
   // fixpoint, not stop after one application.
-  db.AddRules("hop(X, Z) :- hop(X, Y), hop(Y, Z).");
+  db.EvolveAddRules("hop(X, Z) :- hop(X, Y), hop(Y, Z).");
   EXPECT_EQ(db.Query("hop").size(), 15u);
   EXPECT_TRUE(db.Contains("hop", {Value::Int(0), Value::Int(5)}));
 }
@@ -69,7 +69,7 @@ TEST(RuleChangeTest, AddRuleCascadesThroughNegation) {
   EXPECT_TRUE(db.Contains("exposed", {Value::Int(2)}));
 
   // New rule inserts into the negated predicate: exposed(2) must retract.
-  db.AddRules("covered(X) :- tarp(X).");
+  db.EvolveAddRules("covered(X) :- tarp(X).");
   EXPECT_FALSE(db.Contains("exposed", {Value::Int(2)}));
   EXPECT_TRUE(db.Query("exposed").empty());
 }
@@ -79,7 +79,7 @@ TEST(RuleChangeTest, AddAggregateRule) {
   db.Insert("e", {Value::Int(1), Value::Int(2)});
   db.Insert("e", {Value::Int(1), Value::Int(3)});
   db.Materialize();
-  db.AddRules("fan(X; count()) :- pair(X, _).");
+  db.EvolveAddRules("fan(X; count()) :- pair(X, _).");
   EXPECT_TRUE(db.Contains("fan", {Value::Int(1), Value::Int(2)}));
 }
 
@@ -88,9 +88,10 @@ TEST(RuleChangeTest, AddRulesFailureLeavesDatabaseIntact) {
   db.Insert("q", {Value::Int(1)});
   db.Materialize();
   // Unsafe rule: rejected, nothing changes.
-  EXPECT_THROW(db.AddRules("p(Y) :- q(X)."), util::InvalidArgument);
+  EXPECT_THROW(db.EvolveAddRules("p(Y) :- q(X)."), util::InvalidArgument);
   // Unstratifiable: rejected, nothing changes.
-  EXPECT_THROW(db.AddRules("q(X) :- p(X), !p(X)."), util::InvalidArgument);
+  EXPECT_THROW(db.EvolveAddRules("q(X) :- p(X), !p(X)."),
+               util::InvalidArgument);
   EXPECT_EQ(db.GetProgram().rules.size(), 1u);
   EXPECT_EQ(db.Query("p").size(), 1u);
 }
@@ -108,7 +109,7 @@ TEST(RuleChangeTest, RemoveRuleRetractsDerivations) {
 
   // Drop the transitive rule: only direct edges remain.
   const UpdateResult result =
-      db.RemoveRule("tc(X, Z) :- tc(X, Y), e(Y, Z).");
+      db.EvolveRemoveRule("tc(X, Z) :- tc(X, Y), e(Y, Z).").update;
   EXPECT_EQ(db.Query("tc").size(), 4u);
   EXPECT_EQ(result.total_deleted, 6u);
   EXPECT_EQ(db.GetProgram().rules.size(), 1u);
@@ -123,7 +124,7 @@ TEST(RuleChangeTest, RemoveRuleRederivesSharedSupport) {
   db.Insert("b", {Value::Int(1)});
   db.Insert("b", {Value::Int(2)});
   db.Materialize();
-  db.RemoveRule("p(X) :- a(X).");
+  db.EvolveRemoveRule("p(X) :- a(X).");
   // p(1) survives via the b-rule; nothing else lost except a-only support.
   EXPECT_TRUE(db.Contains("p", {Value::Int(1)}));
   EXPECT_TRUE(db.Contains("p", {Value::Int(2)}));
@@ -139,7 +140,7 @@ TEST(RuleChangeTest, RemoveRuleCreatesThroughNegation) {
   db.Insert("blanket", {Value::Int(1)});
   db.Materialize();
   EXPECT_TRUE(db.Query("exposed").empty());
-  db.RemoveRule("covered(X) :- blanket(X).");
+  db.EvolveRemoveRule("covered(X) :- blanket(X).");
   EXPECT_TRUE(db.Contains("exposed", {Value::Int(1)}));
 }
 
@@ -150,7 +151,7 @@ TEST(RuleChangeTest, RemoveFactClause) {
   )");
   db.Materialize();
   EXPECT_EQ(db.Query("tc").size(), 1u);
-  db.RemoveRule("e(a, b).");
+  db.EvolveRemoveRule("e(a, b).");
   EXPECT_TRUE(db.Query("e").empty());
   EXPECT_TRUE(db.Query("tc").empty());
 }
@@ -159,8 +160,9 @@ TEST(RuleChangeTest, RemoveUnknownRuleThrows) {
   Database db("p(X) :- q(X).");
   db.Insert("q", {Value::Int(1)});
   db.Materialize();
-  EXPECT_THROW(db.RemoveRule("p(X) :- missingpred(X)."), util::ParseError);
-  EXPECT_THROW(db.RemoveRule("q(X) :- p(X)."), util::InvalidArgument);
+  EXPECT_THROW(db.EvolveRemoveRule("p(X) :- missingpred(X)."),
+               util::ParseError);
+  EXPECT_THROW(db.EvolveRemoveRule("q(X) :- p(X)."), util::InvalidArgument);
 }
 
 TEST(RuleChangeTest, EquivalentToFromScratchAfterMixedChanges) {
@@ -180,9 +182,9 @@ TEST(RuleChangeTest, EquivalentToFromScratchAfterMixedChanges) {
   }
   db.Materialize();
 
-  db.AddRules("far(X, Z) :- tc(X, Y), tc(Y, Z).");
-  db.RemoveRule("tc(X, Z) :- tc(X, Y), e(Y, Z).");
-  db.AddRules("island(X; count()) :- deadend(X).");
+  db.EvolveAddRules("far(X, Z) :- tc(X, Y), tc(Y, Z).");
+  db.EvolveRemoveRule("tc(X, Z) :- tc(X, Y), e(Y, Z).");
+  db.EvolveAddRules("island(X; count()) :- deadend(X).");
 
   // From-scratch reference over the final program text.
   Database fresh(R"(
@@ -210,7 +212,7 @@ TEST(RuleChangeTest, BaseUpdatesKeepWorkingAfterRuleChanges) {
   Database db("p(X) :- q(X).");
   db.Insert("q", {Value::Int(1)});
   db.Materialize();
-  db.AddRules("r(X) :- p(X).");
+  db.EvolveAddRules("r(X) :- p(X).");
   auto update = db.MakeUpdate();
   update.Insert("q", {Value::Int(2)});
   db.Apply(update);

@@ -728,10 +728,12 @@ QueryResultResponse DecodeResultFrame(const std::string& frame) {
 std::vector<WireTuple> RenderedRows(const service::Session& session,
                                     std::string_view predicate) {
   std::vector<WireTuple> rows;
-  for (const datalog::Tuple& tuple : session.Query(predicate)) {
+  const std::vector<datalog::Tuple> tuples = session.Query(predicate);
+  const datalog::Database::SymbolNames names = session.Db().LockSymbolNames();
+  for (const datalog::Tuple& tuple : tuples) {
     WireTuple row;
     for (const datalog::Value v : tuple) {
-      row.push_back(v.IsSymbol() ? WireValue::Sym(session.Db().SymName(v))
+      row.push_back(v.IsSymbol() ? WireValue::Sym(names.Of(v))
                                  : WireValue::Int(v.AsInt()));
     }
     rows.push_back(std::move(row));
@@ -1511,8 +1513,8 @@ TEST(ServiceServerTest, PipelinedLargeResultsFlushInOrderThroughTheCursor) {
 
 TEST(ServiceServerTest, QueriesEncodeSymbolsWhileSubmitsInternNewOnes) {
   // The QUERY encoder reads SymbolTable names during its store scan while
-  // another connection's SUBMITs intern fresh symbols: the net-side symbol
-  // lock must cover both (run under TSan in CI).
+  // another connection's SUBMITs intern fresh symbols: the database's
+  // symbol lock must cover both (run under TSan in CI).
   ServerFixture fx;
   ServiceClient writer = fx.Connect();
   OpenSessionRequest open;
@@ -1553,6 +1555,48 @@ TEST(ServiceServerTest, QueriesEncodeSymbolsWhileSubmitsInternNewOnes) {
   }
   submitter.join();
   EXPECT_EQ(last, static_cast<std::size_t>(kBatches * kPerBatch));
+}
+
+TEST(ServiceServerTest, QueriesEncodeSymbolsWhileTheEmbedderInternsNewOnes) {
+  // An embedding application interns through Session::Sym on a session the
+  // server also routes to, while wire QUERYs render symbol names: the
+  // interning and the encode must share one symbol lock (run under TSan
+  // in CI).
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = kChainProgram;
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  constexpr int kRows = 50;
+  SubmitRequest seed;
+  seed.request_id = 2;
+  seed.session_id = sid;
+  for (int i = 0; i < kRows; ++i) {
+    seed.ops.push_back(Insert("has", {WireValue::Int(i),
+                                      WireValue::Sym("seed-" +
+                                                     std::to_string(i))}));
+  }
+  (void)client.SubmitSync(seed);
+  const std::shared_ptr<service::Session> session = fx.host.FindSession(sid);
+  ASSERT_NE(session, nullptr);
+  std::atomic<bool> stop{false};
+  std::thread embedder([&stop, &session] {
+    for (int i = 0; i < 200000 && !stop.load(); ++i) {
+      (void)session->Sym("local-" + std::to_string(i));
+    }
+  });
+  for (std::uint64_t q = 0; q < 40; ++q) {
+    const QueryResultResponse res =
+        client.QuerySync(QueryRequest{100 + q, sid, "lbl"});
+    EXPECT_EQ(res.rows.size(), static_cast<std::size_t>(kRows));
+    for (const WireRowView row : res.rows) {
+      ASSERT_TRUE(row.IsSymbol(1));
+      EXPECT_EQ(row.Symbol(1).rfind("seed-", 0), 0u) << row.Symbol(1);
+    }
+  }
+  stop.store(true);
+  embedder.join();
 }
 
 }  // namespace
