@@ -29,6 +29,7 @@ namespace {
 
 using dsched::testing::ExpectStoresEqual;
 using dsched::testing::RandomUpdate;
+using dsched::testing::SizedUpdate;
 using dsched::testing::Sorted;
 using dsched::testing::kWideProgram;
 
@@ -287,6 +288,32 @@ TEST(ServiceEvolveTest, CloseWithEvolveInFlightDrains) {
   EXPECT_EQ(session->ProgramVersion(), 2u);
   EXPECT_EQ(Sorted(session->Query("far")),
             Sorted(session->Query("deadend")));
+}
+
+TEST(ServiceEvolveTest, CloseBehindAPooledCascadeAndAnEvolveJoins) {
+  // K = 4: Close runs while a pooled cascade is in flight and the evolve
+  // job behind it cannot be taken yet, so the idle apply threads go back
+  // to waiting.  The wake-ups after that must reach every one of them, or
+  // Close's join hangs.
+  EngineHost host({.workers = 2});
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto session = host.OpenSession(kWideProgram,
+                                    {.name = "cp", .pipeline_depth = 4});
+    util::Rng rng(80 + static_cast<std::uint64_t>(round));
+    Seed(*session, rng, 12, 0.2);
+    const auto snap = session->Db().Snapshot();  // evolve races GetProgram()
+    std::future<UpdateOutcome> update =
+        session->Submit(SizedUpdate(snap->program, rng, 12, 512));
+    std::future<UpdateOutcome> evolve =
+        session->EvolveAddRules("far(X) :- deadend(X).");
+    session->Close();
+    const UpdateOutcome applied = update.get();
+    EXPECT_EQ(applied.epoch, 1u);
+    EXPECT_FALSE(applied.run.ran_inline);
+    EXPECT_EQ(evolve.get().epoch, 2u);
+    EXPECT_EQ(session->ProgramVersion(), 2u);
+  }
 }
 
 }  // namespace

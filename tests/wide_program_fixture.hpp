@@ -114,4 +114,30 @@ inline datalog::UpdateRequest RandomUpdate(const datalog::Program& program,
   return request;
 }
 
+/// A batch of exactly `size` base changes over e and mark, about half
+/// inserts and half deletes.  The dispatch decision counts raw changes, so
+/// repeats and no-ops count too.
+inline datalog::UpdateRequest SizedUpdate(const datalog::Program& program,
+                                          util::Rng& rng, int nodes,
+                                          std::size_t size) {
+  using datalog::Tuple;
+  using datalog::Value;
+  const auto e = program.PredicateId("e");
+  const auto mark = program.PredicateId("mark");
+  const auto pick = [&] {
+    return Value::Int(
+        static_cast<std::int64_t>(rng.NextBelow(static_cast<std::uint64_t>(nodes))));
+  };
+  datalog::UpdateRequest request;
+  while (request.insertions.size() + request.deletions.size() < size) {
+    auto& side = rng.NextBool(0.5) ? request.insertions : request.deletions;
+    if (rng.NextBool(0.8)) {
+      side.emplace_back(e, Tuple{pick(), pick()});
+    } else {
+      side.emplace_back(mark, Tuple{pick()});
+    }
+  }
+  return request;
+}
+
 }  // namespace dsched::testing
