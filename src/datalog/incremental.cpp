@@ -564,15 +564,4 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
   return comp_stats;
 }
 
-IncrementalEngine::IncrementalEngine(const Program& program,
-                                     const Stratification& strat,
-                                     RelationStore& store)
-    : program_(program), strat_(strat), store_(store) {}
-
-UpdateResult IncrementalEngine::Apply(const UpdateRequest& request) {
-  return PropagateUpdateWithStrategy(program_, strat_, store_,
-                                     GroupedBaseChanges(program_, request),
-                                     MaintenanceStrategy::kDRed);
-}
-
 }  // namespace dsched::datalog

@@ -339,24 +339,4 @@ ComponentUpdateStats RunComponentPhase(const Program& program,
                                        std::vector<PredicateDelta>& net,
                                        StoreWriteBuffer* scratch = nullptr);
 
-/// Maintains one materialized store under updates.
-class IncrementalEngine {
- public:
-  /// The store must already be materialized (EvaluateProgram) and is
-  /// mutated in place by Apply.  All references must outlive the engine.
-  IncrementalEngine(const Program& program, const Stratification& strat,
-                    RelationStore& store);
-
-  /// Applies one batch incrementally.  Deletions apply first, so afterwards
-  /// the store equals what a from-scratch evaluation over
-  /// ((base ∖ deletions) ∪ insertions) produces — the property the tests
-  /// verify.  A tuple listed in both is present.
-  UpdateResult Apply(const UpdateRequest& request);
-
- private:
-  const Program& program_;
-  const Stratification& strat_;
-  RelationStore& store_;
-};
-
 }  // namespace dsched::datalog

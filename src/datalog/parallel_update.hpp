@@ -80,7 +80,7 @@ struct ParallelUpdateOptions {
 
 /// Result of a parallel update.
 struct ParallelUpdateResult {
-  /// Per-component stats, same semantics as IncrementalEngine::Apply
+  /// Per-component stats, same semantics as PropagateUpdateWithStrategy's
   /// (components in evaluation order; untouched ones marked unchanged).
   UpdateResult update;
   /// Executor-level stats: tasks run, activations, wall time, scheduler
@@ -100,9 +100,9 @@ struct ParallelUpdateResult {
 /// how the service layer interleaves many sessions' cascades on one pool),
 /// or inline on the calling thread when the request has at most
 /// kInlineMaxBaseChanges base changes.  Either way the same scheduler
-/// orders it.  Equivalent to IncrementalEngine::Apply in final state (the
-/// tests verify store equality); faster when independent components
-/// dominate.
+/// orders it.  Equivalent to a serial PropagateUpdateWithStrategy in final
+/// state (the tests verify store equality); faster when independent
+/// components dominate.
 [[nodiscard]] ParallelUpdateResult ApplyParallel(
     const CompiledProgram& compiled, RelationStore& store,
     const UpdateRequest& request, runtime::TaskRouter& router,

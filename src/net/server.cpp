@@ -37,8 +37,8 @@ constexpr std::size_t kMaxReadPerRound = 256 * 1024;
 
 /// Encodes `predicate`'s rows straight from the session's store into one
 /// QUERY_RESULT frame: a sizing pass, then a writing pass, both in store
-/// order.  The caller holds the session quiesced (Session::Read), so the
-/// store cannot change between the passes.  Throws FrameTooLarge before
+/// order.  It runs as a read job of the session (Session::ReadAsync), so
+/// the store cannot change between the passes.  Throws FrameTooLarge before
 /// allocating when the result cannot fit a frame, util::Error for an
 /// unknown predicate.
 std::string EncodeStoreQuery(const service::Session& session,
@@ -169,35 +169,13 @@ void ServiceServer::Stop() {
     }
   }
   conns_.clear();
-  // Let every pump finish its queued jobs (futures resolve because the
-  // sessions are still live), then close the sessions themselves.
-  std::vector<SessionEntry*> entries;
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    entries.reserve(sessions_.size());
-    for (auto& [id, entry] : sessions_) {
-      entries.push_back(entry.get());
-    }
+  // Close every session: queued jobs still run, and their frames land in
+  // deliveries_ for connections that are gone (the wake pipe is still
+  // open for them).
+  for (auto& [id, session] : sessions_) {
+    session->Close();
   }
-  for (SessionEntry* entry : entries) {
-    {
-      const std::lock_guard<std::mutex> lock(entry->jobs_mutex);
-      entry->stop = true;
-    }
-    entry->jobs_cv.notify_all();
-  }
-  for (SessionEntry* entry : entries) {
-    if (entry->pump.joinable()) {
-      entry->pump.join();
-    }
-  }
-  for (SessionEntry* entry : entries) {
-    entry->session->Close();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions_.clear();
-  }
+  sessions_.clear();
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::close(wake_pipe_[0]);
@@ -221,13 +199,13 @@ void ServiceServer::PollLoop() {
     fds.clear();
     ids.clear();
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-    const bool accepting = conns_.size() < options_.max_connections;
+    const bool accepting = conns_.size() < kMaxConnections;
     fds.push_back(
         pollfd{listen_fd_, static_cast<short>(accepting ? POLLIN : 0), 0});
     bool any_parked = false;
     for (auto& [id, conn] : conns_) {
       int events = 0;
-      const bool stalled = conn.Unsent() > options_.write_buffer_limit;
+      const bool stalled = conn.Unsent() > kWriteBufferLimit;
       if (!conn.parked && !stalled && !conn.eof) {
         events |= POLLIN;
       }
@@ -324,7 +302,7 @@ void ServiceServer::ReapIdle(std::chrono::steady_clock::time_point now) {
 }
 
 void ServiceServer::AcceptReady() {
-  while (conns_.size() < options_.max_connections) {
+  while (conns_.size() < kMaxConnections) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       break;  // EAGAIN (drained) or transient error; poll again next round
@@ -374,8 +352,7 @@ void ServiceServer::ReadReady(Connection& conn) {
 void ServiceServer::ProcessInbuf(Connection& conn) {
   while (!conn.dead && !conn.parked) {
     Frame frame;
-    const FrameStatus status =
-        ExtractFrame(conn.inbuf, &frame, options_.max_frame_length);
+    const FrameStatus status = ExtractFrame(conn.inbuf, &frame);
     if (status == FrameStatus::kNeedMore) {
       break;
     }
@@ -465,49 +442,37 @@ void ServiceServer::HandleOpenSession(Connection& conn,
   // materializing the empty fixpoint arms Submit.
   session->Materialize();
   const std::uint64_t session_id = session->Id();
-  {
-    const std::lock_guard<std::mutex> lock(sessions_mutex_);
-    auto& slot = sessions_[session_id];
-    slot = std::make_unique<SessionEntry>();
-    slot->session = std::move(session);
-    SessionEntry* raw = slot.get();
-    raw->pump = std::thread([this, raw] { PumpLoop(*raw); });
-  }
+  sessions_[session_id] = std::move(session);
   net_sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   SendFrame(conn, EncodeSessionOpened(SessionOpenedResponse{
                       req.request_id, session_id}));
 }
 
-ServiceServer::SessionEntry* ServiceServer::RouteSession(
-    std::uint64_t session_id) {
+service::Session* ServiceServer::RouteSession(std::uint64_t session_id) {
   // FindSession is the liveness gate: a closed (or closing, or foreign)
   // id misses and the caller answers NO_SESSION.
   std::shared_ptr<service::Session> session = host_.FindSession(session_id);
   if (session == nullptr) {
     return nullptr;
   }
-  const std::lock_guard<std::mutex> lock(sessions_mutex_);
-  auto& slot = sessions_[session_id];
+  // A live session the server has not routed to before (opened in-process
+  // by the embedding application) is adopted here.
+  std::shared_ptr<service::Session>& slot = sessions_[session_id];
   if (slot == nullptr) {
-    // Live session the server has not routed to before (opened in-process
-    // by the embedding application): adopt it with its own pump.
-    slot = std::make_unique<SessionEntry>();
-    slot->session = std::move(session);
-    SessionEntry* raw = slot.get();
-    raw->pump = std::thread([this, raw] { PumpLoop(*raw); });
+    slot = std::move(session);
   }
   return slot.get();
 }
 
 datalog::UpdateRequest ServiceServer::TranslateOps(
-    SessionEntry& entry, const std::vector<WireOp>& ops) {
+    service::Session& session, const std::vector<WireOp>& ops) {
   // ONE snapshot acquire per dispatch: a concurrent ADD_RULES can swap the
   // compiled program between any two statements here, so every read below
   // goes through this pin (predicate and symbol ids are stable across
   // versions, so a batch translated against version V applies unchanged
   // under V+1).
   const std::shared_ptr<const datalog::CompiledProgram> snap =
-      entry.session->Db().Snapshot();
+      session.Db().Snapshot();
   const datalog::Program& program = snap->program;
   datalog::UpdateRequest update;
   for (const WireOp& op : ops) {
@@ -522,7 +487,7 @@ datalog::UpdateRequest ServiceServer::TranslateOps(
     tuple.reserve(op.tuple.size());
     for (const WireValue& v : op.tuple) {
       if (v.is_symbol) {
-        tuple.push_back(entry.session->Sym(v.symbol));
+        tuple.push_back(session.Sym(v.symbol));
       } else {
         tuple.push_back(datalog::Value::Int(v.int_value));
       }
@@ -533,6 +498,60 @@ datalog::UpdateRequest ServiceServer::TranslateOps(
   return update;
 }
 
+bool ServiceServer::Offer(Connection& conn, service::Session& session,
+                          ParkedRequest& request) {
+  const bool update = request.kind == service::Session::JobKind::kUpdate;
+  // Runs on an apply thread, in epoch order, under the session's pipeline
+  // lock: encode the answer and hand it to the poll thread.
+  service::Session::Done done =
+      [this, update, conn_id = conn.id, request_id = request.request_id](
+          service::UpdateOutcome&& outcome, std::exception_ptr error) {
+        if (error != nullptr) {
+          // A failed batch, or a rejected change that left the program
+          // untouched: tell the client what the engine refused.
+          std::string message;
+          try {
+            std::rethrow_exception(std::move(error));
+          } catch (const std::exception& e) {
+            message = e.what();
+          }
+          Deliver(conn_id, EncodeError(ErrorResponse{
+                               request_id,
+                               update ? ErrorCode::kUpdateFailed
+                                      : ErrorCode::kBadRules,
+                               std::move(message)}));
+          return;
+        }
+        const auto inserted =
+            static_cast<std::uint64_t>(outcome.update.total_inserted);
+        const auto deleted =
+            static_cast<std::uint64_t>(outcome.update.total_deleted);
+        Deliver(conn_id,
+                update ? EncodeSubmitResult(SubmitResultResponse{
+                             request_id, outcome.epoch, inserted, deleted})
+                       : EncodeRulesChanged(RulesChangedResponse{
+                             request_id, outcome.epoch,
+                             outcome.program_version, inserted, deleted}));
+      };
+  bool accepted = false;
+  try {
+    // A declined TrySubmit leaves the batch in `request`, to park and
+    // retry.
+    accepted = update ? session.TrySubmit(std::move(request.request),
+                                          std::move(done))
+                      : session.TryEvolve(request.kind, request.text,
+                                          std::move(done));
+  } catch (const util::Error&) {
+    SendError(conn, request.request_id, ErrorCode::kNoSession,
+              "session is closed");
+    return true;
+  }
+  if (accepted) {
+    ++conn.inflight;  // DrainDeliveries counts the answer back
+  }
+  return accepted;
+}
+
 void ServiceServer::HandleSubmit(Connection& conn, std::string_view payload) {
   SubmitRequest req;
   if (!DecodeSubmit(payload, &req)) {
@@ -540,67 +559,45 @@ void ServiceServer::HandleSubmit(Connection& conn, std::string_view payload) {
     SendError(conn, 0, ErrorCode::kBadFrame, "malformed SUBMIT payload");
     return;
   }
-  SessionEntry* entry = RouteSession(req.session_id);
-  if (entry == nullptr) {
+  service::Session* session = RouteSession(req.session_id);
+  if (session == nullptr) {
     SendError(conn, req.request_id, ErrorCode::kNoSession,
               "no live session " + std::to_string(req.session_id));
     return;
   }
-  datalog::UpdateRequest update;
+  ParkedRequest request;
+  request.request_id = req.request_id;
+  request.session_id = req.session_id;
   try {
-    update = TranslateOps(*entry, req.ops);
+    request.request = TranslateOps(*session, req.ops);
   } catch (const util::Error& e) {
     SendError(conn, req.request_id, ErrorCode::kBadRequest, e.what());
     return;
   }
-  std::future<service::UpdateOutcome> future;
-  bool accepted = false;
-  try {
-    // A declined TrySubmit leaves `update` here, to park and retry.
-    accepted = entry->session->TrySubmit(std::move(update), &future);
-  } catch (const util::Error&) {
-    SendError(conn, req.request_id, ErrorCode::kNoSession,
-              "session is closed");
-    return;
-  }
-  if (!accepted) {
+  if (!Offer(conn, *session, request)) {
     // The session queue is at its bound: park the translated batch on this
     // connection and stop reading it — kernel TCP backpressure reaches the
     // client, composing the wire bound with the session bound.
-    ParkedRequest parked;
-    parked.kind = service::Session::JobKind::kUpdate;
-    parked.request_id = req.request_id;
-    parked.session_id = req.session_id;
-    parked.request = std::move(update);
-    conn.parked = std::move(parked);
+    conn.parked = std::move(request);
     backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
     OBS_COUNTER(Category::kNetBackpressure, 1);
-    return;
   }
-  PumpJob job;
-  job.kind = PumpJob::Kind::kSubmit;
-  job.conn_id = conn.id;
-  job.request_id = req.request_id;
-  job.future = std::move(future);
-  EnqueueJob(conn, *entry, std::move(job));
 }
 
 void ServiceServer::HandleEvolve(Connection& conn, std::string_view payload,
                                  service::Session::JobKind kind) {
-  const bool add = kind == service::Session::JobKind::kAddRules;
-  std::uint64_t request_id = 0;
-  std::uint64_t session_id = 0;
-  std::string text;
-  if (add) {
+  ParkedRequest request;
+  request.kind = kind;
+  if (kind == service::Session::JobKind::kAddRules) {
     AddRulesRequest req;
     if (!DecodeAddRules(payload, &req)) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       SendError(conn, 0, ErrorCode::kBadFrame, "malformed ADD_RULES payload");
       return;
     }
-    request_id = req.request_id;
-    session_id = req.session_id;
-    text = std::move(req.text);
+    request.request_id = req.request_id;
+    request.session_id = req.session_id;
+    request.text = std::move(req.text);
   } else {
     RemoveRuleRequest req;
     if (!DecodeRemoveRule(payload, &req)) {
@@ -609,84 +606,35 @@ void ServiceServer::HandleEvolve(Connection& conn, std::string_view payload,
                 "malformed REMOVE_RULE payload");
       return;
     }
-    request_id = req.request_id;
-    session_id = req.session_id;
-    text = std::move(req.text);
+    request.request_id = req.request_id;
+    request.session_id = req.session_id;
+    request.text = std::move(req.text);
   }
-  SessionEntry* entry = RouteSession(session_id);
-  if (entry == nullptr) {
-    SendError(conn, request_id, ErrorCode::kNoSession,
-              "no live session " + std::to_string(session_id));
+  service::Session* session = RouteSession(request.session_id);
+  if (session == nullptr) {
+    SendError(conn, request.request_id, ErrorCode::kNoSession,
+              "no live session " + std::to_string(request.session_id));
     return;
   }
-  std::future<service::UpdateOutcome> future;
-  bool accepted = false;
-  try {
-    accepted = add ? entry->session->TryEvolveAddRules(text, &future)
-                   : entry->session->TryEvolveRemoveRule(text, &future);
-  } catch (const util::Error&) {
-    SendError(conn, request_id, ErrorCode::kNoSession, "session is closed");
-    return;
-  }
-  if (!accepted) {
+  if (!Offer(conn, *session, request)) {
     // Same backpressure as SUBMIT: park the evolve and stop reading until
     // the session queue accepts it.
-    ParkedRequest parked;
-    parked.kind = kind;
-    parked.request_id = request_id;
-    parked.session_id = session_id;
-    parked.text = std::move(text);
-    conn.parked = std::move(parked);
+    conn.parked = std::move(request);
     backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
     OBS_COUNTER(Category::kNetBackpressure, 1);
-    return;
   }
-  PumpJob job;
-  job.kind = PumpJob::Kind::kEvolve;
-  job.conn_id = conn.id;
-  job.request_id = request_id;
-  job.future = std::move(future);
-  EnqueueJob(conn, *entry, std::move(job));
 }
 
 void ServiceServer::RetryParked(Connection& conn) {
   ParkedRequest& parked = *conn.parked;
-  const bool is_update = parked.kind == service::Session::JobKind::kUpdate;
-  SessionEntry* entry = RouteSession(parked.session_id);
-  if (entry == nullptr) {
+  service::Session* session = RouteSession(parked.session_id);
+  if (session == nullptr) {
     SendError(conn, parked.request_id, ErrorCode::kNoSession,
               "session closed while request was parked");
-    conn.parked.reset();
-    ProcessInbuf(conn);
-    return;
-  }
-  std::future<service::UpdateOutcome> future;
-  bool accepted = false;
-  try {
-    if (is_update) {
-      accepted = entry->session->TrySubmit(std::move(parked.request), &future);
-    } else if (parked.kind == service::Session::JobKind::kAddRules) {
-      accepted = entry->session->TryEvolveAddRules(parked.text, &future);
-    } else {
-      accepted = entry->session->TryEvolveRemoveRule(parked.text, &future);
-    }
-  } catch (const util::Error&) {
-    SendError(conn, parked.request_id, ErrorCode::kNoSession,
-              "session closed while request was parked");
-    conn.parked.reset();
-    ProcessInbuf(conn);
-    return;
-  }
-  if (!accepted) {
+  } else if (!Offer(conn, *session, parked)) {
     return;  // still full; next poll round retries
   }
-  PumpJob job;
-  job.kind = is_update ? PumpJob::Kind::kSubmit : PumpJob::Kind::kEvolve;
-  job.conn_id = conn.id;
-  job.request_id = parked.request_id;
-  job.future = std::move(future);
   conn.parked.reset();
-  EnqueueJob(conn, *entry, std::move(job));
   ProcessInbuf(conn);  // resume the frames queued up behind the stall
 }
 
@@ -697,18 +645,35 @@ void ServiceServer::HandleQuery(Connection& conn, std::string_view payload) {
     SendError(conn, 0, ErrorCode::kBadFrame, "malformed QUERY payload");
     return;
   }
-  SessionEntry* entry = RouteSession(req.session_id);
-  if (entry == nullptr) {
+  service::Session* session = RouteSession(req.session_id);
+  if (session == nullptr) {
     SendError(conn, req.request_id, ErrorCode::kNoSession,
               "no live session " + std::to_string(req.session_id));
     return;
   }
-  PumpJob job;
-  job.kind = PumpJob::Kind::kQuery;
-  job.conn_id = conn.id;
-  job.request_id = req.request_id;
-  job.predicate = std::move(req.predicate);
-  EnqueueJob(conn, *entry, std::move(job));
+  // The read job encodes the result on an apply thread, after every job
+  // the session accepted before it (read-your-writes).
+  const bool queued = session->ReadAsync(
+      [this, session, conn_id = conn.id, request_id = req.request_id,
+       predicate = std::move(req.predicate)] {
+        std::string frame;
+        try {
+          frame = EncodeStoreQuery(*session, request_id, predicate);
+        } catch (const FrameTooLarge& e) {
+          frame = EncodeError(
+              ErrorResponse{request_id, ErrorCode::kResultTooLarge, e.what()});
+        } catch (const util::Error& e) {
+          frame = EncodeError(
+              ErrorResponse{request_id, ErrorCode::kBadRequest, e.what()});
+        }
+        Deliver(conn_id, std::move(frame));
+      });
+  if (!queued) {
+    SendError(conn, req.request_id, ErrorCode::kNoSession,
+              "session is closed");
+    return;
+  }
+  ++conn.inflight;
 }
 
 void ServiceServer::HandleCloseSession(Connection& conn,
@@ -720,118 +685,25 @@ void ServiceServer::HandleCloseSession(Connection& conn,
               "malformed CLOSE_SESSION payload");
     return;
   }
-  SessionEntry* entry = RouteSession(req.session_id);
-  if (entry == nullptr) {
+  service::Session* session = RouteSession(req.session_id);
+  // CloseAsync unregisters at once: a request dispatched after this one
+  // gets NO_SESSION.  SESSION_CLOSED follows every accepted job's answer
+  // and the session's final metrics.
+  if (session == nullptr ||
+      !session->CloseAsync(
+          [this, conn_id = conn.id, request_id = req.request_id] {
+            net_sessions_closed_.fetch_add(1, std::memory_order_relaxed);
+            Deliver(conn_id,
+                    EncodeSessionClosed(SessionClosedResponse{request_id}));
+          })) {
     SendError(conn, req.request_id, ErrorCode::kNoSession,
               "no live session " + std::to_string(req.session_id));
     return;
   }
-  PumpJob job;
-  job.kind = PumpJob::Kind::kClose;
-  job.conn_id = conn.id;
-  job.request_id = req.request_id;
-  EnqueueJob(conn, *entry, std::move(job));
-}
-
-void ServiceServer::EnqueueJob(Connection& conn, SessionEntry& entry,
-                               PumpJob job) {
-  // Every pump job produces exactly one delivery frame; the inflight count
-  // (decremented in DrainDeliveries) keeps the idle reaper off connections
-  // that are merely waiting on a slow cascade.
   ++conn.inflight;
-  {
-    const std::lock_guard<std::mutex> lock(entry.jobs_mutex);
-    entry.jobs.push_back(std::move(job));
-  }
-  entry.jobs_cv.notify_one();
 }
 
-void ServiceServer::PumpLoop(SessionEntry& entry) {
-  while (true) {
-    PumpJob job;
-    {
-      std::unique_lock<std::mutex> lock(entry.jobs_mutex);
-      entry.jobs_cv.wait(
-          lock, [&entry] { return entry.stop || !entry.jobs.empty(); });
-      if (entry.jobs.empty()) {
-        return;  // stop && drained
-      }
-      job = std::move(entry.jobs.front());
-      entry.jobs.pop_front();
-    }
-    switch (job.kind) {
-      case PumpJob::Kind::kSubmit: {
-        // FIFO get() is safe: the poll thread enqueues submits in the
-        // order it called TrySubmit, so epochs — and future resolution,
-        // which is dense per DESIGN.md §12 — arrive in exactly this order.
-        try {
-          const service::UpdateOutcome outcome = job.future.get();
-          DeliverFromPump(
-              job.conn_id,
-              EncodeSubmitResult(SubmitResultResponse{
-                  job.request_id, outcome.epoch,
-                  static_cast<std::uint64_t>(outcome.update.total_inserted),
-                  static_cast<std::uint64_t>(outcome.update.total_deleted)}));
-        } catch (const std::exception& e) {
-          DeliverFromPump(job.conn_id,
-                          EncodeError(ErrorResponse{
-                              job.request_id, ErrorCode::kUpdateFailed,
-                              e.what()}));
-        }
-        break;
-      }
-      case PumpJob::Kind::kQuery: {
-        try {
-          DeliverFromPump(job.conn_id, entry.session->Read([&] {
-            return EncodeStoreQuery(*entry.session, job.request_id,
-                                    job.predicate);
-          }));
-        } catch (const FrameTooLarge& e) {
-          DeliverFromPump(job.conn_id,
-                          EncodeError(ErrorResponse{
-                              job.request_id, ErrorCode::kResultTooLarge,
-                              e.what()}));
-        } catch (const util::Error& e) {
-          DeliverFromPump(job.conn_id,
-                          EncodeError(ErrorResponse{
-                              job.request_id, ErrorCode::kBadRequest,
-                              e.what()}));
-        }
-        break;
-      }
-      case PumpJob::Kind::kEvolve: {
-        // Same dense-resolution argument as kSubmit: evolve epochs ride
-        // the session's FIFO, so get() here never reorders responses.
-        try {
-          const service::UpdateOutcome outcome = job.future.get();
-          DeliverFromPump(
-              job.conn_id,
-              EncodeRulesChanged(RulesChangedResponse{
-                  job.request_id, outcome.epoch, outcome.program_version,
-                  static_cast<std::uint64_t>(outcome.update.total_inserted),
-                  static_cast<std::uint64_t>(outcome.update.total_deleted)}));
-        } catch (const std::exception& e) {
-          // A rejected change left the program untouched — tell the client
-          // which rule text the engine refused.
-          DeliverFromPump(job.conn_id,
-                          EncodeError(ErrorResponse{
-                              job.request_id, ErrorCode::kBadRules,
-                              e.what()}));
-        }
-        break;
-      }
-      case PumpJob::Kind::kClose: {
-        entry.session->Close();  // unregisters first: routes now miss
-        net_sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-        DeliverFromPump(job.conn_id, EncodeSessionClosed(SessionClosedResponse{
-                                         job.request_id}));
-        break;
-      }
-    }
-  }
-}
-
-void ServiceServer::DeliverFromPump(std::uint64_t conn_id, std::string frame) {
+void ServiceServer::Deliver(std::uint64_t conn_id, std::string frame) {
   {
     const std::lock_guard<std::mutex> lock(delivery_mutex_);
     deliveries_.emplace_back(conn_id, std::move(frame));
@@ -864,7 +736,7 @@ void ServiceServer::SendFrame(Connection& conn, std::string frame) {
   if (conn.dead) {
     return;
   }
-  const bool was_stalled = conn.Unsent() > options_.write_buffer_limit;
+  const bool was_stalled = conn.Unsent() > kWriteBufferLimit;
   if (conn.Unsent() == 0) {
     conn.outbuf = std::move(frame);
     conn.out_sent = 0;
@@ -882,8 +754,7 @@ void ServiceServer::SendFrame(Connection& conn, std::string frame) {
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   OBS_COUNTER(Category::kNetFrameOut, 1);
   WriteReady(conn);  // eager flush; leftovers wait for POLLOUT
-  if (!conn.dead && !was_stalled &&
-      conn.Unsent() > options_.write_buffer_limit) {
+  if (!conn.dead && !was_stalled && conn.Unsent() > kWriteBufferLimit) {
     write_stalls_.fetch_add(1, std::memory_order_relaxed);
   }
 }

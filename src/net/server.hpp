@@ -3,35 +3,37 @@
 //
 // Threading shape:
 //
-//     poll thread (1)  ── owns every Connection + the fd set
-//         accept / read / decode / dispatch / write-flush
-//         OpenSession + Ping answered inline; Submit translated + TrySubmit'd
-//     pump thread (1 per session) ── resolves responses in epoch order
-//         Submit futures get() in FIFO (== epoch) order, Query quiesces,
-//         CloseSession drains; finished frames are handed back to the poll
-//         thread via DeliverFromPump + the wake pipe
+//     poll thread (1)  ── owns every Connection, the fd set and the
+//         session map: accept / read / decode / dispatch / write-flush.
+//         OPEN_SESSION and PING are answered inline; every other request
+//         is handed straight to its session as a job (TrySubmit /
+//         TryEvolve / ReadAsync / CloseAsync), never blocking.
+//     apply threads (K per session, the session's own) ── run the jobs.
+//         Each job answers for itself: the sequencer calls a SUBMIT's or
+//         rule change's Done in epoch order, a QUERY encodes its result
+//         inside its read job, the close job reports SESSION_CLOSED.  The
+//         finished frame goes back to the poll thread through Deliver +
+//         the wake pipe.
 //
 // Pipelining: a client may have any number of request frames in flight on
 // one connection.  Frames are DISPATCHED in arrival order, but responses
 // come back as they complete — a PONG overtakes a heavy SUBMIT_RESULT, and
-// that is the point.  Per session, SUBMIT_RESULTs always arrive in epoch
-// order (the pump is FIFO over futures that resolve densely).
+// that is the point.  Per session, responses to SUBMIT, ADD_RULES,
+// REMOVE_RULE, QUERY and CLOSE_SESSION follow the order the session's
+// FIFO took them in (reads in a row may overlap and finish in any order).
 //
 // Backpressure composes end to end:
 //   * session queue full (its bound counts jobs waiting for admission) →
 //     the submit is PARKED on its connection and the connection stops
 //     reading (kernel TCP backpressure reaches the client); retried every
 //     poll round until TrySubmit accepts it.
-//   * unsent outbuf bytes over write_buffer_limit → the connection also
+//   * unsent outbuf bytes over kWriteBufferLimit → the connection also
 //     stops reading until the client drains responses (net.write_stalls).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,20 +51,20 @@
 
 namespace dsched::net {
 
+/// Accept stops (connections queue in the kernel backlog) at this many
+/// concurrent connections.
+inline constexpr std::size_t kMaxConnections = 1024;
+/// Per-connection unsent response bytes above which the server stops
+/// reading the connection until the client drains responses.
+inline constexpr std::size_t kWriteBufferLimit = 1u << 20;
+// Frames declaring a payload longer than wire.hpp's kMaxFrameLength are a
+// framing error (kBadFrame + connection close).
+
 struct ServerOptions {
   /// Listen address; tests and benches use the loopback default.
   std::string bind_address = "127.0.0.1";
   /// 0 → ephemeral: the kernel picks; read the result from Port().
   std::uint16_t port = 0;
-  /// Accept stops (connections queue in the kernel backlog) at this many
-  /// concurrent connections.
-  std::size_t max_connections = 1024;
-  /// Per-connection unsent response bytes above which the server stops
-  /// reading the connection until the client drains responses.
-  std::size_t write_buffer_limit = 1u << 20;
-  /// Frames declaring a longer payload are a framing error (kBadFrame +
-  /// connection close).
-  std::size_t max_frame_length = kMaxFrameLength;
   /// Connections with no byte traffic, no parked request, and no response
   /// in flight for this long are reaped: sent an IDLE_TIMEOUT error frame
   /// and closed (net.idle_reaped).  0 disables reaping (the default —
@@ -71,8 +73,8 @@ struct ServerOptions {
 };
 
 /// One server in front of one EngineHost.  Start() spawns the poll thread;
-/// Stop() (or destruction) joins it, closes every connection, drains every
-/// pump, and closes every session the server routed to.
+/// Stop() (or destruction) joins it, closes every connection, and closes
+/// (drains) every session the server routed to.
 class ServiceServer {
  public:
   explicit ServiceServer(service::EngineHost& host,
@@ -121,9 +123,9 @@ class ServiceServer {
     std::string outbuf;
     std::size_t out_sent = 0;
     std::optional<ParkedRequest> parked;
-    /// Pump jobs dispatched for this connection whose response frame has
-    /// not come back yet; a connection with responses in flight is never
-    /// idle-reaped.
+    /// Jobs handed to a session for this connection whose response frame
+    /// has not come back yet; a connection with responses in flight is
+    /// never idle-reaped.
     std::size_t inflight = 0;
     /// Last time bytes moved on this connection (either direction) — the
     /// idle-reaping clock.
@@ -138,27 +140,6 @@ class ServiceServer {
     [[nodiscard]] std::size_t Unsent() const {
       return outbuf.size() - out_sent;
     }
-  };
-
-  struct PumpJob {
-    enum class Kind { kSubmit, kQuery, kClose, kEvolve } kind = Kind::kSubmit;
-    std::uint64_t conn_id = 0;
-    std::uint64_t request_id = 0;
-    std::future<service::UpdateOutcome> future;  // kSubmit / kEvolve
-    std::string predicate;                       // kQuery
-  };
-
-  /// Per-session server state: the pump thread and its job queue.  Symbol
-  /// interning (poll thread translating a SUBMIT) and rendering (pump
-  /// thread encoding a QUERY_RESULT) both go through the session's
-  /// Database, whose one symbol lock also covers in-process Sym callers.
-  struct SessionEntry {
-    std::shared_ptr<service::Session> session;
-    std::mutex jobs_mutex;
-    std::condition_variable jobs_cv;
-    std::deque<PumpJob> jobs;
-    bool stop = false;
-    std::thread pump;
   };
 
   void PollLoop();
@@ -178,21 +159,24 @@ class ServiceServer {
   void HandleEvolve(Connection& conn, std::string_view payload,
                     service::Session::JobKind kind);
   void RetryParked(Connection& conn);
+  /// Offers a translated SUBMIT or rule change to `session`: true once it
+  /// is accepted (or answered with NO_SESSION because the session is
+  /// closing), false when the queue is full and the caller must park it.
+  bool Offer(Connection& conn, service::Session& session,
+             ParkedRequest& request);
   /// Closes every connection idle past options_.idle_timeout_ms (no byte
   /// traffic, nothing parked, no response in flight) with an IDLE_TIMEOUT
   /// error frame.
   void ReapIdle(std::chrono::steady_clock::time_point now);
   /// Translates wire ops into a typed UpdateRequest; throws util::Error on
   /// unknown predicate / arity mismatch / int overflow.
-  datalog::UpdateRequest TranslateOps(SessionEntry& entry,
-                                      const std::vector<WireOp>& ops);
-  /// Finds (or adopts) the pump entry for a live session id; null when
-  /// FindSession misses (unknown / closed / closing).
-  SessionEntry* RouteSession(std::uint64_t session_id);
-  void EnqueueJob(Connection& conn, SessionEntry& entry, PumpJob job);
-  void PumpLoop(SessionEntry& entry);
-  /// Pump threads hand completed frames back to the poll thread.
-  void DeliverFromPump(std::uint64_t conn_id, std::string frame);
+  static datalog::UpdateRequest TranslateOps(service::Session& session,
+                                             const std::vector<WireOp>& ops);
+  /// The live session for `session_id`, adopted into sessions_ on first
+  /// use; null when FindSession misses (unknown / closed / closing).
+  service::Session* RouteSession(std::uint64_t session_id);
+  /// Apply threads hand finished response frames to the poll thread.
+  void Deliver(std::uint64_t conn_id, std::string frame);
   void DrainDeliveries();
   void SendFrame(Connection& conn, std::string frame);
   void SendError(Connection& conn, std::uint64_t request_id, ErrorCode code,
@@ -216,13 +200,15 @@ class ServiceServer {
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, Connection> conns_;
 
-  /// Session entries live until Stop (a closed session's entry stays,
-  /// inert, so late jobs drain instead of dangling).  Guarded by
-  /// sessions_mutex_ because pump threads are enumerated during Stop.
-  std::mutex sessions_mutex_;
-  std::map<std::uint64_t, std::unique_ptr<SessionEntry>> sessions_;
+  /// Every session the server has routed to, kept alive until Stop closes
+  /// it (a closed session's entry stays, inert; poll-thread-owned too).
+  /// Symbol interning (the poll thread translating a SUBMIT) and rendering
+  /// (an apply thread encoding a QUERY_RESULT) both go through the
+  /// session's Database, whose one symbol lock also covers in-process Sym
+  /// callers.
+  std::map<std::uint64_t, std::shared_ptr<service::Session>> sessions_;
 
-  /// Pump → poll handoff.
+  /// Apply thread → poll thread handoff.
   std::mutex delivery_mutex_;
   std::vector<std::pair<std::uint64_t, std::string>> deliveries_;
 

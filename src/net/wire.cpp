@@ -267,13 +267,12 @@ std::string EncodeFrame(Opcode opcode, std::string_view payload) {
   return frame;
 }
 
-FrameStatus ExtractFrame(std::string_view buffer, Frame* out,
-                         std::size_t max_length) {
+FrameStatus ExtractFrame(std::string_view buffer, Frame* out) {
   if (buffer.size() < 4) {
     return FrameStatus::kNeedMore;
   }
   const auto length = LoadWord<std::uint32_t>(buffer.data());
-  if (length == 0 || length > max_length) {
+  if (length == 0 || length > kMaxFrameLength) {
     return FrameStatus::kError;  // no opcode byte / hostile length prefix
   }
   if (buffer.size() < 4u + length) {

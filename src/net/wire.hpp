@@ -414,13 +414,11 @@ enum class FrameStatus {
   kError,     ///< unrecoverable framing error (zero/oversized length)
 };
 
-/// Extracts the next frame from `buffer` without copying.  `max_length`
-/// guards against hostile length prefixes.  kError means the byte stream
+/// Extracts the next frame from `buffer` without copying.  A length over
+/// kMaxFrameLength is a hostile prefix.  kError means the byte stream
 /// itself is broken — the connection cannot be resynchronized and must be
 /// closed (the opcode inside a well-framed message is NOT validated here).
-[[nodiscard]] FrameStatus ExtractFrame(std::string_view buffer, Frame* out,
-                                       std::size_t max_length =
-                                           kMaxFrameLength);
+[[nodiscard]] FrameStatus ExtractFrame(std::string_view buffer, Frame* out);
 
 // --- per-message encode/decode -------------------------------------------
 // Encode* renders the complete frame (header included).  Decode* parses a

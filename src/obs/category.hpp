@@ -65,15 +65,15 @@ enum class Category : std::uint8_t {
   kMetaKill,     ///< counter: zeta/2 kill-rule firings (heuristic torn down)
 
   // Networked frontend (net/server.cpp) — the poll thread's two halves,
-  // plus the pump thread's QUERY encode.
+  // plus a QUERY's encode on a session apply thread.
   kNetRead,          ///< scope: drain readable sockets + decode/dispatch
   kNetWrite,         ///< scope: flush pending outbufs to writable sockets
   kNetFrameIn,       ///< counter: well-formed frames decoded off the wire
   kNetFrameOut,      ///< counter: response frames queued for send
   kNetBackpressure,  ///< counter: submits parked on a full session queue
   kNetIdleReap,      ///< counter: connections reaped past the idle deadline
-  kNetQueryEncode,   ///< scope: pump thread encoding a QUERY_RESULT from
-                     ///< the store (after the quiescence wait)
+  kNetQueryEncode,   ///< scope: a QUERY's read job encoding a
+                     ///< QUERY_RESULT from the store on an apply thread
 
   // Live rule-set evolution (datalog/database.cpp).
   kEvolveRecompile,       ///< scope: copy + parse + cone re-stratify + swap

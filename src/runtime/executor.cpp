@@ -299,8 +299,6 @@ Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
               held.push_back(t);
             }
           }
-          stats.held_high_water =
-              std::max<std::uint64_t>(stats.held_high_water, held.size());
           if (!ready.empty()) {
             dispatch(ready);
           }
@@ -427,7 +425,6 @@ Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
       }
       if (done > published_levels) {
         published_levels = done;
-        stats.levels_finalized = published_levels;
         OBS_COUNTER(Category::kPipelineFinalize, 1);
         gate->frontier->Advance(gate->epoch, published_levels);
       }
@@ -436,7 +433,6 @@ Executor::RunStats RunCascade(TaskRouter& router, const trace::JobTrace& trace,
 
   if (gate != nullptr) {
     gate->frontier->FinalizeAll(gate->epoch);
-    stats.levels_finalized = gate->num_levels;
   }
 
   // One worker-side push per pooled task, by construction.

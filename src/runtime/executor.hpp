@@ -197,11 +197,6 @@ class Executor {
     std::uint64_t frontier_stalls = 0;
     /// Coordinator time blocked in those stalls.
     double frontier_stall_seconds = 0.0;
-    /// Most tasks simultaneously held back by a fence.
-    std::uint64_t held_high_water = 0;
-    /// Frontier levels this cascade published (== plan levels + the final
-    /// all-done mark when gated).
-    std::uint64_t levels_finalized = 0;
 
     // --- resource accounting plane (all zero for utility-free traces) ---
     /// Sum of resource_utility over dispatched tasks.

@@ -58,6 +58,19 @@ std::size_t ResolveDepth(const SessionOptions& options) {
   return std::clamp<std::size_t>(depth, 1, 64);
 }
 
+/// The Done behind the future-returning enqueues: resolves `*future`.
+Session::Done PromiseDone(std::future<UpdateOutcome>* future) {
+  auto promise = std::make_shared<std::promise<UpdateOutcome>>();
+  *future = promise->get_future();
+  return [promise](UpdateOutcome&& outcome, std::exception_ptr error) {
+    if (error == nullptr) {
+      promise->set_value(std::move(outcome));
+    } else {
+      promise->set_exception(std::move(error));
+    }
+  };
+}
+
 }  // namespace
 
 Session::Session(std::shared_ptr<detail::HostCore> core,
@@ -83,28 +96,32 @@ Session::Session(std::shared_ptr<detail::HostCore> core,
 
 Session::~Session() { Close(); }
 
-bool Session::Enqueue(Job&& job, bool blocking,
-                      std::future<UpdateOutcome>* out) {
-  const bool evolve = job.kind != JobKind::kUpdate;
-  DSCHED_CHECK_MSG(db_.Materialized(),
+bool Session::Enqueue(Job&& job, bool blocking) const {
+  const bool read = job.kind == JobKind::kRead;
+  const bool evolve = !read && job.kind != JobKind::kUpdate;
+  DSCHED_CHECK_MSG(read || db_.Materialized(),
                    evolve ? "Materialize() before changing rules"
                           : "Materialize() before Submit()");
-  std::future<UpdateOutcome> future = job.promise.get_future();
   bool wake = false;
   {
     std::unique_lock<std::mutex> lock(pipe_mutex_);
-    if (!closed_ && queue_.size() >= capacity_) {
+    if (!read && !closing_ && queue_.size() >= capacity_) {
       ++blocked_submits_;
       if (!blocking) {
         return false;
       }
       not_full_.wait(lock,
-                     [this] { return closed_ || queue_.size() < capacity_; });
+                     [this] { return closing_ || queue_.size() < capacity_; });
     }
-    if (closed_) {
+    if (closing_) {
+      if (read) {
+        return false;
+      }
       throw util::LogicError("Submit on a closed session");
     }
-    job.epoch = next_epoch_++;
+    if (!read) {
+      job.epoch = next_epoch_++;
+    }
     queue_.push_back(std::move(job));
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
     wake = CanTake();
@@ -112,24 +129,23 @@ bool Session::Enqueue(Job&& job, bool blocking,
   if (wake) {
     admit_cv_.notify_all();
   }
-  core_->metrics.Add(metrics_prefix_ + (evolve ? "evolve.submit" : "submit"),
-                     1);
-  if (out != nullptr) {
-    *out = std::move(future);
+  if (!read) {
+    core_->metrics.Add(metrics_prefix_ + (evolve ? "evolve.submit" : "submit"),
+                       1);
   }
   return true;
 }
 
 std::future<UpdateOutcome> Session::Submit(datalog::UpdateRequest request) {
   std::future<UpdateOutcome> future;
-  Enqueue({.request = std::move(request)}, /*blocking=*/true, &future);
+  Enqueue({.request = std::move(request), .done = PromiseDone(&future)},
+          /*blocking=*/true);
   return future;
 }
 
-bool Session::TrySubmit(datalog::UpdateRequest&& request,
-                        std::future<UpdateOutcome>* out) {
-  Job job{.request = std::move(request)};
-  if (Enqueue(std::move(job), /*blocking=*/false, out)) {
+bool Session::TrySubmit(datalog::UpdateRequest&& request, Done done) {
+  Job job{.request = std::move(request), .done = std::move(done)};
+  if (Enqueue(std::move(job), /*blocking=*/false)) {
     return true;
   }
   request = std::move(job.request);  // declined: hand the batch back
@@ -139,8 +155,9 @@ bool Session::TrySubmit(datalog::UpdateRequest&& request,
 std::future<UpdateOutcome> Session::EvolveAddRules(std::string_view rules_text) {
   std::future<UpdateOutcome> future;
   Enqueue({.kind = JobKind::kAddRules,
-           .rules_text = std::string(rules_text)},
-          /*blocking=*/true, &future);
+           .rules_text = std::string(rules_text),
+           .done = PromiseDone(&future)},
+          /*blocking=*/true);
   return future;
 }
 
@@ -148,83 +165,94 @@ std::future<UpdateOutcome> Session::EvolveRemoveRule(
     std::string_view clause_text) {
   std::future<UpdateOutcome> future;
   Enqueue({.kind = JobKind::kRemoveRule,
-           .rules_text = std::string(clause_text)},
-          /*blocking=*/true, &future);
+           .rules_text = std::string(clause_text),
+           .done = PromiseDone(&future)},
+          /*blocking=*/true);
   return future;
 }
 
-bool Session::TryEvolveAddRules(std::string_view rules_text,
-                                std::future<UpdateOutcome>* out) {
-  return Enqueue({.kind = JobKind::kAddRules,
-                  .rules_text = std::string(rules_text)},
-                 /*blocking=*/false, out);
+bool Session::TryEvolve(JobKind kind, std::string_view text, Done done) {
+  if (kind != JobKind::kAddRules && kind != JobKind::kRemoveRule) {
+    throw util::InvalidArgument("TryEvolve takes a rule-change job kind");
+  }
+  return Enqueue({.kind = kind,
+                  .rules_text = std::string(text),
+                  .done = std::move(done)},
+                 /*blocking=*/false);
 }
 
-bool Session::TryEvolveRemoveRule(std::string_view clause_text,
-                                  std::future<UpdateOutcome>* out) {
-  return Enqueue({.kind = JobKind::kRemoveRule,
-                  .rules_text = std::string(clause_text)},
-                 /*blocking=*/false, out);
+bool Session::ReadAsync(std::function<void()> body) const {
+  return Enqueue({.kind = JobKind::kRead, .body = std::move(body)},
+                 /*blocking=*/false);
 }
 
-void Session::Drain() {
+void Session::RunRead(const std::function<void()>& body) const {
+  // The read job's Done runs under pipe_mutex_, so `finished` and `error`
+  // are handed over under the lock; the caller owns the only reference to
+  // a failure once it wakes.
+  bool finished = false;
+  std::exception_ptr error;
+  const bool queued = Enqueue(
+      {.kind = JobKind::kRead,
+       .body = body,
+       .done = [&](UpdateOutcome&&, std::exception_ptr failure) {
+         error = std::move(failure);
+         finished = true;
+       }},
+      /*blocking=*/false);
   std::unique_lock<std::mutex> lock(pipe_mutex_);
-  const std::uint64_t target = next_epoch_ - 1;
-  pipe_cv_.wait(lock, [this, target] { return applied_seq_ >= target; });
+  if (!queued) {
+    // Closing: nothing runs after the close job, so once it has run the
+    // caller can read the final state itself.
+    pipe_cv_.wait(lock, [this] { return closed_; });
+    lock.unlock();
+    body();
+    return;
+  }
+  pipe_cv_.wait(lock, [&finished] { return finished; });
+  lock.unlock();
+  if (error != nullptr) {
+    std::rethrow_exception(std::move(error));
+  }
 }
+
+void Session::Drain() { Read([] {}); }
 
 std::size_t Session::QueueDepth() const {
   const std::lock_guard<std::mutex> lock(pipe_mutex_);
   return queue_.size();
 }
 
-void Session::Close() {
-  std::call_once(close_once_, [this] {
-    // Drop out of FindSession first: a session that has started closing is
-    // not routable (lookups return null from here on, even while draining).
-    core_->Unregister(id_);
-    // Stop accepting; already-queued jobs still apply.  Blocked enqueues
-    // wake to throw; idle apply threads wake to drain the queue and exit.
-    {
-      const std::lock_guard<std::mutex> lock(pipe_mutex_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    admit_cv_.notify_all();
-    // An apply thread exits only once the queue is empty, and fully
-    // finishes (and resolves the future of) any job it took first, so
-    // joining drains every accepted epoch — no promise is abandoned.
-    for (std::thread& t : apply_threads_) {
-      if (t.joinable()) {
-        t.join();
-      }
-    }
-    PublishMetrics();
-    db_.Store().ExportMetrics(core_->metrics, metrics_prefix_ + "store.");
-    core_->active_sessions.fetch_sub(1, std::memory_order_relaxed);
-  });
-}
-
-Session::Quiesced::Quiesced(const Session& session) : session_(session) {
-  // queries_waiting_ > 0 holds off NEW admissions; the wait then lets every
-  // in-flight epoch resolve.
-  std::unique_lock<std::mutex> lock(session_.pipe_mutex_);
-  ++session_.queries_waiting_;
-  session_.pipe_cv_.wait(lock, [this] {
-    return session_.admitted_epoch_ == session_.applied_seq_;
-  });
-}
-
-Session::Quiesced::~Quiesced() {
+bool Session::CloseAsync(std::function<void()> on_closed) {
+  // Drop out of FindSession first: a session that has started closing is
+  // not routable (lookups return null from here on, even while draining).
+  core_->Unregister(id_);
   bool wake = false;
   {
-    const std::lock_guard<std::mutex> lock(session_.pipe_mutex_);
-    --session_.queries_waiting_;
-    wake = session_.CanTake();
+    const std::lock_guard<std::mutex> lock(pipe_mutex_);
+    if (closing_) {
+      return false;
+    }
+    closing_ = true;
+    queue_.push_back({.kind = JobKind::kClose, .body = std::move(on_closed)});
+    wake = CanTake();
   }
+  not_full_.notify_all();  // blocked enqueues wake to throw
   if (wake) {
-    session_.admit_cv_.notify_all();
+    admit_cv_.notify_all();
   }
+  return true;
+}
+
+void Session::Close() {
+  (void)CloseAsync({});
+  // An apply thread exits only once the close job has been taken, and the
+  // close job runs after every accepted job, so joining drains them all.
+  std::call_once(join_once_, [this] {
+    for (std::thread& t : apply_threads_) {
+      t.join();
+    }
+  });
 }
 
 std::vector<datalog::Tuple> Session::Query(std::string_view predicate) const {
@@ -237,56 +265,77 @@ bool Session::Contains(std::string_view predicate,
 }
 
 void Session::ApplyLoop() {
-  // Declared outside the loop: a taken job (its promise included) lives
-  // until this thread takes its next one.  Destroying a job right after
-  // its future resolves lets TSan report the release of a failed future's
+  // Declared outside the loop: a taken job (its Done included) lives until
+  // this thread takes its next one.  Destroying a job right after its
+  // future resolves lets TSan report the release of a failed future's
   // exception_ptr (an uninstrumented refcount) as a race.
   Job job;
   while (Take(job)) {
-    Apply(job);
+    switch (job.kind) {
+      case JobKind::kRead:
+        ApplyRead(job);
+        break;
+      case JobKind::kClose:
+        ApplyClose(job);
+        break;
+      default:
+        Apply(job);
+        break;
+    }
   }
 }
 
 bool Session::CanTake() const {
   if (queue_.empty()) {
-    return closed_;
+    return closing_;
   }
-  if (evolving_ || queries_waiting_ > 0) {
+  if (exclusive_) {
     return false;
   }
   const std::uint64_t inflight = admitted_epoch_ - applied_seq_;
-  return queue_.front().kind == JobKind::kUpdate ? inflight < depth_
-                                                 : inflight == 0;
+  switch (queue_.front().kind) {
+    case JobKind::kUpdate:
+      return reads_running_ == 0 && inflight < depth_;
+    case JobKind::kRead:
+      return inflight == 0;
+    default:  // a rule change or the close
+      return reads_running_ == 0 && inflight == 0;
+  }
 }
 
 bool Session::Take(Job& job) {
   // --- admission: the queue is FIFO and only its head is ever taken, so
-  // cascades START in dense epoch order.  An update may start while fewer
-  // than depth_ epochs are in flight.  An evolve epoch is EXCLUSIVE: it
-  // starts only with the pipeline drained (every in-flight cascade
-  // resolved against the OLD program), and evolving_ holds its successors
-  // until the swap + cone cascade land.  This is the evolution fence that
-  // lets rule changes compose with K > 1.  A waiting reader holds off
-  // every admission.
+  // cascades START in dense epoch order and a read runs after every job
+  // accepted before it.  An update may start while fewer than depth_
+  // epochs are in flight and no read runs; reads start with no epoch in
+  // flight and overlap each other.  A rule change (or the close) is
+  // EXCLUSIVE: it starts with nothing in flight (every cascade resolved
+  // against the OLD program), and exclusive_ holds its successors until
+  // the swap + cone cascade land.  This is the evolution fence that lets
+  // rule changes compose with K > 1.
   //
-  // Wake-ups: only enqueue, resolve, reader release and close can turn
+  // Wake-ups: only enqueue, resolve, read completion and close can turn
   // CanTake() true, and each broadcasts when it does, so every waiter
   // re-checks after every such change.  A take or an exit needs no
   // hand-off: CanTake() already held for every waiter woken with it.
   std::unique_lock<std::mutex> lock(pipe_mutex_);
   admit_cv_.wait(lock, [this] { return CanTake(); });
   if (queue_.empty()) {
-    return false;  // closed and drained
+    return false;  // the close job has been taken: nothing follows it
   }
   job = std::move(queue_.front());
   queue_.pop_front();
-  if (admitted_epoch_ == applied_seq_) {
-    busy_since_ = std::chrono::steady_clock::now();
+  if (job.kind == JobKind::kRead) {
+    ++reads_running_;
+  } else if (job.kind != JobKind::kClose) {
+    if (admitted_epoch_ == applied_seq_) {
+      busy_since_ = std::chrono::steady_clock::now();
+    }
+    admitted_epoch_ = job.epoch;
+    exclusive_ = job.kind != JobKind::kUpdate;
+    totals_.inflight_high_water = std::max(totals_.inflight_high_water,
+                                           admitted_epoch_ - applied_seq_);
   }
-  admitted_epoch_ = job.epoch;
-  evolving_ = job.kind != JobKind::kUpdate;
-  totals_.inflight_high_water = std::max(totals_.inflight_high_water,
-                                         admitted_epoch_ - applied_seq_);
   lock.unlock();
   not_full_.notify_one();  // a slot freed
   return true;
@@ -347,7 +396,7 @@ void Session::Apply(Job& job) {
   } catch (...) {
     // A failed batch (bad arity, a throwing task body) or a rejected rule
     // change (thrown before the snapshot swap, program untouched) fails
-    // ITS future; the session stays live.
+    // ITS job; the session stays live.
     error = std::current_exception();
   }
   if (depth_ > 1) {
@@ -359,9 +408,9 @@ void Session::Apply(Job& job) {
   }
   const double seconds = cascade_timer.ElapsedSeconds();
 
-  // --- sequencer: resolve futures in dense epoch order.  The applied
-  // epoch is published BEFORE the future resolves, so a thread woken by
-  // epoch N's future reads AppliedEpoch() >= N.
+  // --- sequencer: complete jobs in dense epoch order.  The applied epoch
+  // is published BEFORE Done runs, so a thread woken by epoch N's Done
+  // reads AppliedEpoch() >= N.
   bool wake = false;
   {
     std::unique_lock<std::mutex> lock(pipe_mutex_);
@@ -372,18 +421,14 @@ void Session::Apply(Job& job) {
     totals_.cascade_seconds += seconds;
     applied_seq_ = job.epoch;
     applied_epoch_.store(job.epoch, std::memory_order_release);
-    evolving_ = false;
+    exclusive_ = false;
     if (admitted_epoch_ == applied_seq_) {
       totals_.busy_seconds += std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() -
                                   busy_since_)
                                   .count();
     }
-    if (error == nullptr) {
-      job.promise.set_value(std::move(outcome));
-    } else {
-      job.promise.set_exception(error);
-    }
+    job.done(std::move(outcome), std::move(error));
     wake = CanTake();
   }
   pipe_cv_.notify_all();
@@ -391,6 +436,44 @@ void Session::Apply(Job& job) {
     admit_cv_.notify_all();
   }
   PublishMetrics();
+}
+
+void Session::ApplyRead(Job& job) {
+  std::exception_ptr error;
+  try {
+    job.body();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  bool wake = false;
+  {
+    const std::lock_guard<std::mutex> lock(pipe_mutex_);
+    --reads_running_;
+    if (job.done) {
+      job.done({}, std::move(error));
+    }
+    wake = CanTake();
+  }
+  pipe_cv_.notify_all();
+  if (wake) {
+    admit_cv_.notify_all();
+  }
+}
+
+void Session::ApplyClose(Job& job) {
+  // Every accepted job has finished: publish the final numbers before the
+  // callback, so whoever it tells sees them.
+  PublishMetrics();
+  db_.Store().ExportMetrics(core_->metrics, metrics_prefix_ + "store.");
+  core_->active_sessions.fetch_sub(1, std::memory_order_relaxed);
+  if (job.body) {
+    job.body();
+  }
+  {
+    const std::lock_guard<std::mutex> lock(pipe_mutex_);
+    closed_ = true;
+  }
+  pipe_cv_.notify_all();
 }
 
 void Session::PublishMetrics() {

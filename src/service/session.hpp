@@ -1,46 +1,44 @@
 // One maintained Datalog program inside an EngineHost.
 //
 // A session owns everything program-scoped — the parsed+stratified program,
-// its sharded RelationStore, its scheduler choice, and a bounded queue of
-// pending jobs (update batches and rule changes) — and borrows only the
-// host's shared worker pool.
+// its sharded RelationStore, its scheduler choice, and one bounded FIFO of
+// pending jobs — and borrows only the host's shared worker pool.
 //
-// Epoch pipelining (DESIGN.md §12): a session runs up to K = pipeline_depth
-// update cascades in flight at once, on K apply threads.  The session is
-// the one owner of the epoch sequence: enqueue numbers each job (dense,
-// from 1) and appends it to the queue, and an idle apply thread takes the
-// queue HEAD only once ADMISSION allows it, so taking a job is admitting
-// it.  The head is admissible when
-//   * fewer than K epochs are between admitted and applied (an evolve job
-//     needs the pipeline drained: none in flight), and
-//   * no query is waiting (queries see a quiesced pipeline).
-// Cascades therefore START in dense epoch order.  Once admitted, the
-// cascade runs on the shared pool with the session's StratumFrontier as
-// its pipeline gate: each component phase of epoch e holds until epoch e-1
-// has finalized every dependency level the phase could race with, so
-// overlapping epochs interleave safely along the program's level structure
-// instead of serializing whole batches.  A SEQUENCER then resolves futures
-// strictly in dense epoch order — the externally visible contract is
-// unchanged from the K=1 loop: after the future for epoch N resolves,
-// AppliedEpoch() >= N and Query() reflects every batch up to N.
+// Every request is a job in that one FIFO (DESIGN.md §12): an update batch,
+// a rule change, a read, or the close.  K = pipeline_depth apply threads
+// take the queue HEAD only once ADMISSION allows it, so taking a job is
+// admitting it:
+//   * an update needs no read running and fewer than K epochs in flight;
+//   * a read needs no epoch in flight, and may overlap other reads;
+//   * a rule change or the close needs nothing in flight, and holds every
+//     successor until it is done.
+// Updates and rule changes get dense epochs (from 1) at enqueue, so their
+// cascades START in epoch order.  Once admitted, an update cascade runs on
+// the shared pool with the session's StratumFrontier as its pipeline gate:
+// each component phase of epoch e holds until epoch e-1 has finalized
+// every dependency level the phase could race with, so overlapping epochs
+// interleave along the program's level structure.  A SEQUENCER then calls
+// each job's completion callback (Done) strictly in dense epoch order: when
+// epoch N's Done runs, AppliedEpoch() >= N and every batch and rule change
+// up to N is visible.  A read runs after every job accepted before it and
+// sees the store exactly as of AppliedEpoch().
 //
-// The queue bound counts jobs that wait for admission; admitted jobs have
-// left the queue.  Queue, epoch counter, admission and sequencing all live
-// under one mutex (pipe_mutex_).
+// The queue bound counts jobs that wait for admission (admitted jobs have
+// left the queue); it blocks or declines updates and rule changes only.
+// Queue, epoch counter, admission and sequencing all live under one mutex
+// (pipe_mutex_).  K=1 degenerates to one apply thread taking the queue in
+// order (no frontier, no overlap).
 //
-// K=1 degenerates to the classic serialized-per-session apply loop (no
-// frontier, no overlap).
-//
-// One job path: update batches and rule changes share one enqueue, one
-// admission gate, one sequencer and one apply routine.  An update's
-// cascade always enters Database::ApplyRequestParallel → Executor::Run
-// (small ones run inline on the apply thread); a rule change recompiles,
-// swaps and maintains its affected cone on the apply thread.
+// One job path: every kind shares one enqueue, one admission gate and one
+// apply loop.  An update's cascade always enters
+// Database::ApplyRequestParallel → Executor::Run (small ones run inline on
+// the apply thread); a rule change recompiles, swaps and maintains its
+// affected cone on the apply thread.
 //
 // Lifecycle: bootstrap (Insert base facts, Materialize) → live (Submit /
-// Query) → Close (stop accepting, drain the queue, join).  Close is
-// idempotent and implied by destruction; every accepted epoch finishes and
-// its future resolves before Close returns.
+// Query) → Close (unregister, queue the close job, join).  The close job
+// runs after every accepted job, publishes the final metrics and then runs
+// its callback; Close is idempotent and implied by destruction.
 #pragma once
 
 #include <atomic>
@@ -48,12 +46,16 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,7 +66,7 @@
 
 namespace dsched::service {
 
-/// What a fulfilled Submit future carries: which epoch the batch became,
+/// What a resolved update or rule change carries: which epoch it became,
 /// the engine-level result, and the executor run of its cascade.
 struct UpdateOutcome {
   /// 1-based position of this batch in the session's apply order.
@@ -86,14 +88,23 @@ struct UpdateOutcome {
 /// any thread once materialized.
 class Session {
  public:
-  /// What a queued job asks the apply thread to do.  Evolve jobs ride the
+  /// What a queued job asks the apply thread to do.  Rule changes ride the
   /// same epoch sequence as update batches, so "epoch N resolved" keeps
-  /// meaning "every batch AND every rule change up to N is visible".
+  /// meaning "every batch AND every rule change up to N is visible".  Reads
+  /// and the close take no epoch.
   enum class JobKind : std::uint8_t {
     kUpdate = 0,
     kAddRules = 1,
     kRemoveRule = 2,
+    kRead = 3,
+    kClose = 4,
   };
+
+  /// A job's completion: the outcome, or the error that failed the job.
+  /// The sequencer calls it on an apply thread under the session's
+  /// pipeline lock, in dense epoch order, so it must be cheap and must
+  /// never call into its own session.
+  using Done = std::function<void(UpdateOutcome&&, std::exception_ptr)>;
 
   /// Use EngineHost::OpenSession.
   Session(std::shared_ptr<detail::HostCore> core, std::string_view program_text,
@@ -132,51 +143,70 @@ class Session {
 
   /// Non-blocking Submit: false (and no enqueue) when the queue is full.
   /// `request` is moved from only when accepted; declined, it stays with
-  /// the caller to retry.
-  bool TrySubmit(datalog::UpdateRequest&& request,
-                 std::future<UpdateOutcome>* out);
+  /// the caller to retry.  `done` runs once the batch resolves.
+  bool TrySubmit(datalog::UpdateRequest&& request, Done done);
 
   // --- live rule evolution ---------------------------------------------
   /// Enqueues a rule-set change as an epoch of its own: the job rides the
   /// same FIFO as Submit batches, so "epoch N resolved" still means every
-  /// batch AND rule change up to N is visible.  An evolve epoch is
+  /// batch AND rule change up to N is visible.  A rule change is
   /// EXCLUSIVE — admission waits until every in-flight epoch has resolved
-  /// (the pipeline drains past the evolution fence) and blocks successor
+  /// (the pipeline drains past the evolution fence) and holds successor
   /// admissions until its own cascade lands, so it composes with
-  /// pipeline_depth K > 1 without fencing individual levels.  The future
+  /// pipeline_depth K > 1 without fencing individual levels.  The outcome
   /// carries rules_changed/program_version/evolve stats on top of the
   /// usual update result.  A rejected change (parse error, unstratifiable
-  /// program, unknown rule) fails ITS future; the program is untouched and
+  /// program, unknown rule) fails ITS job; the program is untouched and
   /// the session stays live.  Blocking/backpressure contract matches
   /// Submit.
   std::future<UpdateOutcome> EvolveAddRules(std::string_view rules_text);
   std::future<UpdateOutcome> EvolveRemoveRule(std::string_view clause_text);
 
-  /// Non-blocking variants: false (and no enqueue) when the queue is full.
-  bool TryEvolveAddRules(std::string_view rules_text,
-                         std::future<UpdateOutcome>* out);
-  bool TryEvolveRemoveRule(std::string_view clause_text,
-                           std::future<UpdateOutcome>* out);
+  /// Non-blocking rule change of `kind` kAddRules or kRemoveRule (any
+  /// other kind is util::InvalidArgument): false (and no enqueue) when the
+  /// queue is full.
+  bool TryEvolve(JobKind kind, std::string_view text, Done done);
 
-  /// Blocks until every job accepted so far has been applied.
+  /// Blocks until every job accepted so far has been applied (an empty
+  /// read).
   void Drain();
 
-  /// Stops accepting new batches, applies everything already queued (every
-  /// accepted epoch finishes and its future resolves), joins the apply
-  /// threads, and publishes final session metrics.  Idempotent.
+  /// Unregisters the session (FindSession misses from here on) and queues
+  /// the close job: later enqueues are turned away and blocked Submits
+  /// wake to throw.  The close job runs on an apply thread after every
+  /// accepted job; it publishes the final session and store metrics and
+  /// then runs `on_closed`.  False (nothing queued) when the session is
+  /// already closing.  Never blocks.
+  bool CloseAsync(std::function<void()> on_closed);
+
+  /// CloseAsync, then joins the apply threads: every accepted job has
+  /// finished and the final metrics are published when it returns.
+  /// Idempotent.
   void Close();
 
-  // --- queries (any thread; quiesce the pipeline first) ----------------
-  /// Runs `fn()` against a quiesced pipeline and returns its result: new
-  /// admissions are held off and every in-flight epoch resolves first, so
-  /// `fn` reads the store and program exactly as of AppliedEpoch().  The
-  /// hold is released however `fn` exits.  Concurrent readers run in
-  /// parallel with each other.
+  // --- reads (any thread) ----------------------------------------------
+  /// Queues a read job and returns `fn()`'s result once it has run: `fn`
+  /// runs on an apply thread after every job accepted before it, against
+  /// the store and program exactly as of AppliedEpoch(); what it throws
+  /// is rethrown here.  Reads run in parallel with each other.  On a
+  /// closing session the read waits for the close job and runs on the
+  /// caller.  `fn` must not call Read, Drain or Close of this session.
   template <typename Fn>
-  decltype(auto) Read(Fn&& fn) const {
-    const Quiesced hold(*this);
-    return std::forward<Fn>(fn)();
+  std::invoke_result_t<Fn&> Read(Fn&& fn) const {
+    using Result = std::invoke_result_t<Fn&>;
+    if constexpr (std::is_void_v<Result>) {
+      RunRead([&fn] { fn(); });
+    } else {
+      std::optional<Result> result;
+      RunRead([&] { result.emplace(fn()); });
+      return std::move(*result);
+    }
   }
+
+  /// Non-blocking read: queues `body` to run on an apply thread like
+  /// Read's `fn`; `body` reports its own result and errors.  False
+  /// (nothing queued) once the session is closing.
+  bool ReadAsync(std::function<void()> body) const;
 
   [[nodiscard]] std::vector<datalog::Tuple> Query(
       std::string_view predicate) const;
@@ -193,7 +223,8 @@ class Session {
   [[nodiscard]] datalog::MaintenanceStrategy Strategy() const {
     return strategy_;
   }
-  /// The resolved epoch-pipeline depth K (after the [1, 64] clamp).
+  /// The resolved epoch-pipeline depth K (after the [1, 64] clamp): the
+  /// session's apply threads.
   [[nodiscard]] std::size_t PipelineDepth() const { return depth_; }
   /// The session's accounted-memory ceiling (0 = none) and its live
   /// account, shared by every in-flight epoch cascade.
@@ -210,7 +241,8 @@ class Session {
   [[nodiscard]] std::uint64_t ProgramVersion() const {
     return db_.ProgramVersion();
   }
-  /// Jobs accepted but not yet admitted.
+  /// Jobs accepted but not yet admitted, queued reads included (a read
+  /// counts toward the bound but is never blocked or declined by it).
   [[nodiscard]] std::size_t QueueDepth() const;
   [[nodiscard]] std::size_t QueueCapacity() const { return capacity_; }
   /// The underlying store — shard-stable tuple access for equality checks.
@@ -220,19 +252,6 @@ class Session {
   [[nodiscard]] const datalog::Database& Db() const { return db_; }
 
  private:
-  /// Read's quiescence hold: the constructor counts a waiting reader and
-  /// waits until no epoch is in flight; the destructor releases it.
-  class Quiesced {
-   public:
-    explicit Quiesced(const Session& session);
-    ~Quiesced();
-    Quiesced(const Quiesced&) = delete;
-    Quiesced& operator=(const Quiesced&) = delete;
-
-   private:
-    const Session& session_;
-  };
-
   /// Running totals of every resolved epoch, folded in by the sequencer
   /// under pipe_mutex_ and published by PublishMetrics.
   struct Totals {
@@ -264,30 +283,39 @@ class Session {
     void Fold(const UpdateOutcome& outcome);
   };
 
-  /// One accepted job: an update batch or a rule change.
+  /// One accepted job.
   struct Job {
-    std::uint64_t epoch = 0;
+    std::uint64_t epoch = 0;  ///< kUpdate / rule changes only
     JobKind kind = JobKind::kUpdate;
     datalog::UpdateRequest request;  ///< kUpdate only
     std::string rules_text;          ///< kAddRules / kRemoveRule only
-    std::promise<UpdateOutcome> promise;
+    /// kRead: the read itself; kClose: the on_closed callback.
+    std::function<void()> body;
+    Done done;  ///< every kind but kClose; optional for kRead
   };
 
   void ApplyLoop();
   /// Admission: waits until the queue head is admissible (or the session
-  /// is closed and the queue empty — false, the thread's exit signal),
+  /// is closing and the queue empty — false, the thread's exit signal),
   /// then moves the head into `job` and marks it admitted.
   bool Take(Job& job);
   /// Whether an idle apply thread can act now: take an admissible head,
-  /// or exit a closed, drained queue.  Caller holds pipe_mutex_.
+  /// or exit a closing, drained queue.  Caller holds pipe_mutex_.
   [[nodiscard]] bool CanTake() const;
-  /// Cascade (or rule change) → sequencer for one admitted job.
+  /// Cascade (or rule change) → sequencer for one admitted epoch job.
   void Apply(Job& job);
-  /// The one enqueue behind Submit, TrySubmit and the Evolve calls: false
-  /// (and no enqueue) when `blocking` is off and the queue is full.
-  /// `job` is moved from only when enqueued.  Throws util::LogicError once
-  /// the session is closed (also when closed mid-wait).
-  bool Enqueue(Job&& job, bool blocking, std::future<UpdateOutcome>* out);
+  /// Runs an admitted read job, then releases its hold on admission.
+  void ApplyRead(Job& job);
+  /// The close job: final metrics, then its callback.
+  void ApplyClose(Job& job);
+  /// The one enqueue behind Submit, TrySubmit, the Evolve calls and reads:
+  /// false (and no enqueue) when `blocking` is off and the queue is full,
+  /// or for a read once the session is closing.  `job` is moved from only
+  /// when enqueued.  Throws util::LogicError for an update or rule change
+  /// once the session is closing (also when it closes mid-wait).
+  bool Enqueue(Job&& job, bool blocking) const;
+  /// Read's body: queues `body` as a read job and waits for it.
+  void RunRead(const std::function<void()>& body) const;
   /// Publishes session.<name>.* counters into the host registry.
   void PublishMetrics();
 
@@ -314,46 +342,51 @@ class Session {
   runtime::StratumFrontier frontier_;
 
   /// One mutex guards ALL pipeline state below (queue, epoch numbering,
-  /// admission, sequencing, query quiescence, totals).  Apply threads hold
-  /// it only around state transitions, never while a cascade runs.
+  /// admission, sequencing, totals).  Apply threads hold it only around
+  /// state transitions, never while a job runs.  The queue state is
+  /// mutable because const reads queue jobs too.
   mutable std::mutex pipe_mutex_;
-  /// Sequencer, Drain and readers wait here.
+  /// The sequencer, blocking readers and readers of a closing session
+  /// wait here.
   mutable std::condition_variable pipe_cv_;
   /// Idle apply threads wait here for an admissible head (or close).
-  /// Enqueue, resolve and reader release wake every waiter (at most K)
-  /// when CanTake() holds after them; Close always does.
+  /// Enqueue, resolve, read completion and close wake every waiter (at
+  /// most K) when CanTake() holds after them.
   mutable std::condition_variable admit_cv_;
   /// Blocking enqueues wait here for a free queue slot (or close).
-  std::condition_variable not_full_;
-  /// Accepted jobs not yet admitted, in epoch order.
-  std::deque<Job> queue_;
-  /// Epoch the next accepted job gets; next_epoch_ - 1 jobs accepted.
-  std::uint64_t next_epoch_ = 1;
+  mutable std::condition_variable not_full_;
+  /// Accepted jobs not yet admitted, in FIFO order.
+  mutable std::deque<Job> queue_;
+  /// Epoch the next accepted update or rule change gets; next_epoch_ - 1
+  /// of them accepted.
+  mutable std::uint64_t next_epoch_ = 1;
   /// Deepest the queue has ever been.
-  std::size_t queue_high_water_ = 0;
+  mutable std::size_t queue_high_water_ = 0;
   /// Enqueues that had to wait, or were declined, at the bound.
-  std::uint64_t blocked_submits_ = 0;
+  mutable std::uint64_t blocked_submits_ = 0;
+  /// The close job is queued: enqueues are turned away.
+  bool closing_ = false;
+  /// The close job has run.
   bool closed_ = false;
   /// Highest epoch whose cascade has been admitted (started).
   std::uint64_t admitted_epoch_ = 0;
-  /// Highest epoch whose future has resolved; dense, so in-flight count is
+  /// Highest epoch whose Done has run; dense, so in-flight count is
   /// admitted_epoch_ - applied_seq_.
   std::uint64_t applied_seq_ = 0;
-  /// Queries blocked waiting for the pipeline to quiesce; > 0 holds off
-  /// new admissions so readers are not starved by a busy pipeline.
-  mutable std::size_t queries_waiting_ = 0;
-  /// True while an evolve epoch's cascade is between admission and
-  /// resolution.  Evolve admission drains the pipeline (admitted ==
-  /// applied) and this flag keeps successors out until the swap + cone
-  /// cascade have landed — the evolution fence.
-  bool evolving_ = false;
+  /// Read jobs between admission and completion.
+  std::size_t reads_running_ = 0;
+  /// True while a rule change is between admission and resolution.  Its
+  /// admission drains the pipeline (admitted == applied) and this flag
+  /// keeps successors out until the swap + cone cascade have landed — the
+  /// evolution fence.  (Nothing ever follows the close job.)
+  bool exclusive_ = false;
   std::chrono::steady_clock::time_point busy_since_{};
   Totals totals_;
 
   /// Lock-free mirror of applied_seq_ for AppliedEpoch().
   std::atomic<std::uint64_t> applied_epoch_{0};
 
-  std::once_flag close_once_;
+  std::once_flag join_once_;
   /// K apply threads; joined by Close() (which the destructor runs) before
   /// any member is destroyed.
   std::vector<std::thread> apply_threads_;

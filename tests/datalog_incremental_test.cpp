@@ -227,7 +227,6 @@ TEST(IncrementalTest, RandomizedEquivalenceWithFromScratch) {
       store.Of(pred).Insert(tuple);
     }
     EvaluateProgram(program, strat, store);
-    IncrementalEngine engine(program, strat, store);
 
     for (int batch = 0; batch < 5; ++batch) {
       UpdateRequest request;
@@ -249,7 +248,7 @@ TEST(IncrementalTest, RandomizedEquivalenceWithFromScratch) {
                                           Tuple{Value::Int(i), Value::Int(j)});
         }
       }
-      engine.Apply(request);
+      (void)testing::SerialUpdate(program, strat, store, request);
 
       std::vector<std::pair<std::uint32_t, Tuple>> current_base;
       for (int i = 0; i < 10; ++i) {

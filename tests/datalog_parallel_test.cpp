@@ -40,13 +40,13 @@ TEST(ParallelUpdateTest, MatchesSequentialAcrossSchedulers) {
     Fixture parallel;
     parallel.Base(rng2, 10, 0.15);
 
-    IncrementalEngine engine(sequential.program, sequential.strat,
-                             sequential.store);
     util::Rng update_rng(4242);
     for (int batch = 0; batch < 4; ++batch) {
       const UpdateRequest request =
           RandomUpdate(sequential.program, update_rng, 10);
-      const UpdateResult seq_result = engine.Apply(request);
+      const UpdateResult seq_result =
+          dsched::testing::SerialUpdate(sequential.program, sequential.strat,
+                                        sequential.store, request);
       const ParallelUpdateResult par_result =
           ApplyParallel(*parallel.compiled, parallel.store, request, router,
                         {.scheduler_spec = spec});

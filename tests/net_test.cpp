@@ -935,6 +935,58 @@ TEST(ServiceServerTest, PipelinedSubmitsResolveInEpochOrder) {
   }
 }
 
+TEST(ServiceServerTest, SessionClosedFollowsEveryAnswerAndTheFinalMetrics) {
+  // Pipelined SUBMITs, then CLOSE_SESSION, then one more SUBMIT on one
+  // connection.  The close unregisters at dispatch, so the late SUBMIT is
+  // NO_SESSION at once; the close job runs behind every accepted batch and
+  // publishes the final session and store metrics before it answers.
+  ServerFixture fx;
+  ServiceClient client = fx.Connect();
+  OpenSessionRequest open;
+  open.request_id = 1;
+  open.program = kChainProgram;
+  open.name = "closer";
+  open.pipeline_depth = 2;
+  const std::uint64_t sid = client.OpenSessionSync(open);
+  constexpr int kBatches = 12;
+  for (int b = 0; b < kBatches; ++b) {
+    // Disjoint 4-edge chains: 4 e rows and 10 tc rows each.
+    client.SendSubmit(ChainBatch(static_cast<std::uint64_t>(100 + b), sid,
+                                 10 * b, 10 * b + 4));
+  }
+  client.SendCloseSession(CloseSessionRequest{200, sid});
+  client.SendSubmit(ChainBatch(300, sid, 500, 502));
+  int results = 0;
+  bool closed = false;
+  bool late_refused = false;
+  for (int i = 0; i < kBatches + 2; ++i) {
+    ServiceClient::Response resp;
+    ASSERT_TRUE(client.ReadResponse(&resp, 60000)) << "response " << i;
+    if (resp.opcode == Opcode::kSubmitResult) {
+      EXPECT_FALSE(closed) << "SUBMIT_RESULT after SESSION_CLOSED";
+      ++results;
+      EXPECT_EQ(resp.submit_result.epoch, static_cast<std::uint64_t>(results));
+    } else if (resp.opcode == Opcode::kSessionClosed) {
+      EXPECT_EQ(resp.session_closed.request_id, 200u);
+      EXPECT_EQ(results, kBatches);
+      closed = true;
+      const obs::MetricsRegistry& m = fx.host.Metrics();
+      EXPECT_EQ(m.Value("session.closer.applied"),
+                static_cast<std::uint64_t>(kBatches));
+      EXPECT_EQ(m.Value("session.closer.store.rows"),
+                static_cast<std::uint64_t>(14 * kBatches));
+      EXPECT_EQ(fx.host.ActiveSessions(), 0u);
+    } else {
+      ASSERT_EQ(resp.opcode, Opcode::kError);
+      EXPECT_EQ(resp.error.request_id, 300u);
+      EXPECT_EQ(resp.error.code, ErrorCode::kNoSession);
+      late_refused = true;
+    }
+  }
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(late_refused);
+}
+
 TEST(ServiceServerTest, DisconnectMidBatchDrainsSession) {
   ServerFixture fx;
   std::uint64_t sid = 0;
@@ -1451,12 +1503,11 @@ TEST(ServiceServerTest, QueryResultFramesMatchTheCodecByteForByte) {
 
 TEST(ServiceServerTest, PipelinedLargeResultsFlushInOrderThroughTheCursor) {
   // Six 1.8 MB results queue behind a client that reads nothing: the
-  // unsent bytes cross write_buffer_limit (a write stall), keep the idle
+  // unsent bytes cross kWriteBufferLimit (a write stall), keep the idle
   // reaper off past its deadline, and then drain intact and in order,
   // with the PONG sent after them arriving last.
   service::EngineHost host{{.workers = 2}};
   ServerOptions options;
-  options.write_buffer_limit = 1u << 20;
   options.idle_timeout_ms = 100;
   ServiceServer server{host, options};
   server.Start();

@@ -147,6 +147,7 @@ TEST(RuntimeStressTest, BatchedDispatchKeepsStatsConsistent) {
 
 // Program + helpers shared with the parallel and service tests.
 using dsched::testing::kWideProgram;
+using dsched::testing::SerialUpdate;
 using dsched::testing::Sorted;
 
 /// Input 1 of the sweep: a hand-built base instance, with `e` and `mark`
@@ -187,7 +188,6 @@ void ExpectHandBuiltStreamMatchesSerial(TaskRouter& router, const char* spec) {
   datalog::EvaluateProgram(seq_program, seq_strat, seq_store);
   datalog::EvaluateProgram(par_program, par_strat, par_store);
 
-  datalog::IncrementalEngine engine(seq_program, seq_strat, seq_store);
   util::Rng update_rng(999);
   for (int batch = 0; batch < 3; ++batch) {
     datalog::UpdateRequest request;
@@ -210,7 +210,7 @@ void ExpectHandBuiltStreamMatchesSerial(TaskRouter& router, const char* spec) {
       request.deletions.emplace_back(mark, Tuple{Value::Int(m)});
     }
 
-    (void)engine.Apply(request);
+    (void)SerialUpdate(seq_program, seq_strat, seq_store, request);
     (void)datalog::ApplyParallel(*par, par_store, request, router,
                                  {.scheduler_spec = spec});
     for (std::uint32_t pred = 0; pred < seq_program.NumPredicates(); ++pred) {
@@ -232,13 +232,11 @@ void ExpectFixtureStreamMatchesSerial(TaskRouter& router, const char* spec) {
   dsched::testing::WideFixture routed;
   routed.Base(rng2, 9, 0.18);
 
-  datalog::IncrementalEngine engine(serial.program, serial.strat,
-                                    serial.store);
   util::Rng update_rng(654);
   for (int batch = 0; batch < 3; ++batch) {
     const datalog::UpdateRequest request =
         dsched::testing::RandomUpdate(serial.program, update_rng, 9);
-    (void)engine.Apply(request);
+    (void)SerialUpdate(serial.program, serial.strat, serial.store, request);
     const auto result = datalog::ApplyParallel(
         *routed.compiled, routed.store, request, router,
         {.scheduler_spec = spec});
@@ -260,8 +258,6 @@ void ExpectPooledStreamMatchesSerial(TaskRouter& router, const char* spec) {
   dsched::testing::WideFixture routed;
   routed.Base(rng2, 9, 0.18);
 
-  datalog::IncrementalEngine engine(serial.program, serial.strat,
-                                    serial.store);
   util::Rng update_rng(987);
   for (int batch = 0; batch < 2; ++batch) {
     datalog::UpdateRequest request;
@@ -274,7 +270,7 @@ void ExpectPooledStreamMatchesSerial(TaskRouter& router, const char* spec) {
       request.deletions.insert(request.deletions.end(), more.deletions.begin(),
                                more.deletions.end());
     }
-    (void)engine.Apply(request);
+    (void)SerialUpdate(serial.program, serial.strat, serial.store, request);
     const auto result = datalog::ApplyParallel(
         *routed.compiled, routed.store, request, router,
         {.scheduler_spec = spec});

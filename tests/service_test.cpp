@@ -29,8 +29,23 @@ namespace {
 
 using dsched::testing::ExpectStoresEqual;
 using dsched::testing::RandomUpdate;
+using dsched::testing::SerialUpdate;
 using dsched::testing::WideFixture;
 using dsched::testing::kWideProgram;
+
+/// A Done that resolves `*future`, for the tests that hold TrySubmit and
+/// TryEvolve outcomes the way Submit returns them.
+Session::Done Resolves(std::future<UpdateOutcome>* future) {
+  auto promise = std::make_shared<std::promise<UpdateOutcome>>();
+  *future = promise->get_future();
+  return [promise](UpdateOutcome&& outcome, std::exception_ptr error) {
+    if (error == nullptr) {
+      promise->set_value(std::move(outcome));
+    } else {
+      promise->set_exception(std::move(error));
+    }
+  };
+}
 
 /// Seeds a session with the same base instance WideFixture::Base builds.
 void SeedLikeFixture(Session& session, util::Rng& rng, int nodes,
@@ -64,8 +79,6 @@ TEST(ServiceTest, DeclinedTrySubmitLeavesTheBatchToRetry) {
   util::Rng replay_rng(31);
   WideFixture replay;
   replay.Base(replay_rng, 8, 0.2);
-  datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                    replay.store);
 
   util::Rng update_rng(32);
   std::size_t declined = 0;
@@ -74,9 +87,9 @@ TEST(ServiceTest, DeclinedTrySubmitLeavesTheBatchToRetry) {
     datalog::UpdateRequest request =
         RandomUpdate(replay.program, update_rng, 8);
     const datalog::UpdateRequest original = request;
-    (void)engine.Apply(original);
+    (void)SerialUpdate(replay.program, replay.strat, replay.store, original);
     std::future<UpdateOutcome> future;
-    while (!session->TrySubmit(std::move(request), &future)) {
+    while (!session->TrySubmit(std::move(request), Resolves(&future))) {
       ++declined;
       ASSERT_EQ(request.insertions, original.insertions);
       ASSERT_EQ(request.deletions, original.deletions);
@@ -102,14 +115,13 @@ TEST(ServiceTest, SingleSessionMatchesSerialReplay) {
   util::Rng replay_rng(777);
   WideFixture replay;
   replay.Base(replay_rng, 10, 0.15);
-  datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                    replay.store);
 
   util::Rng update_rng(4242);
   for (int batch = 0; batch < 5; ++batch) {
     const datalog::UpdateRequest request =
         RandomUpdate(replay.program, update_rng, 10);
-    const datalog::UpdateResult serial = engine.Apply(request);
+    const datalog::UpdateResult serial =
+        SerialUpdate(replay.program, replay.strat, replay.store, request);
     const UpdateOutcome outcome = session->Submit(request).get();
     EXPECT_EQ(outcome.epoch, static_cast<std::uint64_t>(batch + 1));
     EXPECT_EQ(outcome.update.total_inserted, serial.total_inserted);
@@ -175,11 +187,9 @@ TEST(ServiceTest, FourConcurrentSessionsEqualSerialPerSessionReplay) {
     util::Rng replay_rng(1000 + static_cast<std::uint64_t>(s));
     WideFixture replay;
     replay.Base(replay_rng, 9, 0.18);
-    datalog::IncrementalEngine engine(replay.program, replay.strat,
-                                      replay.store);
     for (const datalog::UpdateRequest& request :
          streams[static_cast<std::size_t>(s)]) {
-      (void)engine.Apply(request);
+      (void)SerialUpdate(replay.program, replay.strat, replay.store, request);
     }
     ExpectStoresEqual(replay.program, replay.store,
                       sessions[static_cast<std::size_t>(s)]->Store(),
@@ -216,7 +226,7 @@ TEST(ServiceTest, BackpressureBlocksSubmitAtTheBound) {
     std::future<UpdateOutcome> future;
     if (session->TrySubmit(RandomUpdate(session->Db().GetProgram(),
                                         update_rng, 8),
-                           &future)) {
+                           Resolves(&future))) {
       futures.push_back(std::move(future));
     } else {
       ++declined;
@@ -279,11 +289,11 @@ TEST(ServiceTest, SubmitAtTheBoundBlocksUntilAJobIsAdmitted) {
   std::thread producer;
   session->Read([&] {
     EXPECT_TRUE(session->TrySubmit(RandomUpdate(program, update_rng, 8),
-                                   &first));
+                                   Resolves(&first)));
     EXPECT_EQ(session->QueueDepth(), 1u);
     std::future<UpdateOutcome> declined;
     EXPECT_FALSE(session->TrySubmit(datalog::UpdateRequest(second),
-                                    &declined));
+                                    Resolves(&declined)));
     producer = std::thread([&] {
       blocked = session->Submit(std::move(second));
       accepted.store(true);
@@ -315,13 +325,15 @@ TEST(ServiceTest, ClosedSessionRejectsEveryEnqueue) {
   datalog::UpdateRequest request;
   EXPECT_THROW((void)session->Submit(datalog::UpdateRequest{}),
                util::LogicError);
-  EXPECT_THROW((void)session->TrySubmit(std::move(request), &out),
+  EXPECT_THROW((void)session->TrySubmit(std::move(request), Resolves(&out)),
                util::LogicError);
   EXPECT_THROW((void)session->EvolveAddRules(rule), util::LogicError);
   EXPECT_THROW((void)session->EvolveRemoveRule(rule), util::LogicError);
-  EXPECT_THROW((void)session->TryEvolveAddRules(rule, &out),
+  EXPECT_THROW((void)session->TryEvolve(Session::JobKind::kAddRules, rule,
+                                        Resolves(&out)),
                util::LogicError);
-  EXPECT_THROW((void)session->TryEvolveRemoveRule(rule, &out),
+  EXPECT_THROW((void)session->TryEvolve(Session::JobKind::kRemoveRule, rule,
+                                        Resolves(&out)),
                util::LogicError);
   EXPECT_EQ(session->AppliedEpoch(), 1u);
 }
@@ -345,7 +357,8 @@ TEST(ServiceTest, CloseWhileAReaderHoldsTheQueueJoinsEveryApplyThread) {
     std::thread closer;
     session->Read([&] {
       EXPECT_TRUE(session->TrySubmit(
-          RandomUpdate(session->Db().GetProgram(), rng, 8), &futures[0]));
+          RandomUpdate(session->Db().GetProgram(), rng, 8),
+          Resolves(&futures[0])));
       if (with_evolve) {
         futures.push_back(session->EvolveAddRules("far(X) :- deadend(X)."));
       }
@@ -362,6 +375,58 @@ TEST(ServiceTest, CloseWhileAReaderHoldsTheQueueJoinsEveryApplyThread) {
       EXPECT_EQ(future.get().epoch, expected_epoch++);
     }
     EXPECT_EQ(session->AppliedEpoch(), futures.size());
+  }
+}
+
+TEST(ServiceTest, ReadRunsAfterEveryAcceptedJob) {
+  // A held read keeps three accepted batches waiting for admission.  A
+  // second read queued behind them must see all three applied: a read is
+  // a job in the session's FIFO, not a hold on admitted epochs only.
+  EngineHost host({.workers = 2});
+  auto session =
+      host.OpenSession(kWideProgram, {.name = "ryw", .pipeline_depth = 2});
+  util::Rng rng(45);
+  SeedLikeFixture(*session, rng, 8, 0.2);
+  std::atomic<bool> read{false};
+  std::uint64_t seen = 0;
+  std::thread reader;
+  session->Read([&] {
+    for (int i = 0; i < 3; ++i) {
+      (void)session->Submit(RandomUpdate(session->Db().GetProgram(), rng, 8));
+    }
+    reader = std::thread([&] {
+      seen = session->Read([&] { return session->AppliedEpoch(); });
+      read.store(true);
+    });
+    // Hold until the second read is queued behind the batches (or has
+    // already answered, which would be the bug).
+    while (!read.load() && session->QueueDepth() < 4) {
+      std::this_thread::yield();
+    }
+  });
+  reader.join();
+  EXPECT_EQ(seen, 3u);
+  session->Close();
+}
+
+TEST(ServiceTest, ThrowingReadFailsOnlyTheReader) {
+  // A read that throws rethrows on its caller; the apply thread that ran
+  // it carries on, and the session keeps applying and answering.
+  EngineHost host({.workers = 2});
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("K=" + std::to_string(depth));
+    auto session =
+        host.OpenSession(kWideProgram, {.name = "tr", .pipeline_depth = depth});
+    util::Rng rng(46);
+    SeedLikeFixture(*session, rng, 8, 0.2);
+    EXPECT_THROW((void)session->Query("nope"), util::Error);
+    EXPECT_EQ(
+        session->Submit(RandomUpdate(session->Db().GetProgram(), rng, 8))
+            .get()
+            .epoch,
+        1u);
+    EXPECT_FALSE(session->Query("n").empty());
+    session->Close();
   }
 }
 

@@ -14,6 +14,7 @@
 #include "datalog/compiled_program.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/incremental.hpp"
+#include "datalog/maintenance.hpp"
 #include "datalog/parser.hpp"
 #include "datalog/relation.hpp"
 #include "datalog/stratify.hpp"
@@ -50,6 +51,16 @@ inline void ExpectStoresEqual(const datalog::Program& program,
     EXPECT_EQ(Sorted(a.Of(pred).Tuples()), Sorted(b.Of(pred).Tuples()))
         << what << ": predicate " << program.predicate_names[pred];
   }
+}
+
+/// The serial replay step of the equality tests: one DRed update of
+/// `store`, on the calling thread, with no scheduler or executor.
+inline datalog::UpdateResult SerialUpdate(
+    const datalog::Program& program, const datalog::Stratification& strat,
+    datalog::RelationStore& store, const datalog::UpdateRequest& request) {
+  return datalog::PropagateUpdateWithStrategy(
+      program, strat, store, datalog::GroupedBaseChanges(program, request),
+      datalog::MaintenanceStrategy::kDRed);
 }
 
 /// A compiled kWideProgram with its own store, ready for Base().
